@@ -8,7 +8,7 @@ tightest dollar statement inside it, and the tightest one around it.
 
 from pathlib import Path
 
-from crosslang import Star, load_corpus, translate
+from crosslang import Star, load_corpus
 
 corpus = load_corpus(Path(__file__).resolve().parent.parent / "corpus" / "oil-prices")
 t = corpus.require_translation()
@@ -16,16 +16,16 @@ dollars, yuan = corpus.algebra1, corpus.algebra2
 
 print("The yuan speaker says: the price is in [CNY 500, CNY 700).")
 span = yuan.denote_text("cny_500_600 | cny_600_700")
-inner = translate(t, "2>1", "inner", span)
-outer = translate(t, "2>1", "outer", span)
+inner = t.apply("2>1", "inner", span)
+outer = t.apply("2>1", "outer", span)
 print("  understating it in dollars:", dollars.formula_text(inner))
 print("  overstating it in dollars: ", dollars.formula_text(outer))
 
 print()
 print("Now she says: the price is below CNY 200 (maybe even negative).")
 low = yuan.denote_text("cny_neg | cny_0_100 | cny_100_200")
-inner = translate(t, "2>1", "inner", low)
-outer = translate(t, "2>1", "outer", low)
+inner = t.apply("2>1", "inner", low)
+outer = t.apply("2>1", "outer", low)
 print("  understating it in dollars:", dollars.formula_text(inner))
 if isinstance(outer, Star):
     print("  overstating it in dollars:  impossible - no dollar statement")

@@ -16,7 +16,6 @@ from crosslang import (
     cross_dot,
     load_corpus,
     probability_bounds,
-    translate,
     translation_from_implication,
 )
 
@@ -32,10 +31,10 @@ for line in report.summary_lines():
 t = translation_from_implication(relation)
 print()
 print("everything the unaware speaker can say maps inside:",
-      aware.formula_text(translate(t, "2>1", "outer", unaware.top)))
+      aware.formula_text(t.apply("2>1", "outer", unaware.top)))
 print("the platypus has no counterpart at all:",
-      unaware.formula_text(translate(t, "1>2", "outer",
-                                     aware.denote_text("platypus"))))
+      unaware.formula_text(t.apply("1>2", "outer",
+                                   aware.denote_text("platypus"))))
 
 space = build_joint_state_space(relation)
 print()

@@ -14,7 +14,6 @@ from crosslang import (
     fixed_points,
     load_corpus,
     perfect_translations,
-    translate,
 )
 
 corpus = load_corpus(
@@ -24,10 +23,10 @@ coarse, fine = corpus.algebra1, corpus.algebra2
 
 assert check_consistency(t).passed
 u = coarse.denote_text("u")
-print("inner image of u:", fine.formula_text(translate(t, "1>2", "inner", u)))
-print("outer image of u:", fine.formula_text(translate(t, "1>2", "outer", u)))
+print("inner image of u:", fine.formula_text(t.apply("1>2", "inner", u)))
+print("outer image of u:", fine.formula_text(t.apply("1>2", "outer", u)))
 
-around = translate(t, "2>1", "outer", translate(t, "1>2", "inner", u))
+around = t.apply("2>1", "outer", t.apply("1>2", "inner", u))
 print("round trip via the inner image returns:", coarse.formula_text(around))
 
 print()

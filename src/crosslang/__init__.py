@@ -45,6 +45,7 @@ from .errors import (
     DegenerateCommonLanguageError,
     DuplicateAtomError,
     InconsistentInputError,
+    InvalidWeightsError,
     ParseError,
     StarNegationError,
     UndeclaredAtomError,
@@ -98,6 +99,5 @@ from .translation import (
     check_derived_properties,
     check_galois,
     check_restricted_duality,
-    translate,
     translation_from_atom_outers,
 )

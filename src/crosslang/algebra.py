@@ -282,13 +282,17 @@ class Algebra:
     def atoms(self) -> list[Prop]:
         return [Prop(self, 1 << i) for i in range(len(self.models))]
 
-    def all_props(self):
-        """Every proposition, ordered by mask.  Only for small algebras."""
+    def require_enumerable(self) -> None:
+        """Refuse lattice-wide work (2**model_count propositions) on big algebras."""
         if self.model_count > ENUMERABLE_MODEL_LIMIT:
             raise AlgebraTooLargeError(
                 f"{self.name!r} has {self.model_count} models; enumerating "
                 f"2**{self.model_count} propositions is not supported"
             )
+
+    def all_props(self):
+        """Every proposition, ordered by mask.  Only for small algebras."""
+        self.require_enumerable()
         return [Prop(self, mask) for mask in range(self.full_mask + 1)]
 
     def star_lattice(self):

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every requested check passes, 1 on axiom failures or
-inconsistent inputs, 2 on unusable inputs (syntax errors, missing files).
+inconsistent inputs, 2 on unusable inputs (syntax errors, missing files,
+invalid probability weights, a size cap exceeded).
 Output is byte-identical for identical inputs and flags; wall-clock timing
 is only included when explicitly requested with ``--timing``.
 """
@@ -27,11 +28,13 @@ from .corpus import (
 )
 from .commonality import classify_awareness, common_language, joint_embeddings
 from .errors import (
+    AlgebraTooLargeError,
     AtomCapError,
     BudgetExceededError,
     ContradictionError,
     CrosslangError,
     DegenerateCommonLanguageError,
+    InvalidWeightsError,
     ParseError,
 )
 from .hasse import algebra_dot, cross_dot
@@ -43,7 +46,7 @@ from .implication import (
 from .language import parse_formula, parse_language
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
 from .semantics import joint_space_from_translation, probability_bounds
-from .translation import check_consistency, translate
+from .translation import check_consistency
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +99,7 @@ def _oracle_section_for(t) -> tuple[dict, bool]:
     try:
         for direction in ("1>2", "2>1"):
             section[f"adjoint:{direction}"] = (
-                brute_adjoint(t, direction) == t.maps[(direction, "inner")]
+                bool((brute_adjoint(t, direction) == t.array(direction, "inner")).all())
             )
         r = implication_from_translation(t)
         space = joint_space_from_translation(t)
@@ -113,14 +116,10 @@ def _oracle_section_for(t) -> tuple[dict, bool]:
     return section, agree
 
 
-def _oracle_section(corpus) -> tuple[dict, bool]:
-    return _oracle_section_for(corpus.require_translation())
-
-
 def _attach_oracle(args, payload, corpus) -> int:
     if not args.oracle:
         return 0
-    section, agree = _oracle_section(corpus)
+    section, agree = _oracle_section_for(corpus.require_translation())
     payload["oracle"] = section
     return 0 if agree else 1
 
@@ -174,7 +173,7 @@ def cmd_translate(args) -> int:
         return 1
     src, dst = t.endpoints(args.direction)
     x = src.denote(parse_formula(args.formula, src.spec))
-    result = translate(t, args.direction, args.mode, x)
+    result = t.apply(args.direction, args.mode, x)
     rendered = dst.formula_text(result)
     payload = _base_report("translate", _corpus_inputs(corpus.path), started, args)
     payload.update({
@@ -286,9 +285,6 @@ def _add_common(parser, default_format: str):
                         help="cap on elementary propositions per language")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-validate against the brute-force oracle")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallelism hint (checkers are vectorized; accepted "
-                             "for interface stability)")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
 
@@ -358,8 +354,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError,
-            AtomCapError, ContradictionError) as exc:
+    except (ParseError, FileNotFoundError, json.JSONDecodeError, AtomCapError,
+            AlgebraTooLargeError, ContradictionError, InvalidWeightsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except CrosslangError as exc:

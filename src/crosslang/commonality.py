@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Prop, implies, join, meet, negate
+from .algebra import Algebra, Prop
 from .errors import (
     CharacterizationMismatchError,
     DegenerateCommonLanguageError,
@@ -132,25 +132,30 @@ def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
         raise DegenerateCommonLanguageError(
             "only the contradiction translates exactly"
         )
-    members = tuple(sorted(perfect, key=lambda p: p.mask))
-    outer_f = t.array(fwd, "outer")
-    partner = {m: Prop(dst, int(outer_f[m.mask])) for m in members}
+    masks = np.array(sorted(p.mask for p in perfect), dtype=np.int64)
+    partner_masks = t.array(fwd, "outer")[masks]
+    is_member = np.zeros(src.full_mask + 1, dtype=bool)
+    is_member[masks] = True
 
-    for a in members:
-        for b in members:
-            if meet(a, b) not in perfect or meet(negate(a), b) not in perfect:
-                raise CharacterizationMismatchError(
-                    "perfect set is not closed under meet / relative complement"
-                )
-            if implies(a, b) != implies(partner[a], partner[b]):
-                raise CharacterizationMismatchError(
-                    "partner bijection does not preserve implication"
-                )
-    top = members[0]
-    for m in members:
-        top = join(top, m)
-    if top not in perfect or top == src.bottom:
+    # one pass per member a over every b, reporting the first failing pair
+    # in (a, b) order, closure before implication at the same pair
+    for a, partner_a in zip(masks, partner_masks):
+        closed = is_member[a & masks] & is_member[(src.full_mask ^ a) & masks]
+        preserved = ((a & ~masks) == 0) == ((partner_a & ~partner_masks) == 0)
+        bad = np.flatnonzero(~(closed & preserved))
+        if bad.size and not closed[bad[0]]:
+            raise CharacterizationMismatchError(
+                "perfect set is not closed under meet / relative complement"
+            )
+        if bad.size:
+            raise CharacterizationMismatchError(
+                "partner bijection does not preserve implication"
+            )
+    top = int(np.bitwise_or.reduce(masks))
+    if not is_member[top] or top == 0:
         raise CharacterizationMismatchError("common language lacks a distinct top")
+    members = tuple(Prop(src, int(m)) for m in masks)
+    partner = {m: Prop(dst, int(v)) for m, v in zip(members, partner_masks)}
     return CommonLanguage(src, dst, members, partner)
 
 

@@ -58,3 +58,7 @@ class DegenerateCommonLanguageError(CrosslangError):
 
 class BudgetExceededError(CrosslangError):
     """A brute-force enumeration hit its configured budget."""
+
+
+class InvalidWeightsError(CrosslangError, ValueError):
+    """Probability weights that are not a distribution over the joint states."""

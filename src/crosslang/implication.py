@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import Algebra, Prop, Star, StarProp, implies
 from .errors import AlgebraTooLargeError, CrossAlgebraError, InconsistentInputError
 from .reports import AxiomCheck, AxiomReport
-from .translation import Translation, _element
+from .translation import Translation, _element, with_star
 
 _SLOW_CLOSE_LIMIT = 2048
 
@@ -404,12 +404,7 @@ def translation_from_implication(r: CrossImplication) -> Translation:
             np.where(back[:np_dst, :np_src], dst_masks[:, None], np.int64(0)),
             axis=0,
         )
-        inner_map = {Prop(src, m): Prop(dst, int(v)) for m, v in enumerate(inner)}
-        inner_map[src.star] = dst.star
-        outer_map = {Prop(src, m): _element(dst, int(v)) for m, v in enumerate(outer)}
-        outer_map[src.star] = dst.star
-        return inner_map, outer_map
+        return with_star(inner), with_star(outer)
 
-    inner12, outer12 = operators(a1, a2, r.rows12, r.rows21)
-    inner21, outer21 = operators(a2, a1, r.rows21, r.rows12)
-    return Translation(a1, a2, inner12, outer12, inner21, outer21)
+    return Translation(a1, a2, *operators(a1, a2, r.rows12, r.rows21),
+                       *operators(a2, a1, r.rows21, r.rows12))

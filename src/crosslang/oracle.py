@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import Algebra, Prop, StarProp
 from .errors import BudgetExceededError
 from .implication import CrossImplication
-from .translation import Translation
+from .translation import Translation, with_star
 
 
 @dataclass(frozen=True)
@@ -206,22 +206,20 @@ def state_set_of(r: CrossImplication, pair: tuple[int | None, int | None]) -> fr
     )
 
 
-def brute_adjoint(t: Translation, direction: str) -> dict:
+def brute_adjoint(t: Translation, direction: str) -> np.ndarray:
     """Recompute an inner operator from the opposite outer by scanning every
     candidate: the image of each proposition is the join of all propositions
-    whose outer image implies it."""
+    whose outer image implies it.  Same layout as ``Translation.array``."""
     back = "2>1" if direction == "1>2" else "1>2"
     src, dst = t.endpoints(direction)
     outer_back = t.array(back, "outer")
     nd = dst.full_mask + 1
     eta = np.arange(nd, dtype=np.int64)
-    result = {}
+    result = np.empty(src.full_mask + 1, dtype=np.int64)
     for lam in range(src.full_mask + 1):
         qualifies = (outer_back[:nd] & ~np.int64(lam)) == 0
-        image = int(np.bitwise_or.reduce(np.where(qualifies, eta, np.int64(0))))
-        result[Prop(src, lam)] = Prop(dst, image)
-    result[src.star] = dst.star
-    return result
+        result[lam] = np.bitwise_or.reduce(np.where(qualifies, eta, np.int64(0)))
+    return with_star(result)
 
 
 def brute_ultrafilter_extension(r: CrossImplication, side: int,

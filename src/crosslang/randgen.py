@@ -95,13 +95,12 @@ def mutate_one_value(rng: random.Random, t: Translation) -> Translation:
     mode = rng.choice(["inner", "outer"])
     src, dst = t.endpoints(direction)
     lam = Prop(src, rng.randrange(src.full_mask + 1))
-    old = t.apply(direction, mode, lam)
+    old = t.array(direction, mode)[lam.mask]
     while True:
-        candidates = list(range(dst.full_mask + 1))
-        pick = rng.choice(candidates + [-1])
-        new = dst.star if pick == -1 else Prop(dst, pick)
-        if new != old:
-            return t.replace(direction, mode, lam, new)
+        pick = rng.choice(list(range(dst.full_mask + 1)) + [-1])
+        if pick != old:
+            return t.replace(direction, mode, lam,
+                             dst.star if pick == -1 else Prop(dst, pick))
 
 
 def random_formula(rng: random.Random, spec: LanguageSpec, depth: int = 3):

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, Prop, Star, StarProp
-from .errors import CrosslangError, InconsistentInputError
+from .errors import (
+    AlgebraTooLargeError,
+    CrosslangError,
+    InconsistentInputError,
+    InvalidWeightsError,
+)
 from .implication import (
     CrossImplication,
     implication_from_translation,
@@ -28,6 +33,9 @@ class JointStateSpace:
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
                  states: list[tuple[int | None, int | None]]):
+        if len(states) > 63:  # events are int64 state masks; bit 63 is the sign
+            raise AlgebraTooLargeError(
+                f"the joint state space has {len(states)} states, above the cap of 63")
         self.algebra1 = algebra1
         self.algebra2 = algebra2
         self.states = list(states)
@@ -315,19 +323,26 @@ def probability_bounds(space: JointStateSpace, p, x: StarProp, target: int):
 
 
 def _normalize_weights(space: JointStateSpace, p) -> list[float]:
+    """One weight per state, from a list or a map by state index (int or str)."""
+    n = space.state_count
+    values = p
     if isinstance(p, dict):
-        weights = [float(p.get(i, p.get(str(i), 0.0))) for i in range(space.state_count)]
-    else:
-        weights = [float(v) for v in p]
-        if len(weights) != space.state_count:
-            raise ValueError(
-                f"{len(weights)} weights for {space.state_count} states"
-            )
-    if any(w < 0 for w in weights):
-        raise ValueError("probabilities must be non-negative")
+        named = set(range(n)) | {str(i) for i in range(n)}
+        stray = [key for key in p if key not in named]
+        if stray:
+            raise InvalidWeightsError(f"weight keys {stray} name none of the {n} states")
+        values = [p.get(i, p.get(str(i), 0.0)) for i in range(n)]
+    try:
+        weights = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise InvalidWeightsError(f"weights must be numbers: {exc}") from None
+    if len(weights) != n:
+        raise InvalidWeightsError(f"{len(weights)} weights for {n} states")
+    if not all(0 <= w < float("inf") for w in weights):   # NaN fails too
+        raise InvalidWeightsError("probabilities must be finite and non-negative")
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+        raise InvalidWeightsError(f"probabilities sum to {total}, not 1")
     return weights
 
 

@@ -1,12 +1,12 @@
 """Four-operator translations between two algebras and their axiom checks.
 
-A translation stores four total maps on the star-augmented lattices: the
-inner and outer operators in each direction.  Stored maps are plain dicts;
-the checkers run on int64 arrays indexed by proposition mask, with ``-1``
-standing for the star.  Two's-complement makes that encoding compose: with
-``-1`` as an all-ones mask, ``a & ~b == 0`` is exactly the star-lattice
-implication, ``&``/``|`` are meet/join, and index ``-1`` lands on the star
-slot kept at the end of every value array.
+A translation stores four total operators on the star-augmented lattices:
+the inner and outer operators in each direction.  Each one is a read-only
+int64 array of value masks indexed by source mask, with the star slot kept
+at the end and ``-1`` standing for the star.  Two's-complement makes that
+encoding compose: with ``-1`` as an all-ones mask, ``a & ~b == 0`` is exactly
+the star-lattice implication, ``&``/``|`` are meet/join, and index ``-1``
+lands on the star slot.
 """
 
 from __future__ import annotations
@@ -19,40 +19,54 @@ from .reports import AxiomCheck, AxiomReport
 
 _CHUNK = 512
 
+# constructor order of the four operators
+_OPERATORS = (("1>2", "inner"), ("1>2", "outer"), ("2>1", "inner"), ("2>1", "outer"))
+
+
+def _slot(x: StarProp, algebra: Algebra) -> int:
+    """Array index of an argument or array value of an image; -1 is the star."""
+    if x.algebra.name != algebra.name:
+        raise CrossAlgebraError(
+            f"{x.algebra.name!r} given where {algebra.name!r} is expected")
+    return -1 if isinstance(x, Star) else x.mask
+
 
 class Translation:
-    """Inner/outer operator pairs in both directions between two algebras."""
+    """Inner/outer operator pairs in both directions between two algebras.
+
+    Each operator is given as an int64 array of value masks indexed by
+    source mask, star slot last, ``-1`` for the star; it is validated,
+    copied and stored read-only.
+    """
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
-                 inner12: dict, outer12: dict, inner21: dict, outer21: dict):
+                 inner12, outer12, inner21, outer21):
         if algebra1.name == algebra2.name:
             raise CrossAlgebraError(
                 "the two languages of a translation need distinct names"
             )
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        self.maps = {
-            ("1>2", "inner"): inner12,
-            ("1>2", "outer"): outer12,
-            ("2>1", "inner"): inner21,
-            ("2>1", "outer"): outer21,
-        }
-        self._arrays = {}
+        self._operators = {}
         self._consistency = None
-        for (direction, mode), mapping in self.maps.items():
+        for (direction, mode), vals in zip(_OPERATORS, (inner12, outer12, inner21, outer21)):
             src, dst = self.endpoints(direction)
-            expected = set(src.star_lattice())
-            if set(mapping) != expected:
+            src.require_enumerable()
+            vals = np.array(vals)
+            if vals.dtype != np.int64:
+                raise CrosslangError(f"{mode} {direction} map must be an int64 array")
+            if vals.shape != (src.full_mask + 2,):
                 raise CrosslangError(
                     f"{mode} {direction} map is not total on the source lattice"
                 )
-            if mapping[src.star] != dst.star:
+            if vals[-1] != -1:
                 raise CrosslangError(f"{mode} {direction} map must send * to *")
-            for value in mapping.values():
-                if value.algebra.name != dst.name:
-                    raise CrossAlgebraError(
-                        f"{mode} {direction} map has a value outside {dst.name!r}"
-                    )
+            if ((vals < -1) | (vals > dst.full_mask)).any():
+                raise CrossAlgebraError(
+                    f"{mode} {direction} map has a value outside {dst.name!r}"
+                )
+            vals.flags.writeable = False
+            self._operators[(direction, mode)] = vals
 
     def endpoints(self, direction: str) -> tuple[Algebra, Algebra]:
         if direction == "1>2":
@@ -62,43 +76,31 @@ class Translation:
         raise ValueError(f"direction must be '1>2' or '2>1', got {direction!r}")
 
     def apply(self, direction: str, mode: str, x: StarProp) -> StarProp:
-        src, _ = self.endpoints(direction)
-        if x.algebra.name != src.name:
-            raise CrossAlgebraError(
-                f"{x.algebra.name!r} is not the source of direction {direction}"
-            )
-        return self.maps[(direction, mode)][x]
+        """The image of one argument; an outer image of star means undefined."""
+        src, dst = self.endpoints(direction)
+        return _element(dst, int(self._operators[(direction, mode)][_slot(x, src)]))
 
     def array(self, direction: str, mode: str) -> np.ndarray:
         """Value masks indexed by source mask, star slot last, -1 for star."""
-        key = (direction, mode)
-        if key not in self._arrays:
-            src, _ = self.endpoints(direction)
-            mapping = self.maps[key]
-            vals = np.empty(src.full_mask + 2, dtype=np.int64)
-            for x, y in mapping.items():
-                idx = src.full_mask + 1 if isinstance(x, Star) else x.mask
-                vals[idx] = -1 if isinstance(y, Star) else y.mask
-            vals.flags.writeable = False
-            self._arrays[key] = vals
-        return self._arrays[key]
+        return self._operators[(direction, mode)]
 
     def replace(self, direction: str, mode: str, x: StarProp, y: StarProp) -> "Translation":
-        """A copy with one map entry changed (used to inject violations)."""
-        new_maps = {k: dict(v) for k, v in self.maps.items()}
-        new_maps[(direction, mode)][x] = y
-        return Translation(
-            self.algebra1, self.algebra2,
-            new_maps[("1>2", "inner")], new_maps[("1>2", "outer")],
-            new_maps[("2>1", "inner")], new_maps[("2>1", "outer")],
-        )
+        """A copy with one operator entry changed (used to inject violations)."""
+        src, dst = self.endpoints(direction)
+        operators = dict(self._operators)
+        vals = operators[(direction, mode)].copy()
+        vals[_slot(x, src)] = _slot(y, dst)
+        operators[(direction, mode)] = vals
+        return Translation(self.algebra1, self.algebra2,
+                           *(operators[key] for key in _OPERATORS))
 
     def __eq__(self, other):
         return (
             isinstance(other, Translation)
             and self.algebra1.name == other.algebra1.name
             and self.algebra2.name == other.algebra2.name
-            and self.maps == other.maps
+            and all(np.array_equal(self._operators[key], other._operators[key])
+                    for key in _OPERATORS)
         )
 
     def __repr__(self):
@@ -110,18 +112,13 @@ class Translation:
         return self._consistency
 
 
-def translate(t: Translation, direction: str, mode: str, x: StarProp) -> StarProp:
-    """Apply the stored operator; an outer result of star means undefined."""
-    return t.apply(direction, mode, x)
-
-
 def _element(algebra: Algebra, idx: int) -> StarProp:
     return algebra.star if idx > algebra.full_mask or idx < 0 else Prop(algebra, idx)
 
 
-def _index_order(n_props: int):
-    """Masks ascending, star last: the canonical witness order."""
-    return list(range(n_props)) + [-1]
+def with_star(vals: np.ndarray) -> np.ndarray:
+    """Append the star slot, which every operator sends to the star."""
+    return np.append(vals, np.int64(-1))
 
 
 def translation_from_atom_outers(
@@ -144,24 +141,20 @@ def translation_from_atom_outers(
             raise CrosslangError(
                 f"missing outer image for atom of {algebra.name!r}"
             )
+    a1.require_enumerable()   # before allocating 2**model_count entries
+    a2.require_enumerable()
 
-    def atom_images(algebra, mapping):
-        return [
-            -1 if isinstance(mapping[atom], Star) else mapping[atom].mask
-            for atom in algebra.atoms()
-        ]
-
-    imgs12 = atom_images(a1, outer_on_atoms12)
-    imgs21 = atom_images(a2, outer_on_atoms21)
+    imgs12 = [_slot(outer_on_atoms12[atom], a2) for atom in a1.atoms()]
+    imgs21 = [_slot(outer_on_atoms21[atom], a1) for atom in a2.atoms()]
 
     def extend_outer(src: Algebra, imgs):
         masks = np.arange(src.full_mask + 1, dtype=np.int64)
         out = np.zeros(src.full_mask + 1, dtype=np.int64)
         for j, img in enumerate(imgs):
             out[(masks >> j) & 1 == 1] |= img
-        return out
+        return with_star(out)
 
-    def adjoint_inner(src: Algebra, dst: Algebra, dst_atom_imgs):
+    def adjoint_inner(src: Algebra, dst_atom_imgs):
         # join over target atoms whose own outer image implies the argument
         masks = np.arange(src.full_mask + 1, dtype=np.int64)
         out = np.zeros(src.full_mask + 1, dtype=np.int64)
@@ -169,24 +162,12 @@ def translation_from_atom_outers(
             if img == -1:
                 continue
             out[img & ~masks == 0] |= np.int64(1) << j
-        return out
-
-    outer12 = extend_outer(a1, imgs12)
-    outer21 = extend_outer(a2, imgs21)
-    inner12 = adjoint_inner(a1, a2, imgs21)
-    inner21 = adjoint_inner(a2, a1, imgs12)
-
-    def as_map(src, dst, vals):
-        mapping = {
-            Prop(src, m): _element(dst, int(v)) for m, v in enumerate(vals)
-        }
-        mapping[src.star] = dst.star
-        return mapping
+        return with_star(out)
 
     return Translation(
         a1, a2,
-        as_map(a1, a2, inner12), as_map(a1, a2, outer12),
-        as_map(a2, a1, inner21), as_map(a2, a1, outer21),
+        adjoint_inner(a1, imgs21), extend_outer(a1, imgs12),
+        adjoint_inner(a2, imgs12), extend_outer(a2, imgs21),
     )
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 from conftest import CORPUS
+from crosslang import format_language
+from crosslang.randgen import make_cell_spec
 
 
 def run_cli(*args):
@@ -11,6 +13,28 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def write_cell_corpus(path, n_cells, star):
+    """Two n-cell languages; each atom's outer image is its twin, or * for
+    every atom when ``star`` is set."""
+    for i, prefix in ((1, "a"), (2, "b")):
+        spec = make_cell_spec(f"lang{i}", [f"{prefix}{k}" for k in range(n_cells)])
+        (path / f"lang{i}.lang").write_text(format_language(spec))
+    lines = []
+    for k in range(n_cells):
+        lines.append(f"outer 1>2: a{k} => {'*' if star else f'b{k}'}")
+        lines.append(f"outer 2>1: b{k} => {'*' if star else f'a{k}'}")
+    (path / "translation.tr").write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_clean_usage_error(res):
+    """Exit 2 with one ``error:`` line on stderr and no traceback."""
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
 
 
 def test_translate_oil_inner(capsys):
@@ -209,3 +233,28 @@ def test_check_oracle_skips_on_inconsistent_translation():
     assert res.returncode == 1
     payload = json.loads(res.stdout)
     assert payload["oracle"]["status"].startswith("skipped")
+
+
+def test_check_above_sixteen_models_exits_two(tmp_path):
+    d = write_cell_corpus(tmp_path, 17, star=False)
+    res = run_cli("check", str(d / "lang1.lang"), str(d / "lang2.lang"),
+                  str(d / "translation.tr"))
+    assert_clean_usage_error(res)
+    assert "17 models" in res.stderr
+
+
+def test_joint_above_63_states_exits_two(tmp_path):
+    d = write_cell_corpus(tmp_path, 8, star=True)
+    res = run_cli("joint", str(d))
+    assert_clean_usage_error(res)
+    assert "80 states" in res.stderr
+
+
+def test_bounds_invalid_weights_exit_two(tmp_path):
+    base = CORPUS / "platypus"
+    probs = tmp_path / "weights.json"
+    for text in ("[0.5, 0.5, 0.5]", "[NaN, 0.5, 0.5]", '{"0": 1.0, "99": 0.0}'):
+        probs.write_text(text)
+        res = run_cli("bounds", str(base), str(probs), "egg_only | platypus",
+                      "--lang", "1")
+        assert_clean_usage_error(res)

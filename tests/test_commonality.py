@@ -2,15 +2,20 @@ import random
 
 import pytest
 
+import crosslang.commonality as commonality
 from crosslang import (
+    CharacterizationMismatchError,
     DegenerateCommonLanguageError,
     Prop,
     classify_awareness,
     common_language,
     fixed_points,
     implies,
+    join,
     joint_embeddings,
     joint_space_from_translation,
+    meet,
+    negate,
     perfect_translations,
     translation_from_atom_outers,
 )
@@ -234,3 +239,73 @@ def test_galois_restriction_to_perfect_sets_is_order_isomorphism():
             for mu in perfect1:
                 assert implies(lam, mu) == implies(
                     t.apply("1>2", "outer", lam), t.apply("1>2", "outer", mu))
+
+
+def pairwise_common_checks(t, perfect):
+    """Reference for the checks of ``common_language`` on host side 1: the
+    pairwise loop over members, returning the message of the first failing
+    pair in (a, b) order (closure before implication) or None."""
+    members = sorted(perfect, key=lambda p: p.mask)
+    partner = {m: t.apply("1>2", "outer", m) for m in members}
+    for a in members:
+        for b in members:
+            if meet(a, b) not in perfect or meet(negate(a), b) not in perfect:
+                return "perfect set is not closed under meet / relative complement"
+            if implies(a, b) != implies(partner[a], partner[b]):
+                return "partner bijection does not preserve implication"
+    top = members[0]
+    for m in members:
+        top = join(top, m)
+    if top not in perfect or top == t.algebra1.bottom:
+        return "common language lacks a distinct top"
+    return None
+
+
+def test_common_language_checks_match_pairwise_reference(monkeypatch):
+    """Candidate perfect sets are the unions of blocks of a random partition
+    of some atoms with defined outer images (closed, but the partner map may
+    merge members), optionally with one member added or dropped (not closed)
+    or the top dropped; the vectorized checks must report what the pairwise
+    loop reports."""
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(300):
+        t = random_consistent_translation(rng, max_atoms=5)
+        a1 = t.algebra1
+        outer = t.array("1>2", "outer")
+        atoms = [j for j in range(a1.model_count) if outer[1 << j] != -1]
+        if not atoms:
+            continue
+        chosen = rng.sample(atoms, rng.randint(min(2, len(atoms)), len(atoms)))
+        blocks = {}
+        for j in chosen:
+            blocks.setdefault(rng.randrange(len(chosen)), []).append(1 << j)
+        block_masks = [sum(bits) for bits in blocks.values()]
+        masks = {0}
+        for block in block_masks:
+            masks |= {m | block for m in masks}
+        roll = rng.random()
+        if roll < 0.25 and len(block_masks) > 1:
+            masks.discard(sum(block_masks))   # closed, but without a top
+        elif roll < 0.5:
+            masks.add(rng.choice([m for m in range(a1.full_mask + 1)
+                                  if outer[m] != -1]))
+        elif roll < 0.75 and len(masks) > 2:
+            masks.discard(rng.choice(sorted(masks)))
+        perfect = {Prop(a1, m) for m in masks}
+        if len(perfect) < 2:
+            continue
+        monkeypatch.setattr(commonality, "perfect_translations",
+                            lambda t, side: set(perfect))
+        expected = pairwise_common_checks(t, perfect)
+        try:
+            common = common_language(t)
+            got = None
+            assert [m.mask for m in common.members] == sorted(masks)
+            assert all(common.partner[m] == t.apply("1>2", "outer", m)
+                       for m in common.members)
+        except CharacterizationMismatchError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(expected)
+    assert len(outcomes) == 4   # every outcome of the reference was exercised

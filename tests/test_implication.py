@@ -11,7 +11,6 @@ from crosslang import (
     check_implication_axioms,
     close,
     implication_from_translation,
-    translate,
     translation_from_implication,
 )
 from crosslang.randgen import (
@@ -163,8 +162,8 @@ def test_fixed_point_gap_relation_pairs(fixed_point_gap):
 def test_platypus_translation_from_seed_relation(platypus):
     t = translation_from_implication(platypus.relation)
     a1, a2 = platypus.algebra1, platypus.algebra2
-    assert translate(t, "2>1", "outer", a2.top) == a1.denote_text("!platypus")
-    assert translate(t, "1>2", "outer", a1.denote_text("platypus")) == a2.star
+    assert t.apply("2>1", "outer", a2.top) == a1.denote_text("!platypus")
+    assert t.apply("1>2", "outer", a1.denote_text("platypus")) == a2.star
     assert t == platypus.translation
 
 
@@ -193,9 +192,9 @@ def test_self_implication_of_approximants():
         for direction in ("1>2", "2>1"):
             src, _ = t.endpoints(direction)
             for lam in src.all_props():
-                inner = translate(t, direction, "inner", lam)
+                inner = t.apply(direction, "inner", lam)
                 assert r.holds(inner, lam)
-                outer = translate(t, direction, "outer", lam)
+                outer = t.apply(direction, "outer", lam)
                 if not isinstance(outer, type(src.star)):
                     assert r.holds(lam, outer)
 

@@ -6,6 +6,9 @@ import pytest
 
 import gridmath
 from crosslang import (
+    AlgebraTooLargeError,
+    CrosslangError,
+    InvalidWeightsError,
     JointStateSpace,
     Prop,
     build_joint_state_space,
@@ -15,7 +18,7 @@ from crosslang import (
     translation_from_atom_outers,
     verify_prop2,
 )
-from crosslang.randgen import random_consistent_translation
+from crosslang.randgen import cell_algebra, random_consistent_translation
 
 
 def test_platypus_space_has_three_states_one_lone(platypus):
@@ -197,6 +200,55 @@ def test_probability_bounds_rejects_same_language_target(platypus):
     with pytest.raises(CrosslangError):
         probability_bounds(space, [1 / 3] * 3,
                            platypus.algebra1.denote_text("platypus"), 1)
+
+
+@pytest.mark.parametrize("weights", [
+    [float("nan"), 0.5, 0.5],
+    [float("inf"), 0.0, 0.0],
+    {"0": 0.5, "1": 0.5, "99": 0.0},
+    {"0": 0.5, "1": 0.5, "x": 0.0},
+    {0: 0.5, 1: 0.5, 3: 0.0},
+    [None, 0.5, 0.5],
+    [0.5, 0.5],
+], ids=["nan", "inf", "key-99", "key-x", "int-key-3", "null", "too-few"])
+def test_probability_weights_rejects_invalid(platypus, weights):
+    space = build_joint_state_space(platypus.relation)
+    lam = platypus.algebra2.denote_text("mammal")
+    with pytest.raises(InvalidWeightsError):
+        probability_bounds(space, weights, lam, 1)
+
+
+def test_invalid_weights_error_is_both_crosslang_and_value_error(platypus):
+    assert issubclass(InvalidWeightsError, CrosslangError)
+    assert issubclass(InvalidWeightsError, ValueError)
+    space = build_joint_state_space(platypus.relation)
+    lam = platypus.algebra2.denote_text("mammal")
+    with pytest.raises(InvalidWeightsError, match="sum to 1.5"):
+        probability_bounds(space, [0.5, 0.5, 0.5], lam, 1)
+
+
+def all_star_translation(n_cells):
+    """Two n-cell languages whose atoms all have outer image *: every atom
+    pair is a state, plus one lone state per atom, n*n + 2n in all."""
+    a1 = cell_algebra("left", n_cells, "a")
+    a2 = cell_algebra("right", n_cells, "b")
+    return translation_from_atom_outers(
+        a1, a2,
+        {atom: a2.star for atom in a1.atoms()},
+        {atom: a1.star for atom in a2.atoms()},
+    )
+
+
+def test_joint_space_with_63_states_is_built():
+    space = joint_space_from_translation(all_star_translation(7))
+    assert space.state_count == 63
+    total = int(space.event_array(1)[-1]) | int(space.event_array(2)[-1])
+    assert total == (1 << 63) - 1
+
+
+def test_joint_space_above_63_states_raises_cap_error():
+    with pytest.raises(AlgebraTooLargeError, match="80 states"):
+        joint_space_from_translation(all_star_translation(8))
 
 
 def test_probability_weights_accept_index_maps(platypus):

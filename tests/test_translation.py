@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import gridmath
 from crosslang import (
+    AlgebraTooLargeError,
     CrossAlgebraError,
     CrosslangError,
     Prop,
@@ -16,7 +18,6 @@ from crosslang import (
     implies,
     meet,
     negate,
-    translate,
     translation_from_atom_outers,
 )
 from crosslang.randgen import (
@@ -51,7 +52,7 @@ def test_identity_translation_is_identity_on_masks(twin_pair):
 def test_oil_atom_outer_image(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
-    img = translate(t, "1>2", "outer", a1.denote_text("usd_70_80"))
+    img = t.apply("1>2", "outer", a1.denote_text("usd_70_80"))
     assert img == a2.denote_text("cny_400_500 | cny_500_600")
 
 
@@ -59,10 +60,10 @@ def test_oil_interval_translations(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
     span = a2.denote_text("cny_500_600 | cny_600_700")
-    assert translate(t, "2>1", "inner", span) == a1.denote_text(
+    assert t.apply("2>1", "inner", span) == a1.denote_text(
         "usd_80_90 | usd_90_100"
     )
-    assert translate(t, "2>1", "outer", span) == a1.denote_text(
+    assert t.apply("2>1", "outer", span) == a1.denote_text(
         "usd_70_80 | usd_80_90 | usd_90_100 | usd_100_110"
     )
 
@@ -71,10 +72,10 @@ def test_oil_negative_price_outer_is_undefined(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
     low = a2.denote_text("cny_neg | cny_0_100 | cny_100_200")
-    assert translate(t, "2>1", "inner", low) == a1.denote_text(
+    assert t.apply("2>1", "inner", low) == a1.denote_text(
         "usd_0_10 | usd_10_20 | usd_20_30"
     )
-    assert isinstance(translate(t, "2>1", "outer", low), Star)
+    assert isinstance(t.apply("2>1", "outer", low), Star)
 
 
 def test_contradiction_is_extreme_in_both_modes(oil):
@@ -82,13 +83,13 @@ def test_contradiction_is_extreme_in_both_modes(oil):
     for direction in ("1>2", "2>1"):
         src, dst = t.endpoints(direction)
         for mode in ("inner", "outer"):
-            assert translate(t, direction, mode, src.bottom) == dst.bottom
+            assert t.apply(direction, mode, src.bottom) == dst.bottom
 
 
 def test_translate_rejects_cross_algebra_input(oil):
     t = oil.require_translation()
     with pytest.raises(CrossAlgebraError):
-        translate(t, "1>2", "inner", oil.algebra2.top)
+        t.apply("1>2", "inner", oil.algebra2.top)
 
 
 def test_fixed_point_gap_matches_published_tables(fixed_point_gap):
@@ -97,7 +98,7 @@ def test_fixed_point_gap_matches_published_tables(fixed_point_gap):
     a1, a2 = fixed_point_gap.algebra1, fixed_point_gap.algebra2
 
     def v(direction, mode, text, src, dst):
-        return dst.formula_text(translate(t, direction, mode, src.denote_text(text)))
+        return dst.formula_text(t.apply(direction, mode, src.denote_text(text)))
 
     assert v("1>2", "outer", "u", a1, a2) == a2.formula_text(a2.denote_text("b | c"))
     assert v("1>2", "inner", "u", a1, a2) == "c"
@@ -155,10 +156,10 @@ def test_approximation_fails_on_constructed_violation(twin_pair):
 def test_restricted_duality_platypus_instance(platypus):
     t = platypus.translation
     a1, a2 = platypus.algebra1, platypus.algebra2
-    got = translate(t, "2>1", "inner", a2.denote_text("!mammal"))
+    got = t.apply("2>1", "inner", a2.denote_text("!mammal"))
     expected = meet(
-        negate(translate(t, "2>1", "outer", a2.denote_text("mammal"))),
-        translate(t, "2>1", "inner", a2.top),
+        negate(t.apply("2>1", "outer", a2.denote_text("mammal"))),
+        t.apply("2>1", "inner", a2.top),
     )
     assert got == expected == a1.denote_text("egg_only")
     assert check_restricted_duality(t).passed
@@ -167,12 +168,12 @@ def test_restricted_duality_platypus_instance(platypus):
 def test_restricted_duality_reduces_to_plain_duality_for_twins(twin_pair):
     t = identity_translation(twin_pair)
     a, _ = twin_pair
-    assert translate(t, "1>2", "inner", a.top).mask == a.full_mask
+    assert t.apply("1>2", "inner", a.top).mask == a.full_mask
     for lam in a.all_props():
         if lam == a.top:
             continue
-        inner_neg = translate(t, "1>2", "inner", negate(lam))
-        outer = translate(t, "1>2", "outer", lam)
+        inner_neg = t.apply("1>2", "inner", negate(lam))
+        outer = t.apply("1>2", "outer", lam)
         assert inner_neg == negate(outer)
 
 
@@ -180,11 +181,11 @@ def test_restricted_duality_oil_negative_span(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
     below_200 = a2.denote_text("cny_neg | cny_0_100 | cny_100_200")
-    got = translate(t, "2>1", "inner", negate(below_200))
+    got = t.apply("2>1", "inner", negate(below_200))
     spans = " | ".join(f"usd_{10*i}_{10*i+10}" for i in range(3, 12))
     assert got == a1.denote_text(spans)
-    inner_low = translate(t, "2>1", "inner", below_200)
-    assert got == meet(negate(inner_low), translate(t, "2>1", "inner", a2.top))
+    inner_low = t.apply("2>1", "inner", below_200)
+    assert got == meet(negate(inner_low), t.apply("2>1", "inner", a2.top))
 
 
 def test_restricted_duality_detects_violation(twin_pair):
@@ -221,9 +222,9 @@ def test_inner_preserves_meets_on_fixed_point_gap(fixed_point_gap):
     a2 = fixed_point_gap.algebra2
     for x in a2.star_lattice():
         for y in a2.star_lattice():
-            lhs = translate(t, "2>1", "inner", meet(x, y))
-            rhs = meet(translate(t, "2>1", "inner", x),
-                       translate(t, "2>1", "inner", y))
+            lhs = t.apply("2>1", "inner", meet(x, y))
+            rhs = meet(t.apply("2>1", "inner", x),
+                       t.apply("2>1", "inner", y))
             assert lhs == rhs
 
 
@@ -234,8 +235,8 @@ def test_adjunction_closure_lemma_on_random_instances():
         for direction, back in (("1>2", "2>1"), ("2>1", "1>2")):
             src, _ = t.endpoints(direction)
             for lam in src.star_lattice():
-                up = translate(t, back, "inner", translate(t, direction, "outer", lam))
-                down = translate(t, back, "outer", translate(t, direction, "inner", lam))
+                up = t.apply(back, "inner", t.apply(direction, "outer", lam))
+                down = t.apply(back, "outer", t.apply(direction, "inner", lam))
                 assert implies(lam, up)
                 assert implies(down, lam)
 
@@ -247,10 +248,10 @@ def test_round_trips_are_idempotent_and_monotone():
         src = t.algebra1
 
         def closure(lam):
-            return translate(t, "2>1", "inner", translate(t, "1>2", "outer", lam))
+            return t.apply("2>1", "inner", t.apply("1>2", "outer", lam))
 
         def interior(lam):
-            return translate(t, "2>1", "outer", translate(t, "1>2", "inner", lam))
+            return t.apply("2>1", "outer", t.apply("1>2", "inner", lam))
 
         for lam in src.all_props():
             assert closure(closure(lam)) == closure(lam)
@@ -273,16 +274,51 @@ def test_construction_always_satisfies_galois():
 def test_translation_requires_total_star_preserving_maps(twin_pair):
     a, b = twin_pair
     t = identity_translation(twin_pair)
-    partial = dict(t.maps[("1>2", "inner")])
-    partial.pop(a.atoms()[0])
+    rest = [t.array("1>2", "outer"), t.array("2>1", "inner"), t.array("2>1", "outer")]
+    partial = t.array("1>2", "inner")[:-1]
     with pytest.raises(CrosslangError):
-        type(t)(a, b, partial, t.maps[("1>2", "outer")],
-                t.maps[("2>1", "inner")], t.maps[("2>1", "outer")])
-    broken_star = dict(t.maps[("1>2", "inner")])
-    broken_star[a.star] = b.top
+        type(t)(a, b, partial, *rest)
+    broken_star = t.array("1>2", "inner").copy()
+    broken_star[-1] = b.top.mask
     with pytest.raises(CrosslangError):
-        type(t)(a, b, broken_star, t.maps[("1>2", "outer")],
-                t.maps[("2>1", "inner")], t.maps[("2>1", "outer")])
+        type(t)(a, b, broken_star, *rest)
+    for bad_value in (b.full_mask + 1, -2):
+        outside = t.array("1>2", "inner").copy()
+        outside[1] = bad_value
+        with pytest.raises(CrossAlgebraError):
+            type(t)(a, b, outside, *rest)
+    with pytest.raises(CrosslangError):
+        type(t)(a, b, t.array("1>2", "inner").astype(float), *rest)
+
+
+def test_operators_are_read_only_copies(twin_pair):
+    a, b = twin_pair
+    t = identity_translation(twin_pair)
+    given = t.array("1>2", "inner").copy()
+    rest = [t.array("1>2", "outer"), t.array("2>1", "inner"), t.array("2>1", "outer")]
+    u = type(t)(a, b, given, *rest)
+    given[1] = 0
+    assert u == t
+    for direction in ("1>2", "2>1"):
+        for mode in ("inner", "outer"):
+            vals = u.array(direction, mode)
+            assert vals.dtype == np.int64 and not vals.flags.writeable
+    with pytest.raises(ValueError):
+        u.array("1>2", "inner")[1] = 0
+    v = u.replace("1>2", "inner", a.atoms()[0], b.bottom)
+    assert v != u and v.apply("1>2", "inner", a.atoms()[0]) == b.bottom
+    assert u == t
+
+
+def test_more_than_sixteen_models_is_refused():
+    a1 = cell_algebra("left", 17, "a")
+    a2 = cell_algebra("right", 2, "b")
+    with pytest.raises(AlgebraTooLargeError, match="'left' has 17 models"):
+        translation_from_atom_outers(
+            a1, a2,
+            {atom: a2.star for atom in a1.atoms()},
+            {atom: a1.star for atom in a2.atoms()},
+        )
 
 
 def test_oil_outer_images_match_interval_oracle(oil):
@@ -290,14 +326,14 @@ def test_oil_outer_images_match_interval_oracle(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
     for cell in gridmath.DOLLAR_CELLS:
-        img = translate(t, "1>2", "outer", a1.denote_text(gridmath.dollar_name(cell)))
+        img = t.apply("1>2", "outer", a1.denote_text(gridmath.dollar_name(cell)))
         expected = gridmath.covering_yuan_names([cell])
         assert img == a2.denote_text(" | ".join(sorted(expected)))
     for cell in gridmath.YUAN_CELLS:
-        img = translate(t, "2>1", "outer", a2.denote_text(gridmath.yuan_name(cell)))
+        img = t.apply("2>1", "outer", a2.denote_text(gridmath.yuan_name(cell)))
         expected = gridmath.covering_dollar_names([cell])
         assert img == a1.denote_text(" | ".join(sorted(expected)))
-    assert isinstance(translate(t, "2>1", "outer", a2.denote_text("cny_neg")), Star)
+    assert isinstance(t.apply("2>1", "outer", a2.denote_text("cny_neg")), Star)
 
 
 def test_derived_properties_hold_on_random_consistent_instances():
