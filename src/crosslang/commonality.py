@@ -14,9 +14,7 @@ from .errors import (
 )
 from .reports import AxiomCheck, AxiomReport
 from .semantics import JointStateSpace
-from .translation import Translation
-
-_CHUNK = 512
+from .translation import Translation, first_violation
 
 
 def _direction(side: int) -> tuple[str, str]:
@@ -34,7 +32,7 @@ def perfect_translations(t: Translation, side: int) -> set[Prop]:
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
     fwd, back = _direction(side)
-    src, dst = t.endpoints(fwd)
+    src, _ = t.endpoints(fwd)
     inner_f = t.array(fwd, "inner")
     outer_f = t.array(fwd, "outer")
     inner_b = t.array(back, "inner")
@@ -44,15 +42,8 @@ def perfect_translations(t: Translation, side: int) -> set[Prop]:
 
     set_a = inner_f[:n] == outer_f[:n]
 
-    nd = dst.full_mask + 1
-    eta = np.arange(nd, dtype=np.int64)
-    outer_props, inner_props = outer_f[:n], inner_f[:n]
-    set_b = np.zeros(n, dtype=bool)
-    for start in range(0, n, _CHUNK):
-        upper = (outer_props[start:start + _CHUNK, None] & ~eta[None, :]) == 0
-        lower = (eta[None, :] & ~inner_props[start:start + _CHUNK, None]) == 0
-        set_b[start:start + _CHUNK] = (upper & lower).any(axis=1)
-
+    # some η lies between outer and inner iff outer is defined and under inner
+    set_b = (outer_f[:n] != -1) & ((outer_f[:n] & ~inner_f[:n]) == 0)
     set_c = outer_b[outer_f[:n]] == lam
     set_d = inner_b[inner_f[:n]] == lam
 
@@ -159,6 +150,17 @@ def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
     return CommonLanguage(src, dst, members, partner)
 
 
+def _is_atom_homomorphism(ev: np.ndarray) -> bool:
+    """Whether a valuation preserves meets and relative complements: it sends
+    false to the empty event and each proposition to the union of its
+    atoms' events, and those events are pairwise disjoint."""
+    x = np.arange(1, len(ev), dtype=np.int64)
+    atoms = ev[x[(x & (x - 1)) == 0]]
+    disjoint = np.bitwise_count(atoms).sum() == np.bitwise_count(np.bitwise_or.reduce(atoms))
+    return bool(ev[0] == 0 and disjoint
+                and (ev[x] == (ev[x & (x - 1)] | ev[x & -x])).all())
+
+
 def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
     """Check the embedding diagram around the joint state-space.
 
@@ -177,23 +179,16 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
             AxiomCheck(f"embedding-injective:{side}", injective,
                        () if injective else ((algebra.bottom,),))
         )
-        masks = np.arange(n, dtype=np.int64)
         witness = None
-        for start in range(0, n, _CHUNK):
-            rows = masks[start:start + _CHUNK]
-            rows_ev = ev[start:start + _CHUNK]
-            meets_ok = ev[rows[:, None] & masks[None, :]] == (
-                rows_ev[:, None] & ev[None, :]
-            )
+        if not _is_atom_homomorphism(ev):
+            masks = np.arange(n, dtype=np.int64)
             full = np.int64(algebra.full_mask)
-            relneg_ok = ev[(full ^ rows)[:, None] & masks[None, :]] == (
-                ev[None, :] & ~rows_ev[:, None]
+            i, j = first_violation(
+                masks, masks,
+                lambda x, y: (ev[x & y] != (ev[x] & ev[y]))
+                | (ev[(full ^ x) & y] != (ev[y] & ~ev[x])),
             )
-            bad = np.argwhere(~(meets_ok & relneg_ok))
-            if bad.size:
-                i, j = (int(v) for v in bad[0])
-                witness = (Prop(algebra, start + i), Prop(algebra, j))
-                break
+            witness = (Prop(algebra, i), Prop(algebra, j))
         report.checks.append(
             AxiomCheck(f"embedding-homomorphism:{side}", witness is None,
                        () if witness is None else (witness,))

@@ -23,9 +23,7 @@ from .implication import (
     translation_from_implication,
 )
 from .reports import AxiomCheck, AxiomReport
-from .translation import Translation
-
-_CHUNK = 512
+from .translation import Translation, cover_pairs, first_violation
 
 
 class JointStateSpace:
@@ -223,6 +221,16 @@ def sigma_approximation(space: JointStateSpace) -> SemanticTranslation:
     return space._sem
 
 
+def _is_order_embedding(ev: np.ndarray) -> bool:
+    """Whether x ⊆ y exactly when ev[x] ⊆ ev[y].  Monotone over covers, and
+    no atom's event inside the event of the coatom that misses it: then
+    x ⊄ y has an atom a under x and y under the coatom missing a."""
+    full = len(ev) - 1
+    atoms = 1 << np.arange(full.bit_length(), dtype=np.int64)
+    return (all(((lower & ~upper) == 0).all() for lower, upper in cover_pairs(ev))
+            and bool(((ev[atoms] & ~ev[full ^ atoms]) != 0).all()))
+
+
 def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
     """Check the three equivalent readings of one translation against a
     joint state-space: implication as event containment, the set
@@ -245,23 +253,15 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
             i, j = (int(v) for v in bad[0])
             witness = (Prop(space.algebra(frm), i), Prop(space.algebra(to), j))
             break
-    if witness is None:
-        for side in (1, 2):
-            ev = space.event_array(side)
-            n = len(ev)
-            masks = np.arange(n, dtype=np.int64)
-            for start in range(0, n, _CHUNK):
-                rows_m = masks[start:start + _CHUNK]
-                ordered = (rows_m[:, None] & ~masks[None, :]) == 0
-                contained = (ev[start:start + _CHUNK][:, None] & ~ev[None, :]) == 0
-                bad = np.argwhere(ordered != contained)
-                if bad.size:
-                    i, j = (int(v) for v in bad[0])
-                    algebra = space.algebra(side)
-                    witness = (Prop(algebra, start + i), Prop(algebra, j))
-                    break
-            if witness is not None:
-                break
+    for side in (1, 2):
+        ev = space.event_array(side)
+        if witness is None and not _is_order_embedding(ev):
+            masks = np.arange(len(ev), dtype=np.int64)
+            i, j = first_violation(
+                masks, masks,
+                lambda x, y: ((x & ~y) == 0) != ((ev[x] & ~ev[y]) == 0),
+            )
+            witness = (Prop(space.algebra(side), i), Prop(space.algebra(side), j))
     report.checks.append(
         AxiomCheck("implication-matches-containment", witness is None,
                    () if witness is None else (witness,))

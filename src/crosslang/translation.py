@@ -17,8 +17,6 @@ from .algebra import Algebra, Prop, Star, StarProp, implies, meet, negate
 from .errors import CrossAlgebraError, CrosslangError
 from .reports import AxiomCheck, AxiomReport
 
-_CHUNK = 512
-
 # constructor order of the four operators
 _OPERATORS = (("1>2", "inner"), ("1>2", "outer"), ("2>1", "inner"), ("2>1", "outer"))
 
@@ -196,36 +194,98 @@ def restricted_duality_holds(t: Translation, direction: str, lam: Prop) -> bool:
     return t.apply(direction, "inner", negate(lam)) == expected
 
 
+# --- lattice sweeps and the first-witness scan ---------------------------------
+
+# pairs one block of a witness scan holds; bounds the scan's temporaries
+_PAIRS_PER_BLOCK = 1 << 18
+
+
+def _star_slots(algebra: Algebra) -> np.ndarray:
+    """Every element of the star lattice as a value: masks ascending, star (-1) last."""
+    return np.append(np.arange(algebra.full_mask + 1, dtype=np.int64), -1)
+
+
+def cover_pairs(vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views ``(vals[x], vals[x | bit])`` over every cover of a mask-indexed
+    array of length 2**m, one pair of views per bit."""
+    m = len(vals).bit_length() - 1
+    return [(v[:, 0], v[:, 1]) for v in (vals.reshape(-1, 2, 1 << j) for j in range(m))]
+
+
+def _subset_sweep(vals: np.ndarray, op) -> None:
+    """In place, ``vals[x]`` becomes ``op`` over ``vals[y]`` for all y ⊆ x:
+    Yates's subset-zeta transform, O(m·2^m)."""
+    for lower, upper in cover_pairs(vals):
+        op(upper, lower, out=upper)
+
+
+def first_violation(rows: np.ndarray, cols: np.ndarray, violates) -> tuple[int, int] | None:
+    """The first pair ``(row, col)``, row-major in the given orders, that
+    violates a condition, or None.
+
+    ``violates(x, y)`` gets a column of rows and a row of columns and
+    broadcasts them to a boolean matrix.  Rows go in blocks of at most
+    ``_PAIRS_PER_BLOCK`` pairs, which bounds memory; the block size does not
+    change which pair comes first.
+    """
+    step = max(1, _PAIRS_PER_BLOCK // len(cols))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        hit = np.argwhere(violates(block[:, None], cols[None, :]))
+        if hit.size:
+            r, c = hit[0]
+            return int(block[r]), int(cols[c])
+    return None
+
+
+def _pair_witness(algebra: Algebra, hit: tuple[int, int] | None):
+    return None if hit is None else (_element(algebra, hit[0]), _element(algebra, hit[1]))
+
+
 # --- exhaustive checkers -------------------------------------------------------
 
 
+def _galois_failing_rows(src: Algebra, inner_vals: np.ndarray,
+                         outer_back: np.ndarray) -> np.ndarray:
+    """Source masks whose row of the adjunction fails, ascending.
+
+    Row λ holds iff S(λ) = {η : outer_back(η) ⊆ λ} is the down-set of
+    inner(λ): inner(λ) is concrete, the join of S(λ) lies under it and S(λ)
+    has 2**|inner(λ)| members.  Join and size of every S(λ) come from one
+    subset sweep over the buckets of η by outer_back(η).  The star row always
+    holds, since inner(*) = *.
+    """
+    n = src.full_mask + 1
+    back = outer_back[:-1]
+    eta = np.flatnonzero(back != -1)
+    joined = np.zeros(n, dtype=np.int64)
+    np.bitwise_or.at(joined, back[eta], eta)
+    size = np.bincount(back[eta], minlength=n)
+    _subset_sweep(joined, np.bitwise_or)
+    _subset_sweep(size, np.add)
+    inner = inner_vals[:-1]
+    concrete = inner != -1
+    down_size = np.int64(1) << np.bitwise_count(np.where(concrete, inner, 0))
+    holds = concrete & ((joined & ~inner) == 0) & (size == down_size)
+    return np.flatnonzero(~holds)
+
+
 def check_galois(t: Translation) -> AxiomReport:
-    """Exhaustively test the adjunction over every pair in both pairings."""
+    """Test the adjunction over every pair in both pairings, row by row in
+    O(m·2^m); the witness is the first failing pair of the first failing row."""
     report = AxiomReport()
     for direction in ("1>2", "2>1"):
         back = "2>1" if direction == "1>2" else "1>2"
         src, dst = t.endpoints(direction)
         inner_vals = t.array(direction, "inner")
         outer_back = t.array(back, "outer")
-        ns, nd = src.full_mask + 2, dst.full_mask + 2
-        eta_masks = np.arange(dst.full_mask + 1, dtype=np.int64)
-
-        lhs = np.empty((ns, nd), dtype=bool)
-        lhs[:, :-1] = (eta_masks[None, :] & ~inner_vals[:, None]) == 0
-        lhs[:, -1] = inner_vals == -1
-
-        rhs = np.empty((ns, nd), dtype=bool)
-        rhs[:-1, :] = (outer_back[None, :] & ~np.arange(src.full_mask + 1,
-                                                        dtype=np.int64)[:, None]) == 0
-        rhs[-1, :] = True
-
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            witness = (
-                _element(src, i if i < ns - 1 else -1),
-                _element(dst, j if j < nd - 1 else -1),
+        failing = _galois_failing_rows(src, inner_vals, outer_back)
+        if failing.size:
+            lam, eta = first_violation(
+                failing[:1], _star_slots(dst),
+                lambda x, y: ((y & ~inner_vals[x]) == 0) != ((outer_back[y] & ~x) == 0),
             )
+            witness = (_element(src, lam), _element(dst, eta))
             report.checks.append(AxiomCheck(f"galois:{direction}", False, (witness,)))
         else:
             report.checks.append(AxiomCheck(f"galois:{direction}", True))
@@ -285,66 +345,61 @@ def check_consistency(t: Translation) -> AxiomReport:
     )
 
 
-def _pairwise_violation(src: Algebra, vals: np.ndarray, kind: str):
-    """Scan all argument pairs for a preservation failure; return first or None.
+def _preservation_violation(src: Algebra, vals: np.ndarray, kind: str):
+    """The first pair of the star lattice whose ``kind`` (``meet`` or
+    ``join``) the operator does not preserve, or None.
 
-    ``kind`` is ``meet`` or ``join``.  Arguments range over the star lattice;
-    index arithmetic with -1 lands on the star slot by design.
+    A star argument makes either side the star or the other argument's
+    image, so only concrete pairs can fail.  Join preservation holds iff
+    f(x) = f(x without its lowest bit) | f(lowest bit of x) for every x > 0;
+    meet preservation is the dual, over the lowest zero bit and the coatom
+    that misses it.
     """
-    dm = np.append(np.arange(src.full_mask + 1, dtype=np.int64), -1)
-    n = len(dm)
-    for start in range(0, n, _CHUNK):
-        rows = dm[start:start + _CHUNK]
-        if kind == "meet":
-            idx = rows[:, None] & dm[None, :]
-            combined = vals[rows][:, None] & vals[None, :]
-        else:
-            idx = rows[:, None] | dm[None, :]
-            combined = vals[rows][:, None] | vals[None, :]
-        bad = np.argwhere(vals[idx] != combined)
-        if bad.size:
-            r, c = (int(v) for v in bad[0])
-            return (_element(src, int(rows[r])), _element(src, int(dm[c])))
-    return None
+    x = np.arange(src.full_mask + 1, dtype=np.int64)
+    if kind == "join":
+        x, op = x[1:], np.bitwise_or
+        holds = vals[x] == (vals[x & (x - 1)] | vals[x & -x])
+    else:
+        x, op = x[:-1], np.bitwise_and
+        zero = ~x & (x + 1)
+        holds = vals[x] == (vals[x | zero] & vals[src.full_mask ^ zero])
+    if holds.all():
+        return None
+    slots = _star_slots(src)
+    return _pair_witness(src, first_violation(
+        slots, slots, lambda a, b: vals[op(a, b)] != op(vals[a], vals[b])))
 
 
 def _monotone_violation(src: Algebra, vals: np.ndarray):
-    dm = np.append(np.arange(src.full_mask + 1, dtype=np.int64), -1)
-    n = len(dm)
-    for start in range(0, n, _CHUNK):
-        rows = dm[start:start + _CHUNK]
-        ordered = (rows[:, None] & ~dm[None, :]) == 0
-        preserved = (vals[rows][:, None] & ~vals[None, :]) == 0
-        bad = np.argwhere(ordered & ~preserved)
-        if bad.size:
-            r, c = (int(v) for v in bad[0])
-            return (_element(src, int(rows[r])), _element(src, int(dm[c])))
-    return None
+    """The first ordered pair whose images are out of order, or None.  The
+    star is above every argument, below none but itself, and its image is
+    the top value -1, so it is enough to test the covers of the masks."""
+    if all(((lower & ~upper) == 0).all() for lower, upper in cover_pairs(vals[:-1])):
+        return None
+    slots = _star_slots(src)
+    return _pair_witness(src, first_violation(
+        slots, slots, lambda x, y: ((x & ~y) == 0) & ((vals[x] & ~vals[y]) != 0)))
 
 
 def _ideal_violation(src: Algebra, vals: np.ndarray):
-    """The approximable set must be a downset closed under joins."""
+    """The approximable set must be a downset closed under joins.
+
+    It is one iff it is downward closed over covers and either empty or
+    holding its own join.  The witness is the first down-set violation in
+    row-major order or, when there is none, the first join violation.
+    """
     n = src.full_mask + 1
-    lam = np.arange(n, dtype=np.int64)
     approx = vals[:n] != -1
-    for start in range(0, n, _CHUNK):
-        rows = lam[start:start + _CHUNK]
-        below = (rows[:, None] & ~lam[None, :]) == 0
-        down_bad = np.argwhere(below & ~approx[start:start + _CHUNK][:, None]
-                               & approx[None, :])
-        if down_bad.size:
-            r, c = (int(v) for v in down_bad[0])
-            return (Prop(src, int(rows[r])), Prop(src, int(lam[c])))
-        join_idx = rows[:, None] | lam[None, :]
-        join_bad = np.argwhere(
-            approx[start:start + _CHUNK][:, None]
-            & approx[None, :]
-            & ~approx[join_idx]
-        )
-        if join_bad.size:
-            r, c = (int(v) for v in join_bad[0])
-            return (Prop(src, int(rows[r])), Prop(src, int(lam[c])))
-    return None
+    down = not any((upper & ~lower).any() for lower, upper in cover_pairs(approx))
+    closed = not approx.any() or approx[np.bitwise_or.reduce(np.flatnonzero(approx))]
+    if down and closed:
+        return None
+    lam = np.arange(n, dtype=np.int64)
+    if not down:
+        return _pair_witness(src, first_violation(
+            lam, lam, lambda x, y: ((x & ~y) == 0) & ~approx[x] & approx[y]))
+    return _pair_witness(src, first_violation(
+        lam, lam, lambda x, y: approx[x] & approx[y] & ~approx[x | y]))
 
 
 def check_derived_properties(t: Translation) -> AxiomReport:
@@ -379,7 +434,7 @@ def check_derived_properties(t: Translation) -> AxiomReport:
                            () if bad is None else (bad,))
             )
             kind = "meet" if mode == "inner" else "join"
-            bad = _pairwise_violation(src, vals, kind)
+            bad = _preservation_violation(src, vals, kind)
             report.checks.append(
                 AxiomCheck(f"preserves-{kind}:{tag}", bad is None,
                            () if bad is None else (bad,))

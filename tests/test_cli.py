@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 from conftest import CORPUS
-from crosslang import format_language
+from crosslang import check_consistency, format_language, load_corpus
 from crosslang.randgen import make_cell_spec
+from crosslang.translation import galois_pair_holds
 
 
 def run_cli(*args):
@@ -241,6 +243,41 @@ def test_check_above_sixteen_models_exits_two(tmp_path):
                   str(d / "translation.tr"))
     assert_clean_usage_error(res)
     assert "17 models" in res.stderr
+
+
+def test_check_translation_at_sixteen_models(tmp_path):
+    """A 16 x 16 pair gets its verdict, and a one-value mutant of it fails
+    Galois at the overridden argument."""
+    d = write_cell_corpus(tmp_path, 16, star=False)
+    files = [str(d / "lang1.lang"), str(d / "lang2.lang"), str(d / "translation.tr")]
+    res = run_cli("check", *files, "--mode", "translation")
+    assert res.returncode == 0
+    assert "FAIL" not in res.stdout and "overall: PASS" in res.stdout
+
+    with open(d / "translation.tr", "a") as f:
+        f.write("override inner 1>2: a0 | a3 => b3\n")
+    res = run_cli("check", *files, "--mode", "translation", "--format", "json")
+    assert res.returncode == 1
+    galois = {c["name"]: c for c in json.loads(res.stdout)["axioms"]["checks"]}["galois:1>2"]
+    assert not galois["passed"]
+    t = load_corpus(d).require_translation()
+    lam = t.algebra1.denote_text("a0 | a3")
+    lam_text, eta_text = galois["witnesses"][0]
+    assert lam_text == t.algebra1.formula_text(lam)
+    assert not galois_pair_holds(t, "1>2", lam, t.algebra2.denote_text(eta_text))
+
+
+def test_check_consistency_at_fourteen_models_stays_small(tmp_path):
+    """The dense Galois check held (2**14 + 2)**2 pairs per direction, over
+    500 MB; the subset-zeta check needs a few arrays of 2**14 entries."""
+    t = load_corpus(write_cell_corpus(tmp_path, 14, star=False)).require_translation()
+    tracemalloc.start()
+    try:
+        assert check_consistency(t).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_joint_above_63_states_exits_two(tmp_path):

@@ -342,3 +342,21 @@ def test_derived_properties_hold_on_random_consistent_instances():
         t = random_consistent_translation(rng, max_atoms=4)
         report = check_derived_properties(t)
         assert report.passed, [c.name for c in report.failures()]
+
+
+def test_approximable_ideal_witness_is_the_first_down_set_violation():
+    """The down-set violation comes first even when a join violation sits in
+    an earlier row: (512, 516) fails the down-set, (1, 2) fails the join."""
+    a1 = cell_algebra("left", 10, "a")
+    a2 = cell_algebra("right", 10, "b")
+    identity = translation_from_atom_outers(
+        a1, a2,
+        {atom: Prop(a2, atom.mask) for atom in a1.atoms()},
+        {atom: Prop(a1, atom.mask) for atom in a2.atoms()},
+    )
+    outer = np.full(a1.full_mask + 2, -1, dtype=np.int64)
+    outer[[0, 1, 2, 4, 516]] = 0
+    t = type(identity)(a1, a2, identity.array("1>2", "inner"), outer,
+                       identity.array("2>1", "inner"), identity.array("2>1", "outer"))
+    check = check_derived_properties(t).check("approximable-ideal:outer:1>2")
+    assert check.witnesses == ((Prop(a1, 512), Prop(a1, 516)),)
