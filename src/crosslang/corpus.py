@@ -88,8 +88,12 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
 
 
 def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
-    """Seed pairs from ``imp: <lang>.<formula> => <lang>.<formula>`` lines."""
+    """Seed pairs from ``imp: <lang>.<formula> => <lang>.<formula>`` lines.
+
+    Each distinct endpoint is parsed once; only successes are remembered, so
+    a malformed endpoint fails with the line it appears on."""
     by_name = {a1.name: a1, a2.name: a2}
+    parsed = {}
     seeds = []
     for lineno, line in _content_lines(text):
         if not line.startswith("imp:"):
@@ -107,7 +111,10 @@ def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
             lang_name, formula = chunk.split(".", 1)
             if lang_name not in by_name:
                 raise ParseError(f"unknown language {lang_name!r}", lineno, 1)
-            endpoints.append(_parse_value(formula, by_name[lang_name], lineno))
+            key = (lang_name, formula.strip())
+            if key not in parsed:
+                parsed[key] = _parse_value(formula, by_name[lang_name], lineno)
+            endpoints.append(parsed[key])
         seeds.append(tuple(endpoints))
     return seeds
 

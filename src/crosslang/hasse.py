@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra
-from .implication import CrossImplication, _bool_matmul
+from .algebra import Algebra, Prop
+from .implication import CrossImplication, _bit_pairs
 
 
 def _node_id(side: int, mask: int) -> str:
@@ -15,8 +15,6 @@ def _node_id(side: int, mask: int) -> str:
 def _hasse_lines(algebra: Algebra, side: int) -> list[str]:
     lines = []
     for mask in range(algebra.full_mask + 1):
-        from .algebra import Prop
-
         label = algebra.formula_text(Prop(algebra, mask))
         lines.append(f'  {_node_id(side, mask)} [label="{label}"];')
     for mask in range(algebra.full_mask + 1):
@@ -37,20 +35,25 @@ def algebra_dot(algebra: Algebra, side: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strict_within(n_models: int) -> np.ndarray:
-    masks = np.arange(1 << n_models, dtype=np.int64)
-    grid = (masks[:, None] & ~masks[None, :]) == 0
-    np.fill_diagonal(grid, False)
-    return grid
-
-
 def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     """Drop cross pairs that factor through a strictly finer step on either
-    side; what remains is the transitive reduction restricted to props."""
-    block = rows[: 1 << m_src, : 1 << m_dst]
-    via_src = _bool_matmul(_strict_within(m_src), block)
-    via_dst = _bool_matmul(block, _strict_within(m_dst))
-    return block & ~via_src & ~via_dst
+    side; what remains is the transitive reduction restricted to props.
+
+    Every relation drawn here is down-closed in its sources and up-closed in
+    its targets: ``close`` and its Warshall fallback saturate both, and a row
+    of ``implication_from_translation`` is the up-set of a monotone outer
+    image.  So (λ, η) factors through a finer step iff it factors through a
+    cover: λ with one more bit reaches η, or λ reaches η with one bit less.
+    """
+    block = rows[:-1, :-1]
+    keep = block.copy()
+    for b in range(m_src):
+        _bit_pairs(keep, b)[:, 0] &= ~_bit_pairs(block, b)[:, 1]
+    keep_t = np.ascontiguousarray(keep.T)
+    block_t = np.ascontiguousarray(block.T)
+    for b in range(m_dst):
+        _bit_pairs(keep_t, b)[:, 1] &= ~_bit_pairs(block_t, b)[:, 0]
+    return keep_t.T
 
 
 def cross_dot(r: CrossImplication, full: bool = False) -> str:

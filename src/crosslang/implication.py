@@ -4,8 +4,9 @@ Within one language the relation always delegates to that algebra's own
 implication; only the cross-language pairs (plus any within-language pairs a
 pathological closure forced, kept separately as evidence) are stored.  Cross
 pairs live in two boolean matrices indexed by proposition mask, star slot
-last, so saturation steps are bit-parallel sweeps and the transitivity check
-is a matrix product.
+last, so saturation steps are bit-parallel sweeps and the relation checks
+compare per-proposition images (the meet of what a row reaches, the join of
+what reaches a column) instead of multiplying matrices.
 """
 
 from __future__ import annotations
@@ -103,27 +104,92 @@ class CrossImplication:
         return self.axiom_report().passed
 
 
-# --- saturation ---------------------------------------------------------------
+# --- lattice sweeps and images ---------------------------------------------------
+#
+# The 2^m proposition slots of an axis come first, by mask, so with the star
+# slot cut off they reshape without a copy into the pairs of slots that differ
+# in one bit.  Saturation ORs one half of each pair into the other, and the
+# checks reduce over one half: O(m·n²) bit operations, no pairwise product.
+
+
+def _bit_pairs(a: np.ndarray, b: int) -> np.ndarray:
+    """``a``'s axis 0 (2^m proposition slots) viewed as [high bits, bit ``b``
+    clear or set, low bits]; writes to the view go through to ``a``."""
+    return a.reshape(-1, 2, 1 << b, *a.shape[1:])
 
 
 def _down_close_sources(rows: np.ndarray, m_src: int):
     """row[u] |= row[x] for every u that implies x (mask subsets)."""
-    ar = np.arange(1 << m_src)
+    props = rows[:-1]
     for b in range(m_src):
-        bit = 1 << b
-        without = np.flatnonzero(ar & bit == 0)
-        rows[without] |= rows[without + bit]
+        pairs = _bit_pairs(props, b)
+        pairs[:, 0] |= pairs[:, 1]
     rows[:-1] |= rows[-1]  # every proposition implies the star
 
 
 def _up_close_targets(rows: np.ndarray, m_dst: int):
     """row targets absorb everything they imply upward (mask supersets)."""
-    ar = np.arange(1 << m_dst)
+    cols = np.ascontiguousarray(rows[:, :-1].T)
     for b in range(m_dst):
-        bit = 1 << b
-        with_bit = np.flatnonzero(ar & bit != 0)
-        rows[:, with_bit] |= rows[:, with_bit - bit]
-    rows[:, -1] |= rows[:, :-1].any(axis=1)  # targets imply their star
+        pairs = _bit_pairs(cols, b)
+        pairs[:, 1] |= pairs[:, 0]
+    rows[:, :-1] = cols.T
+    rows[:, -1] |= cols.any(axis=0)  # targets imply their star
+
+
+def _joins(rows: np.ndarray, m_src: int) -> np.ndarray:
+    """For each target, the join (OR) of the proposition sources reaching it,
+    0 where none does; the star row is left out."""
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for b in range(m_src):
+        out[_bit_pairs(rows[:-1], b)[:, 1].any(axis=(0, 1))] |= 1 << b
+    return out
+
+
+def _meets(rows: np.ndarray, m_dst: int) -> np.ndarray:
+    """For each source, the meet (AND) of the proposition targets it reaches,
+    -1 where it reaches none; the star column is left out."""
+    cols = np.ascontiguousarray(rows[:, :-1].T)
+    out = np.zeros(cols.shape[1], dtype=np.int64)
+    out[~cols.any(axis=0)] = -1
+    for b in range(m_dst):
+        out[~_bit_pairs(cols, b)[:, 0].any(axis=(0, 1))] |= 1 << b
+    return out
+
+
+def _bounces_inside(rows_a: np.ndarray, rows_b: np.ndarray, m_src: int) -> bool:
+    """Whether every λ → η → μ through ``rows_a`` then ``rows_b`` keeps λ ≤ μ
+    in the source order.  That holds iff for every η the join of the sources
+    reaching η lies under the meet of the targets η reaches, a star counting
+    as all ones (-1): the star lies under the star only."""
+    joins = np.where(rows_a[-1], -1, _joins(rows_a, m_src))
+    return not (joins & ~_meets(rows_b, m_src)).any()
+
+
+def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, m_src: int,
+                          extra: frozenset):
+    """The first λ → η → μ, as (λ, η, μ) indices, whose (λ, μ) is neither in
+    the source order nor in ``extra``: the least λ, then its least such μ,
+    then the least η between them; None if there is none."""
+    masks = np.append(np.arange(1 << m_src, dtype=np.int64), -1)
+    meets = _meets(rows_b, m_src)
+    # only a λ with a bit that the meet of some η it reaches lacks (for the
+    # star: some η reaching a proposition) leaves the order; such a row is
+    # skipped only when ``extra`` excuses every pair it leaves the order with
+    suspects = np.zeros(len(masks), dtype=bool)
+    for b in range(m_src):
+        suspects |= ((masks >> b) & 1 == 1) & rows_a.any(
+            axis=1, where=(meets >> b) & 1 == 0)
+    suspects[-1] |= rows_a[-1].any(where=meets != -1)
+    for lam in np.flatnonzero(suspects):
+        outside = rows_b[rows_a[lam]].any(axis=0) & ((masks[lam] & ~masks) != 0)
+        for i, j in extra:
+            if i == lam:
+                outside[j] = False
+        if outside.any():
+            mu = int(outside.argmax())
+            return int(lam), int((rows_a[lam] & rows_b[:, mu]).argmax()), mu
+    return None
 
 
 def _within_matrix(n_models: int) -> np.ndarray:
@@ -144,6 +210,13 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     Same-language seeds that the order does not already validate, and any
     within-language pairs the closure forces, are kept aside so the
     extensibility check can fail with them as witnesses.
+
+    One pass of the sweeps saturates the cross pairs: down-closing the
+    sources and then up-closing the targets is already a fixpoint, because
+    up-closure is monotone per row, so row[u] ⊇ row[x] for u ⊆ x, rows[:-1] ⊇
+    rows[-1] and the star column all survive it.  The result is clean when
+    no λ → η → μ leaves the source order (``_bounces_inside``); otherwise a
+    dense Warshall closure over the union takes over.
     """
     m1, m2 = a1.model_count, a2.model_count
     n1, n2 = a1.full_mask + 2, a2.full_mask + 2
@@ -170,22 +243,11 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
         else:
             rows21[idx(x), idx(y)] = True
 
-    def zeta_fixpoint():
-        while True:
-            before = int(rows12.sum()) + int(rows21.sum())
-            _down_close_sources(rows12, m1)
-            _down_close_sources(rows21, m2)
-            _up_close_targets(rows12, m2)
-            _up_close_targets(rows21, m1)
-            if int(rows12.sum()) + int(rows21.sum()) == before:
-                return
-
-    zeta_fixpoint()
-    comp1 = _bool_matmul(rows12, rows21)
-    comp2 = _bool_matmul(rows21, rows12)
-    w1 = _within_matrix(m1)
-    w2 = _within_matrix(m2)
-    clean = not (comp1 & ~w1).any() and not (comp2 & ~w2).any()
+    _down_close_sources(rows12, m1)
+    _down_close_sources(rows21, m2)
+    _up_close_targets(rows12, m2)
+    _up_close_targets(rows21, m1)
+    clean = _bounces_inside(rows12, rows21, m1) and _bounces_inside(rows21, rows12, m2)
     if clean and not extra_seeds1 and not extra_seeds2:
         return CrossImplication(a1, a2, rows12, rows21)
 
@@ -196,6 +258,8 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
             "closure forces within-language pairs and the algebras are too "
             "large for the dense fallback"
         )
+    w1 = _within_matrix(m1)
+    w2 = _within_matrix(m2)
     u = np.zeros((n1 + n2, n1 + n2), dtype=bool)
     u[:n1, :n1] = w1
     u[n1:, n1:] = w2
@@ -254,22 +318,20 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
         _up_close_targets(closed, m_dst)
         gained = closed & ~rows
         if gained.any():
-            i, j = (int(v) for v in np.argwhere(gained)[0])
+            i, j = divmod(int(gained.argmax()), gained.shape[1])
             trans_witness = (_element(src, _unstar(i, src)),
                              _element(dst, _unstar(j, dst)))
             break
     if trans_witness is None:
-        for rows_a, rows_b, src, mid, extra, w in (
-            (r.rows12, r.rows21, a1, a2, r.extra1, _within_matrix(m1)),
-            (r.rows21, r.rows12, a2, a1, r.extra2, _within_matrix(m2)),
+        for rows_a, rows_b, m_src, src, mid, extra in (
+            (r.rows12, r.rows21, m1, a1, a2, r.extra1),
+            (r.rows21, r.rows12, m2, a2, a1, r.extra2),
         ):
-            comp = _bool_matmul(rows_a, rows_b)
-            for i, j in extra:
-                w[i, j] = True
-            bad = np.argwhere(comp & ~w)
-            if bad.size:
-                i, j = (int(v) for v in bad[0])
-                k = int(np.flatnonzero(rows_a[i] & rows_b[:, j])[0])
+            if _bounces_inside(rows_a, rows_b, m_src):
+                continue
+            bounce = _first_bounce_outside(rows_a, rows_b, m_src, extra)
+            if bounce is not None:
+                i, k, j = bounce
                 trans_witness = (_element(src, _unstar(i, src)),
                                  _element(mid, _unstar(k, mid)),
                                  _element(src, _unstar(j, src)))
@@ -299,24 +361,14 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
         ("2>1", r.rows21, r.rows12, a2, a1),
     ):
         witness = None
-        fwd = rows_fwd[:-1, :-1]
-        dst_masks = np.arange(dst.full_mask + 1, dtype=np.int64)
-        meets = np.bitwise_and.reduce(
-            np.where(fwd, dst_masks[None, :], np.int64(-1)), axis=1
-        )
-        has_target = fwd.any(axis=1)
-        lam_idx = np.flatnonzero(has_target)
+        meets = _meets(rows_fwd, dst.model_count)[:-1]
+        lam_idx = np.flatnonzero(meets != -1)
         bad = lam_idx[~rows_fwd[lam_idx, meets[lam_idx]]]
         if bad.size:
             lam = int(bad[0])
             witness = (Prop(src, lam), Prop(dst, int(meets[lam])))
         if witness is None:
-            back = rows_back[:-1, :-1]
-            src_of = np.bitwise_or.reduce(
-                np.where(back, np.arange(dst.full_mask + 1,
-                                         dtype=np.int64)[:, None], np.int64(0)),
-                axis=0,
-            )
+            src_of = _joins(rows_back, dst.model_count)[:-1]
             bad = np.flatnonzero(~rows_back[src_of, np.arange(src.full_mask + 1)])
             if bad.size:
                 lam = int(bad[0])
@@ -334,14 +386,13 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     ):
         np1, np2 = src.full_mask + 1, dst.full_mask + 1
         guard = rows_fwd[:np1, dst.full_mask]
-        neg_src = src.full_mask ^ np.arange(np1)
-        neg_dst = dst.full_mask ^ np.arange(np2)
-        reaches_neg = rows_back[:np2, :np1][:, neg_src]      # [eta, lam]
-        negated = rows_fwd[:np1, :np2][:, neg_dst]           # [lam, eta]
-        viol = guard[None, :] & reaches_neg & ~negated.T
-        bad = np.argwhere(viol)
-        if bad.size:
-            eta, lam = (int(v) for v in bad[0])
+        # negation is full_mask ^ mask, which reverses the proposition slots
+        reaches_neg = rows_back[:np2, :np1][:, ::-1]                    # [eta, lam]
+        negated = np.ascontiguousarray(rows_fwd[:np1, :np2].T)[::-1]   # [eta, lam]
+        viol = reaches_neg & ~negated
+        viol &= guard
+        if viol.any():
+            eta, lam = divmod(int(viol.argmax()), np1)
             witness = ((Prop(src, lam), Prop(dst, eta)),)
             report.checks.append(
                 AxiomCheck(f"negation-consistency:{tag}", False, witness)
@@ -393,18 +444,9 @@ def translation_from_implication(r: CrossImplication) -> Translation:
         )
     a1, a2 = r.algebra1, r.algebra2
 
-    def operators(src: Algebra, dst: Algebra, fwd: np.ndarray, back: np.ndarray):
-        np_src, np_dst = src.full_mask + 1, dst.full_mask + 1
-        dst_masks = np.arange(np_dst, dtype=np.int64)
-        outer = np.bitwise_and.reduce(
-            np.where(fwd[:np_src, :np_dst], dst_masks[None, :], np.int64(-1)),
-            axis=1,
-        )
-        inner = np.bitwise_or.reduce(
-            np.where(back[:np_dst, :np_src], dst_masks[:, None], np.int64(0)),
-            axis=0,
-        )
-        return with_star(inner), with_star(outer)
+    def operators(dst: Algebra, fwd: np.ndarray, back: np.ndarray):
+        return (with_star(_joins(back, dst.model_count)[:-1]),
+                with_star(_meets(fwd, dst.model_count)[:-1]))
 
-    return Translation(a1, a2, *operators(a1, a2, r.rows12, r.rows21),
-                       *operators(a2, a1, r.rows21, r.rows12))
+    return Translation(a1, a2, *operators(a2, r.rows12, r.rows21),
+                       *operators(a1, r.rows21, r.rows12))

@@ -1,14 +1,26 @@
 """The dense pairwise checkers, kept as references for the fast ones.
 
-Each function here walks every pair of lattice elements in 512-row chunks,
-exactly as the library's checkers did before they were rewritten as
-cover, atom and subset-zeta decisions.  The differential suites require
-identical reports, witnesses included, from both.
+Each translation checker here walks every pair of lattice elements in
+512-row chunks, exactly as the library's checkers did before they were
+rewritten as cover, atom and subset-zeta decisions; the relation code at the
+end builds matrix products, as the library did before its lattice sweeps.
+The differential suites require identical reports, witnesses included, from
+both.
 """
 
 import numpy as np
 
-from crosslang import DegenerateCommonLanguageError, Prop, common_language
+from crosslang import (
+    AlgebraTooLargeError,
+    CrossAlgebraError,
+    CrossImplication,
+    DegenerateCommonLanguageError,
+    Prop,
+    common_language,
+    implies,
+)
+from crosslang.algebra import Algebra
+from crosslang.implication import _SLOW_CLOSE_LIMIT, _unstar
 from crosslang.reports import AxiomCheck, AxiomReport
 from crosslang.translation import _element
 
@@ -263,3 +275,275 @@ def order_embedding_witness(space):
         if witness is not None:
             break
     return witness
+
+
+# --- the implication relation ----------------------------------------------------
+#
+# ``close`` runs the down/up sweeps to a fixpoint and tests the result against
+# the within-language orders with two boolean matrix products;
+# ``check_implication_axioms`` decides transitivity, connective and negation
+# consistency with products, (2^m)^2 within-language matrices and gathers;
+# ``reduced_cross`` drops factoring pairs with dense strict orders.  All three
+# are the library's code from before the lattice-sweep rewrite.
+
+
+def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+
+
+def _down_close_sources(rows: np.ndarray, m_src: int):
+    """row[u] |= row[x] for every u that implies x (mask subsets)."""
+    ar = np.arange(1 << m_src)
+    for b in range(m_src):
+        bit = 1 << b
+        without = np.flatnonzero(ar & bit == 0)
+        rows[without] |= rows[without + bit]
+    rows[:-1] |= rows[-1]  # every proposition implies the star
+
+
+def _up_close_targets(rows: np.ndarray, m_dst: int):
+    """row targets absorb everything they imply upward (mask supersets)."""
+    ar = np.arange(1 << m_dst)
+    for b in range(m_dst):
+        bit = 1 << b
+        with_bit = np.flatnonzero(ar & bit != 0)
+        rows[:, with_bit] |= rows[:, with_bit - bit]
+    rows[:, -1] |= rows[:, :-1].any(axis=1)  # targets imply their star
+
+
+def _within_matrix(n_models: int) -> np.ndarray:
+    """Star-lattice implication by index (props by mask, star slot last)."""
+    masks = np.append(np.arange(1 << n_models, dtype=np.int64), -1)
+    n = len(masks)
+    out = np.empty((n, n), dtype=bool)
+    for start in range(0, n, 512):
+        rows = masks[start:start + 512]
+        out[start:start + 512] = (rows[:, None] & ~masks[None, :]) == 0
+    return out
+
+
+def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
+    """Least relation containing the seeds, both within-language orders and
+    the bound pairs, closed under transitivity.
+
+    Same-language seeds that the order does not already validate, and any
+    within-language pairs the closure forces, are kept aside so the
+    extensibility check can fail with them as witnesses.
+    """
+    m1, m2 = a1.model_count, a2.model_count
+    n1, n2 = a1.full_mask + 2, a2.full_mask + 2
+    rows12 = np.zeros((n1, n2), dtype=bool)
+    rows21 = np.zeros((n2, n1), dtype=bool)
+    rows12[0, 0] = rows21[0, 0] = True          # contradictions align
+    rows12[-1, -1] = rows21[-1, -1] = True      # stars align
+    extra_seeds1, extra_seeds2 = set(), set()
+
+    def idx(x):
+        return CrossImplication._idx(x)
+
+    for x, y in seeds:
+        sides = {a1.name: 1, a2.name: 2}
+        try:
+            sx, sy = sides[x.algebra.name], sides[y.algebra.name]
+        except KeyError:
+            raise CrossAlgebraError("seed endpoint outside the two languages")
+        if sx == sy:
+            if not implies(x, y):
+                (extra_seeds1 if sx == 1 else extra_seeds2).add((idx(x), idx(y)))
+        elif sx == 1:
+            rows12[idx(x), idx(y)] = True
+        else:
+            rows21[idx(x), idx(y)] = True
+
+    def zeta_fixpoint():
+        while True:
+            before = int(rows12.sum()) + int(rows21.sum())
+            _down_close_sources(rows12, m1)
+            _down_close_sources(rows21, m2)
+            _up_close_targets(rows12, m2)
+            _up_close_targets(rows21, m1)
+            if int(rows12.sum()) + int(rows21.sum()) == before:
+                return
+
+    zeta_fixpoint()
+    comp1 = _bool_matmul(rows12, rows21)
+    comp2 = _bool_matmul(rows21, rows12)
+    w1 = _within_matrix(m1)
+    w2 = _within_matrix(m2)
+    clean = not (comp1 & ~w1).any() and not (comp2 & ~w2).any()
+    if clean and not extra_seeds1 and not extra_seeds2:
+        return CrossImplication(a1, a2, rows12, rows21)
+
+    # the closure escapes the within-language orders: fall back to a full
+    # Warshall-style closure over the union (small instances only)
+    if n1 + n2 > _SLOW_CLOSE_LIMIT:
+        raise AlgebraTooLargeError(
+            "closure forces within-language pairs and the algebras are too "
+            "large for the dense fallback"
+        )
+    u = np.zeros((n1 + n2, n1 + n2), dtype=bool)
+    u[:n1, :n1] = w1
+    u[n1:, n1:] = w2
+    u[:n1, n1:] = rows12
+    u[n1:, :n1] = rows21
+    for i, j in extra_seeds1:
+        u[i, j] = True
+    for i, j in extra_seeds2:
+        u[n1 + i, n1 + j] = True
+    while True:
+        new = u | _bool_matmul(u, u)
+        if np.array_equal(new, u):
+            break
+        u = new
+    extra1 = frozenset(
+        (int(i), int(j)) for i, j in np.argwhere(u[:n1, :n1] & ~w1)
+    )
+    extra2 = frozenset(
+        (int(i), int(j)) for i, j in np.argwhere(u[n1:, n1:] & ~w2)
+    )
+    return CrossImplication(a1, a2, u[:n1, n1:].copy(), u[n1:, :n1].copy(),
+                            extra1, extra2)
+
+
+def check_implication_axioms(r: CrossImplication) -> AxiomReport:
+    """Extensibility, transitivity, bound consistency, connective
+    consistency and negation consistency, each with a first witness."""
+    report = AxiomReport()
+    a1, a2 = r.algebra1, r.algebra2
+    m1, m2 = a1.model_count, a2.model_count
+    n1, n2 = a1.full_mask + 2, a2.full_mask + 2
+
+    # extensibility: the relation restricted to one language is that
+    # language's own implication -- any stored extra pair is a violation
+    for side, algebra, extra in ((1, a1, r.extra1), (2, a2, r.extra2)):
+        if extra:
+            i, j = min(extra)
+            witness = ((_element(algebra, _unstar(i, algebra)),
+                        _element(algebra, _unstar(j, algebra))),)
+            report.checks.append(AxiomCheck(f"extensibility:{side}", False, witness))
+        else:
+            report.checks.append(AxiomCheck(f"extensibility:{side}", True))
+
+    # transitivity: sources may be weakened, targets generalised, and
+    # bouncing through the other language must stay inside the order
+    trans_witness = None
+    for rows, m_src, m_dst, src, dst in (
+        (r.rows12, m1, m2, a1, a2),
+        (r.rows21, m2, m1, a2, a1),
+    ):
+        closed = rows.copy()
+        _down_close_sources(closed, m_src)
+        _up_close_targets(closed, m_dst)
+        gained = closed & ~rows
+        if gained.any():
+            i, j = (int(v) for v in np.argwhere(gained)[0])
+            trans_witness = (_element(src, _unstar(i, src)),
+                             _element(dst, _unstar(j, dst)))
+            break
+    if trans_witness is None:
+        for rows_a, rows_b, src, mid, extra, w in (
+            (r.rows12, r.rows21, a1, a2, r.extra1, _within_matrix(m1)),
+            (r.rows21, r.rows12, a2, a1, r.extra2, _within_matrix(m2)),
+        ):
+            comp = _bool_matmul(rows_a, rows_b)
+            for i, j in extra:
+                w[i, j] = True
+            bad = np.argwhere(comp & ~w)
+            if bad.size:
+                i, j = (int(v) for v in bad[0])
+                k = int(np.flatnonzero(rows_a[i] & rows_b[:, j])[0])
+                trans_witness = (_element(src, _unstar(i, src)),
+                                 _element(mid, _unstar(k, mid)),
+                                 _element(src, _unstar(j, src)))
+                break
+    report.checks.append(
+        AxiomCheck("transitivity", trans_witness is None,
+                   () if trans_witness is None else (trans_witness,))
+    )
+
+    # bound consistency: contradictions and stars align, and the star
+    # reaches nothing below the other star
+    bound_ok = (
+        bool(r.rows12[0, 0]) and bool(r.rows21[0, 0])
+        and bool(r.rows12[-1, -1]) and bool(r.rows21[-1, -1])
+        and not r.rows12[-1, :-1].any() and not r.rows21[-1, :-1].any()
+    )
+    report.checks.append(
+        AxiomCheck("bound-consistency", bound_ok,
+                   () if bound_ok else ((a1.bottom, a2.bottom),))
+    )
+
+    # connective consistency: for each source proposition the set of targets
+    # it reaches is closed under meets (equivalently contains its total
+    # meet), and the set of sources reaching it is closed under joins
+    for tag, rows_fwd, rows_back, src, dst in (
+        ("1>2", r.rows12, r.rows21, a1, a2),
+        ("2>1", r.rows21, r.rows12, a2, a1),
+    ):
+        witness = None
+        fwd = rows_fwd[:-1, :-1]
+        dst_masks = np.arange(dst.full_mask + 1, dtype=np.int64)
+        meets = np.bitwise_and.reduce(
+            np.where(fwd, dst_masks[None, :], np.int64(-1)), axis=1
+        )
+        has_target = fwd.any(axis=1)
+        lam_idx = np.flatnonzero(has_target)
+        bad = lam_idx[~rows_fwd[lam_idx, meets[lam_idx]]]
+        if bad.size:
+            lam = int(bad[0])
+            witness = (Prop(src, lam), Prop(dst, int(meets[lam])))
+        if witness is None:
+            back = rows_back[:-1, :-1]
+            src_of = np.bitwise_or.reduce(
+                np.where(back, np.arange(dst.full_mask + 1,
+                                         dtype=np.int64)[:, None], np.int64(0)),
+                axis=0,
+            )
+            bad = np.flatnonzero(~rows_back[src_of, np.arange(src.full_mask + 1)])
+            if bad.size:
+                lam = int(bad[0])
+                witness = (Prop(dst, int(src_of[lam])), Prop(src, lam))
+        report.checks.append(
+            AxiomCheck(f"connective-consistency:{tag}", witness is None,
+                       () if witness is None else (witness,))
+        )
+
+    # negation consistency: when a proposition reaches the other tautology,
+    # anything implying its negation is in turn negated by it
+    for tag, rows_fwd, rows_back, src, dst in (
+        ("1>2", r.rows12, r.rows21, a1, a2),
+        ("2>1", r.rows21, r.rows12, a2, a1),
+    ):
+        np1, np2 = src.full_mask + 1, dst.full_mask + 1
+        guard = rows_fwd[:np1, dst.full_mask]
+        neg_src = src.full_mask ^ np.arange(np1)
+        neg_dst = dst.full_mask ^ np.arange(np2)
+        reaches_neg = rows_back[:np2, :np1][:, neg_src]      # [eta, lam]
+        negated = rows_fwd[:np1, :np2][:, neg_dst]           # [lam, eta]
+        viol = guard[None, :] & reaches_neg & ~negated.T
+        bad = np.argwhere(viol)
+        if bad.size:
+            eta, lam = (int(v) for v in bad[0])
+            witness = ((Prop(src, lam), Prop(dst, eta)),)
+            report.checks.append(
+                AxiomCheck(f"negation-consistency:{tag}", False, witness)
+            )
+        else:
+            report.checks.append(AxiomCheck(f"negation-consistency:{tag}", True))
+    return report
+
+
+def _strict_within(n_models: int) -> np.ndarray:
+    masks = np.arange(1 << n_models, dtype=np.int64)
+    grid = (masks[:, None] & ~masks[None, :]) == 0
+    np.fill_diagonal(grid, False)
+    return grid
+
+
+def reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
+    """Drop cross pairs that factor through a strictly finer step on either
+    side; what remains is the transitive reduction restricted to props."""
+    block = rows[: 1 << m_src, : 1 << m_dst]
+    via_src = _bool_matmul(_strict_within(m_src), block)
+    via_dst = _bool_matmul(block, _strict_within(m_dst))
+    return block & ~via_src & ~via_dst

@@ -96,6 +96,16 @@ def test_implication_seeds_parse_with_star():
     assert seeds[1] == (a2.star, a1.star)
 
 
+def test_implication_seeds_share_repeated_endpoints_and_name_the_failing_line():
+    a1, a2 = pair()
+    good = "imp: first.p0 => second.q0\nimp: first. p0  => second.q0\n"
+    first, second = parse_implication_seeds(good, a1, a2)
+    assert first == second == (a1.denote_text("p0"), a2.denote_text("q0"))
+    with pytest.raises(ParseError) as err:
+        parse_implication_seeds(good + "imp: first.p0 => second.zz\n", a1, a2)
+    assert err.value.line == 3
+
+
 def test_implication_seeds_reject_unknown_language():
     a1, a2 = pair()
     with pytest.raises(ParseError):

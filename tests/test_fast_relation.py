@@ -1,0 +1,197 @@
+"""Differential suite: the one-pass lattice-sweep closure, the relation checks
+on image vectors and the cover-sweep cross reduction against the
+matrix-product references in ``denseref`` and the scalar verdicts in
+``scalarref``, on generated seed sets and relations of up to four models per
+side; then the memory these paths need at 10 and 12 models."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import denseref
+import scalarref
+from crosslang import (
+    CrossImplication,
+    Prop,
+    check_implication_axioms,
+    close,
+    cross_dot,
+    format_language,
+    implication_from_translation,
+    load_corpus,
+)
+from crosslang.corpus import parse_implication_seeds
+from crosslang.hasse import _reduced_cross
+from crosslang.implication import _bit_pairs
+from crosslang.randgen import cell_algebra, make_cell_spec, random_consistent_translation
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _value(algebra, v):
+    return algebra.star if v == -1 else Prop(algebra, v)
+
+
+@st.composite
+def algebra_pair(draw):
+    return (cell_algebra("left", draw(st.integers(1, 4)), "a"),
+            cell_algebra("right", draw(st.integers(1, 4)), "b"))
+
+
+@st.composite
+def seed_sets(draw):
+    """Mostly cross seeds, some within one language; any endpoint may be the
+    star."""
+    a1, a2 = draw(algebra_pair())
+    seeds = []
+    kinds = st.sampled_from([(a1, a2), (a2, a1), (a1, a2), (a2, a1), (a1, a1), (a2, a2)])
+    for src, dst in draw(st.lists(kinds, max_size=10)):
+        seeds.append((_value(src, draw(st.integers(-1, src.full_mask))),
+                      _value(dst, draw(st.integers(-1, dst.full_mask)))))
+    return a1, a2, seeds
+
+
+def _fold(report):
+    """A report's verdicts in ``scalarref``'s naming, both directions folded."""
+    out = {c.name: c.passed for c in report.checks}
+    for name in ("connective-consistency", "negation-consistency"):
+        out[name] = out.pop(f"{name}:1>2") & out.pop(f"{name}:2>1")
+    return out
+
+
+@FUZZ
+@given(seed_sets())
+def test_close_matches_fixpoint_and_products(case):
+    a1, a2, seeds = case
+    fast, ref = close(seeds, a1, a2), denseref.close(seeds, a1, a2)
+    assert fast == ref   # rows12, rows21, extra1 and extra2
+    report = check_implication_axioms(fast)
+    assert report.to_dict() == denseref.check_implication_axioms(ref).to_dict()
+    assert _fold(report) == scalarref.relation_verdicts(fast)
+
+
+@st.composite
+def hand_built(draw):
+    """Random dense rows at one of three densities, closed by the reference
+    sweeps or not, with extra within-language pairs drawn from the bounces
+    that leave the order (to excuse some of them) and from anywhere."""
+    a1, a2 = draw(algebra_pair())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 0.7]))
+    rows12 = rng.random((a1.full_mask + 2, a2.full_mask + 2)) < density
+    rows21 = rng.random((a2.full_mask + 2, a1.full_mask + 2)) < density
+    if draw(st.booleans()):
+        for rows, m_src, m_dst in ((rows12, a1.model_count, a2.model_count),
+                                   (rows21, a2.model_count, a1.model_count)):
+            denseref._down_close_sources(rows, m_src)
+            denseref._up_close_targets(rows, m_dst)
+    extras = []
+    for rows_a, rows_b, algebra in ((rows12, rows21, a1), (rows21, rows12, a2)):
+        outside = (denseref._bool_matmul(rows_a, rows_b)
+                   & ~denseref._within_matrix(algebra.model_count))
+        pairs = [(int(i), int(j)) for i, j in np.argwhere(outside)]
+        n = algebra.full_mask + 2
+        picked = {p for p in pairs if draw(st.booleans())}
+        picked |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                    max_size=2)))
+        extras.append(frozenset(picked))
+    return CrossImplication(a1, a2, rows12, rows21, *extras)
+
+
+@FUZZ
+@given(hand_built())
+def test_checks_match_products_on_hand_built_relations(r):
+    assert check_implication_axioms(r).to_dict() == denseref.check_implication_axioms(r).to_dict()
+
+
+@st.composite
+def closed_relations(draw):
+    if draw(st.booleans()):
+        a1, a2, seeds = draw(seed_sets())
+        return close(seeds, a1, a2)
+    t = random_consistent_translation(draw(st.randoms(use_true_random=False)), max_atoms=4)
+    return implication_from_translation(t)
+
+
+@FUZZ
+@given(closed_relations())
+def test_cover_reduction_matches_strict_order_products(r):
+    m1, m2 = r.algebra1.model_count, r.algebra2.model_count
+    for rows, m_src, m_dst in ((r.rows12, m1, m2), (r.rows21, m2, m1)):
+        assert np.array_equal(_reduced_cross(rows, m_src, m_dst),
+                              denseref.reduced_cross(rows, m_src, m_dst))
+
+
+def test_bit_pairs_are_views():
+    rows = np.zeros((2**4 + 1, 3), dtype=bool)
+    cols = np.zeros((3, 2**4)).T
+    for b in range(4):
+        assert np.shares_memory(_bit_pairs(rows[:-1], b), rows)
+        assert np.shares_memory(_bit_pairs(cols, b), cols)
+
+
+# --- memory ------------------------------------------------------------------
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def _write_languages(path, cells1, cells2):
+    for i, (prefix, n) in enumerate((("a", cells1), ("b", cells2)), start=1):
+        spec = make_cell_spec(f"lang{i}", [f"{prefix}{k}" for k in range(n)])
+        (path / f"lang{i}.lang").write_text(format_language(spec))
+
+
+def _formula(prefix, cells):
+    return " | ".join(f"{prefix}{k}" for k in sorted(cells)) or "false"
+
+
+def test_relation_on_ten_by_ten_cover_seeds_stays_small(tmp_path):
+    """Every proposition of either side implies the cells it overlaps, on
+    [0, 20): left cells [2k, 2k+2), right cells cut at 1, 3, ..., 17.  The
+    product-based closure and checks peaked at 15 and 17 MB here."""
+    left = [(2 * k, 2 * k + 2) for k in range(10)]
+    cuts = [0, *range(1, 18, 2), 20]
+    right = list(zip(cuts, cuts[1:]))
+    _write_languages(tmp_path, 10, 10)
+    sides = (("lang1", "a", left), ("lang2", "b", right))
+    lines = []
+    for (src_name, sp, src), (dst_name, dp, dst) in (sides, sides[::-1]):
+        for mask in range(1 << 10):
+            cells = [k for k in range(10) if mask >> k & 1]
+            cover = {j for k in cells for j, (lo, hi) in enumerate(dst)
+                     if lo < src[k][1] and src[k][0] < hi}
+            lines.append(f"imp: {src_name}.{_formula(sp, cells)} => "
+                         f"{dst_name}.{_formula(dp, cover)}")
+    (tmp_path / "implication.imp").write_text("\n".join(lines) + "\n")
+    c = load_corpus(tmp_path)
+    seeds = parse_implication_seeds((tmp_path / "implication.imp").read_text(),
+                                    c.algebra1, c.algebra2)
+    r, peak = _peak_mb(lambda: close(seeds, c.algebra1, c.algebra2))
+    assert r == c.relation and peak < 8
+    report, peak = _peak_mb(lambda: check_implication_axioms(r))
+    assert report.passed and peak < 8
+
+
+def test_cross_dot_of_a_twelve_cell_refinement_stays_small(tmp_path):
+    """An 8-cell partition against a 12-cell refinement of it; the
+    strict-order products needed 147 MB here."""
+    parent = [j * 8 // 12 for j in range(12)]
+    _write_languages(tmp_path, 8, 12)
+    lines = [f"outer 1>2: a{i} => {_formula('b', [j for j in range(12) if parent[j] == i])}"
+             for i in range(8)]
+    lines += [f"outer 2>1: b{j} => a{parent[j]}" for j in range(12)]
+    (tmp_path / "translation.tr").write_text("\n".join(lines) + "\n")
+    r = load_corpus(tmp_path).require_relation()
+    dot, peak = _peak_mb(lambda: cross_dot(r))
+    assert dot.startswith("digraph cross {") and peak < 32
