@@ -341,5 +341,15 @@ class Algebra:
         labels = self._labels()
         return " | ".join(labels[i] for i in range(self.model_count) if x.mask >> i & 1)
 
+    def formula_texts(self) -> list[str]:
+        """``formula_text`` of every proposition, indexed by mask: the masks
+        with atom i set are those below it with label i appended."""
+        self.require_enumerable()
+        texts = ["false"]
+        for label in self._labels():
+            texts += [label] + [t + " | " + label for t in texts[1:]]
+        texts[-1] = "true"
+        return texts
+
     def __repr__(self):
         return f"Algebra({self.name!r}, {self.model_count} models)"

@@ -193,11 +193,12 @@ def cmd_joint(args) -> int:
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
     payload = _base_report("joint", _corpus_inputs(corpus.path), started, args)
-    payload["joint_state_space"] = space.to_dict()
+    table = payload["joint_state_space"] = space.to_dict()
     exit_code = _attach_oracle(args, payload, corpus)
-    lines = [f"states: {space.state_count}"]
-    for entry in space.to_dict()["states"]:
-        lines.append(f"  ({entry['atom1']}, {entry['atom2']})")
+    lines = []
+    if args.format == "text":
+        lines = [f"states: {space.state_count}"]
+        lines.extend(f"  ({entry['atom1']}, {entry['atom2']})" for entry in table["states"])
     _emit(args, payload, lines)
     return exit_code
 
@@ -212,14 +213,13 @@ def cmd_common(args) -> int:
         sys.stderr.write(f"{exc}\n")
         return 1
     payload = _base_report("common", _corpus_inputs(corpus.path), started, args)
-    payload["common_language"] = common.to_dict()
+    table = payload["common_language"] = common.to_dict()
     exit_code = _attach_oracle(args, payload, corpus)
-    lines = [f"common language: {len(common.members)} members"]
-    lines.extend(
-        f"  {common.host.formula_text(m)}  <->  "
-        f"{common.partner_algebra.formula_text(common.partner[m])}"
-        for m in common.members
-    )
+    lines = []
+    if args.format == "text":
+        lines = [f"common language: {len(common.members)} members"]
+        lines.extend(f"  {entry['host']}  <->  {entry['partner']}"
+                     for entry in table["members"])
     _emit(args, payload, lines)
     return exit_code
 

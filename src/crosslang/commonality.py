@@ -29,6 +29,13 @@ def perfect_translations(t: Translation, side: int) -> set[Prop]:
     inner round trip.  A mismatch can only mean a bug or an inconsistent
     translation, never a valid state.
     """
+    src, _ = t.endpoints(_direction(side)[0])
+    return {Prop(src, int(m)) for m in np.flatnonzero(_perfect_mask(t, side))}
+
+
+def _perfect_mask(t: Translation, side: int) -> np.ndarray:
+    """Membership in the perfect set, indexed by mask; see
+    ``perfect_translations``."""
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
     fwd, back = _direction(side)
@@ -52,7 +59,7 @@ def perfect_translations(t: Translation, side: int) -> set[Prop]:
         raise CharacterizationMismatchError(
             "the characterizations of the perfect set disagree"
         )
-    return {Prop(src, int(m)) for m in np.flatnonzero(set_a)}
+    return set_a
 
 
 def fixed_points(t: Translation, side: int) -> set[Prop]:
@@ -93,18 +100,16 @@ class CommonLanguage:
         return member if side_of_host else self.partner[member]
 
     def to_dict(self) -> dict:
+        host, partner = self.host.formula_texts(), self.partner_algebra.formula_texts()
         return {
             "schema_version": 1,
             "host": self.host.name,
             "partner": self.partner_algebra.name,
             "size": len(self.members),
-            "top": self.host.formula_text(self.top),
-            "bottom": self.host.formula_text(self.bottom),
+            "top": host[self.top.mask],
+            "bottom": host[self.bottom.mask],
             "members": [
-                {
-                    "host": self.host.formula_text(m),
-                    "partner": self.partner_algebra.formula_text(self.partner[m]),
-                }
+                {"host": host[m.mask], "partner": partner[self.partner[m].mask]}
                 for m in self.members
             ],
         }
@@ -116,22 +121,82 @@ def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
     Verifies the closure laws (meets, relative complements, distinct top and
     bottom) and that the partner bijection preserves implication both ways.
     """
+    src, dst = t.endpoints(_direction(host_side)[0])
+    masks, partner_masks = _common_masks(t, host_side)
+    members = tuple(Prop(src, m) for m in masks.tolist())
+    partner = {m: Prop(dst, v) for m, v in zip(members, partner_masks.tolist())}
+    return CommonLanguage(src, dst, members, partner)
+
+
+def _common_masks(t: Translation, host_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the common language, ascending, and their partners;
+    raises as ``common_language`` does."""
     fwd, _ = _direction(host_side)
-    src, dst = t.endpoints(fwd)
-    perfect = perfect_translations(t, host_side)
-    if len(perfect) < 2:
+    src, _ = t.endpoints(fwd)
+    masks = np.flatnonzero(_perfect_mask(t, host_side)).astype(np.int64)
+    if len(masks) < 2:
         raise DegenerateCommonLanguageError(
             "only the contradiction translates exactly"
         )
-    masks = np.array(sorted(p.mask for p in perfect), dtype=np.int64)
     partner_masks = t.array(fwd, "outer")[masks]
-    is_member = np.zeros(src.full_mask + 1, dtype=bool)
-    is_member[masks] = True
+    _check_common(masks, partner_masks, src.full_mask)
+    return masks, partner_masks
 
-    # one pass per member a over every b, reporting the first failing pair
-    # in (a, b) order, closure before implication at the same pair
+
+def _check_common(masks: np.ndarray, partners: np.ndarray, full: int) -> None:
+    """Raise unless the members (ascending ``masks``) are closed under meet
+    and relative complement, have a top, and their partners preserve
+    implication both ways.  The block decision settles the common case; the
+    pairwise scan runs only when it fails, and finds the first failing pair."""
+    top = int(np.bitwise_or.reduce(masks))
+    if _is_block_embedding(masks, partners, top):
+        return
+    is_member = np.zeros(full + 1, dtype=bool)
+    is_member[masks] = True
+    _first_pairwise_failure(masks, partners, is_member, full)
+    if not is_member[top]:
+        raise CharacterizationMismatchError("common language lacks a distinct top")
+
+
+def _is_block_embedding(masks: np.ndarray, partners: np.ndarray, top: int) -> bool:
+    """Whether the perfect set P (ascending ``masks``) is closed under meet
+    and relative complement, has the top ``top`` and is embedded by the
+    partner map, decided over the atoms of P in O(|P|·m).
+
+    Group the bits of ``top`` by the members that contain them; the groups
+    are the blocks, and each member is a union of blocks.  With the top in
+    P, P is closed iff it holds all 2^k unions of its k blocks.  Then the
+    partner map preserves and reflects implication if it sends each member
+    to the join of its blocks' partners and no block's partner lies under
+    the partner of the block's complement: x ⊄ y puts a block under x and y
+    under that block's complement.  ``False`` decides nothing."""
+    if masks[-1] != top:
+        return False
+    groups: dict[bytes, int] = {}
+    for i in range(top.bit_length()):
+        if top >> i & 1:
+            key = np.packbits((masks >> i) & 1 == 1).tobytes()
+            groups[key] = groups.get(key, 0) | 1 << i
+    if len(masks) != 1 << len(groups):
+        return False
+    blocks = list(groups.values())
+    index = np.searchsorted(masks, [blocks, [top ^ b for b in blocks]])
+    block_partners, rest_partners = partners[index]
+    joined = np.zeros_like(partners)
+    for b, p in zip(blocks, block_partners.tolist()):
+        joined |= np.where((masks & b) != 0, p, 0)
+    return bool((joined == partners).all()
+                and ((block_partners & ~rest_partners) != 0).all())
+
+
+def _first_pairwise_failure(masks: np.ndarray, partner_masks: np.ndarray,
+                            is_member: np.ndarray, full: int) -> None:
+    """Raise at the first pair (a, b) of members, row-major, that breaks
+    closure under meet and relative complement or the partner map's
+    preservation of implication both ways; closure is reported first at the
+    same pair."""
     for a, partner_a in zip(masks, partner_masks):
-        closed = is_member[a & masks] & is_member[(src.full_mask ^ a) & masks]
+        closed = is_member[a & masks] & is_member[(full ^ a) & masks]
         preserved = ((a & ~masks) == 0) == ((partner_a & ~partner_masks) == 0)
         bad = np.flatnonzero(~(closed & preserved))
         if bad.size and not closed[bad[0]]:
@@ -142,12 +207,6 @@ def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
             raise CharacterizationMismatchError(
                 "partner bijection does not preserve implication"
             )
-    top = int(np.bitwise_or.reduce(masks))
-    if not is_member[top] or top == 0:
-        raise CharacterizationMismatchError("common language lacks a distinct top")
-    members = tuple(Prop(src, int(m)) for m in masks)
-    partner = {m: Prop(dst, int(v)) for m, v in zip(members, partner_masks)}
-    return CommonLanguage(src, dst, members, partner)
 
 
 def _is_atom_homomorphism(ev: np.ndarray) -> bool:
@@ -174,7 +233,7 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
         algebra = space.algebra(side)
         ev = space.event_array(side)
         n = len(ev)
-        injective = len(set(int(v) for v in ev)) == n
+        injective = bool((np.diff(np.sort(ev)) != 0).all())
         report.checks.append(
             AxiomCheck(f"embedding-injective:{side}", injective,
                        () if injective else ((algebra.bottom,),))
@@ -195,30 +254,36 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
         )
 
     try:
-        common = common_language(t, host_side=1)
+        masks, partners = _common_masks(t, host_side=1)
     except DegenerateCommonLanguageError:
-        common = None
-    if common is not None:
-        diagram_witness = None
-        legs_witness = None
-        for m in common.members:
-            partner = common.partner[m]
-            target = space.valuation(m)
-            if space.valuation(partner) != target:
-                diagram_witness = diagram_witness or (m, partner)
-            for direction, start_prop in (("1>2", m), ("2>1", partner)):
-                for mode in ("inner", "outer"):
-                    image = t.apply(direction, mode, start_prop)
-                    if not isinstance(image, Prop) or space.valuation(image) != target:
-                        legs_witness = legs_witness or (start_prop,)
-        report.checks.append(
-            AxiomCheck("common-diagram-commutes", diagram_witness is None,
-                       () if diagram_witness is None else (diagram_witness,))
-        )
-        report.checks.append(
-            AxiomCheck("translation-legs-agree", legs_witness is None,
-                       () if legs_witness is None else (legs_witness,))
-        )
+        return report
+    a1, a2 = t.algebra1, t.algebra2
+    ev1, ev2 = space.event_array(1), space.event_array(2)
+    target = ev1[masks]
+    # a member's four legs: its inner and outer image, and its partner's
+    legs = {}
+    for direction, start, ev in (("1>2", masks, ev2), ("2>1", partners, ev1)):
+        legs[direction] = np.zeros(len(masks), dtype=bool)
+        for mode in ("inner", "outer"):
+            image = t.array(direction, mode)[start]
+            legs[direction] |= (image == -1) | (ev[image] != target)
+    diagram_witness = legs_witness = None
+    bad = np.flatnonzero(ev2[partners] != target)
+    if bad.size:
+        diagram_witness = (Prop(a1, int(masks[bad[0]])), Prop(a2, int(partners[bad[0]])))
+    bad = np.flatnonzero(legs["1>2"] | legs["2>1"])
+    if bad.size:
+        i = bad[0]
+        legs_witness = ((Prop(a1, int(masks[i])),) if legs["1>2"][i]
+                        else (Prop(a2, int(partners[i])),))
+    report.checks.append(
+        AxiomCheck("common-diagram-commutes", diagram_witness is None,
+                   () if diagram_witness is None else (diagram_witness,))
+    )
+    report.checks.append(
+        AxiomCheck("translation-legs-agree", legs_witness is None,
+                   () if legs_witness is None else (legs_witness,))
+    )
     return report
 
 
@@ -256,21 +321,18 @@ def classify_awareness(t: Translation, space: JointStateSpace) -> AwarenessVerdi
     """
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
-    sigma = {side: space.events(side) for side in (1, 2)}
-    tops = {
-        side: int(space.event_array(side)[space.algebra(side).full_mask])
-        for side in (1, 2)
-    }
+    # each event field is the unions of its pairwise disjoint atom events,
+    # so two fields compare by their atoms
+    atoms = {side: space.atom_events(side) for side in (1, 2)}
+    tops = {side: sum(atoms[side]) for side in (1, 2)}
     evidence = {}
     divergences = []
     flags = {}
     for i, j in ((1, 2), (2, 1)):
-        included = sigma[i] <= sigma[j]
+        included = all(sum(b for b in atoms[j] if b & ~a == 0) == a for a in atoms[i])
         coarsening = included and tops[i] == tops[j]
-        restriction = sigma[i] == {e & tops[i] for e in sigma[j]}
-        perfect_total = len(perfect_translations(t, i)) == (
-            space.algebra(i).full_mask + 1
-        )
+        restriction = set(atoms[i]) == {b & tops[i] for b in atoms[j]} - {0}
+        perfect_total = bool(_perfect_mask(t, i).all())
         d = f"{i}>{j}"
         inner = t.array(d, "inner")
         outer = t.array(d, "outer")
@@ -288,7 +350,7 @@ def classify_awareness(t: Translation, space: JointStateSpace) -> AwarenessVerdi
             )
     evidence["total_events_equal"] = tops[1] == tops[2]
 
-    if sigma[1] == sigma[2]:
+    if set(atoms[1]) == set(atoms[2]):
         classification = "equal"
         summary = "the languages express the same events"
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Prop
+from .algebra import Algebra
 from .implication import CrossImplication, _bit_pairs
 
 
@@ -13,17 +13,12 @@ def _node_id(side: int, mask: int) -> str:
 
 
 def _hasse_lines(algebra: Algebra, side: int) -> list[str]:
-    lines = []
-    for mask in range(algebra.full_mask + 1):
-        label = algebra.formula_text(Prop(algebra, mask))
-        lines.append(f'  {_node_id(side, mask)} [label="{label}"];')
-    for mask in range(algebra.full_mask + 1):
-        for i in range(algebra.model_count):
-            bit = 1 << i
-            if mask & bit == 0:
-                lines.append(
-                    f"  {_node_id(side, mask)} -> {_node_id(side, mask | bit)};"
-                )
+    ids = [_node_id(side, mask) for mask in range(algebra.full_mask + 1)]
+    lines = [f'  {node} [label="{label}"];'
+             for node, label in zip(ids, algebra.formula_texts())]
+    lines.extend(f"  {node} -> {ids[mask | 1 << i]};"
+                 for mask, node in enumerate(ids)
+                 for i in range(algebra.model_count) if not mask >> i & 1)
     return lines
 
 

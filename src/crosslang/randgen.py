@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from .algebra import Algebra, Prop, Star
-from .language import And, LanguageSpec, Not, Or, parse_formula
+from .language import And, LanguageSpec, Not, Or, format_language, parse_formula
 from .translation import (
     Translation,
     check_consistency,
@@ -25,6 +26,21 @@ def make_cell_spec(name: str, cells: list[str]) -> LanguageSpec:
         for b in cells[i + 1:]:
             beliefs.append(Not(And(parse_formula(a), parse_formula(b))))
     return LanguageSpec(name, tuple(cells), tuple(beliefs))
+
+
+def write_cell_corpus(path: Path, n_cells: int, star: bool) -> Path:
+    """Write into the directory ``path`` two n-cell languages (atoms a0, a1, …
+    and b0, b1, …) and a translation that sends each atom's outer image to
+    its twin, or to * for every atom when ``star`` is set."""
+    for i, prefix in ((1, "a"), (2, "b")):
+        spec = make_cell_spec(f"lang{i}", [f"{prefix}{k}" for k in range(n_cells)])
+        (path / f"lang{i}.lang").write_text(format_language(spec))
+    lines = []
+    for k in range(n_cells):
+        lines.append(f"outer 1>2: a{k} => {'*' if star else f'b{k}'}")
+        lines.append(f"outer 2>1: b{k} => {'*' if star else f'a{k}'}")
+    (path / "translation.tr").write_text("\n".join(lines) + "\n")
+    return path
 
 
 _CELL_CACHE: dict[tuple, Algebra] = {}

@@ -39,6 +39,7 @@ class JointStateSpace:
         self.states = list(states)
         self._sem = None
         self._ev = {}
+        self._atoms = {}
         for side, algebra in ((1, algebra1), (2, algebra2)):
             atom_states = [0] * algebra.model_count
             for s, pair in enumerate(self.states):
@@ -50,13 +51,13 @@ class JointStateSpace:
                     f"an atom of {algebra.name!r} appears in no state; "
                     "the valuation would not be injective"
                 )
-            n = algebra.full_mask + 1
-            ev = np.zeros(n, dtype=np.int64)
-            masks = np.arange(n)
-            for i, state_mask in enumerate(atom_states):
-                ev[(masks >> i) & 1 == 1] |= state_mask
+            # the masks with atom i set are those below it joined with its event
+            ev = np.zeros(1, dtype=np.int64)
+            for state_mask in atom_states:
+                ev = np.concatenate((ev, ev | state_mask))
             ev.flags.writeable = False
             self._ev[side] = ev
+            self._atoms[side] = tuple(atom_states)
 
     # --- lookup ---
 
@@ -78,55 +79,59 @@ class JointStateSpace:
         """Valuation of every proposition, indexed by mask."""
         return self._ev[side]
 
+    def atom_events(self, side: int) -> tuple[int, ...]:
+        """The pairwise disjoint events of the atoms, by atom index; every
+        event of that side is a union of them."""
+        return self._atoms[side]
+
     def valuation(self, x: Prop) -> int:
         """The event (state bitmask) a proposition refers to."""
         return int(self._ev[self.side_of(x)][x.mask])
 
-    def events(self, side: int) -> set[int]:
-        return set(int(v) for v in self._ev[side])
-
-    def prop_of_event(self, side: int, event: int) -> Prop:
-        table = {int(v): m for m, v in enumerate(self._ev[side])}
-        if event not in table:
-            raise KeyError(f"event {event:#x} is not expressible on side {side}")
-        return Prop(self.algebra(side), table[event])
-
     def generated_field_block_count(self) -> int:
-        """Blocks of the coarsest partition refining both event fields."""
-        profiles = {}
-        for s in range(self.state_count):
-            profile = (
-                tuple(int(v >> s & 1) for v in self._ev[1]),
-                tuple(int(v >> s & 1) for v in self._ev[2]),
-            )
-            profiles.setdefault(profile, []).append(s)
-        return len(profiles)
+        """Blocks of the coarsest partition refining both event fields: the
+        fields are generated by their atom events, so two states share a
+        block exactly when they lie in the same atoms."""
+        atoms = self._atoms[1] + self._atoms[2]
+        return len({tuple(a >> s & 1 for a in atoms) for s in range(self.state_count)})
 
     def to_dict(self) -> dict:
         a1, a2 = self.algebra1, self.algebra2
-        states = []
-        for a, b in self.states:
-            states.append({
-                "atom1": None if a is None else a1.formula_text(Prop(a1, 1 << a)),
-                "atom2": None if b is None else a2.formula_text(Prop(a2, 1 << b)),
-            })
-        def table(side, algebra):
-            ev = self._ev[side]
-            return {
-                algebra.formula_text(Prop(algebra, mask)): [
-                    s for s in range(self.state_count) if int(ev[mask]) >> s & 1
-                ]
-                for mask in range(algebra.full_mask + 1)
-            }
+        texts = {1: a1.formula_texts(), 2: a2.formula_texts()}
+        states = [
+            {"atom1": None if a is None else texts[1][1 << a],
+             "atom2": None if b is None else texts[2][1 << b]}
+            for a, b in self.states
+        ]
+        def table(side):
+            return dict(zip(texts[side], _state_lists(self._ev[side], self.state_count)))
         return {
             "schema_version": 1,
             "language1": a1.name,
             "language2": a2.name,
             "states": states,
-            "valuation1": table(1, a1),
-            "valuation2": table(2, a2),
+            "valuation1": table(1),
+            "valuation2": table(2),
             "minimal": True,
         }
+
+
+_STATE_LIST_BLOCK = 4096
+
+
+def _state_lists(ev: np.ndarray, n_states: int) -> list[list[int]]:
+    """The states of every event, ascending.  Built a block of events at a
+    time, so that the bit matrix and the index arrays stay small."""
+    lists = []
+    for lo in range(0, len(ev), _STATE_LIST_BLOCK):
+        block = ev[lo:lo + _STATE_LIST_BLOCK]
+        bits = np.unpackbits(block.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        rows, cols = np.nonzero(bits[:, :n_states])
+        cuts = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        cols = cols.tolist()
+        lists.extend(cols[a:b] for a, b in zip(cuts, cuts[1:]))
+    return lists
 
 
 def build_joint_state_space(r: CrossImplication) -> JointStateSpace:
@@ -172,46 +177,54 @@ def joint_space_from_translation(t: Translation) -> JointStateSpace:
 
 
 class SemanticTranslation:
-    """Inner and outer set approximations between the two event fields."""
+    """Inner and outer set approximations between the two event fields.
+
+    The target events are the unions of the pairwise disjoint target atom
+    events.  So the inner approximation of a set of states is the union of
+    the target atom events inside it and the outer one the union of those
+    that meet it (Pawlak's lower and upper approximations by blocks); the
+    outer one is undefined when the set leaves the union of all of them.
+    """
 
     def __init__(self, space: JointStateSpace):
         self.space = space
-        self._inner = {}
-        self._outer = {}
-        for frm, to in ((1, 2), (2, 1)):
-            src = space.event_array(frm)
-            dst_events = sorted(space.events(to))
-            inner = np.zeros(len(src), dtype=np.int64)
-            outer = np.full(len(src), -1, dtype=np.int64)
-            for f in dst_events:
-                contained = (f & ~src) == 0
-                inner[contained] |= f
-                contains = (src & ~f) == 0
-                outer[contains] &= f
-            self._inner[(frm, to)] = inner
-            self._outer[(frm, to)] = outer
+        self._arrays = {}
 
-    def _index(self, frm: int, event: int) -> int:
-        return self.space.prop_of_event(frm, event).mask
+    def _target_atoms(self, frm: int) -> tuple[int, ...]:
+        return self.space.atom_events(2 if frm == 1 else 1)
 
     def inner(self, frm: int, event: int) -> int:
         """Largest expressible event inside: the union of all target events
         contained in the argument."""
-        to = 2 if frm == 1 else 1
-        return int(self._inner[(frm, to)][self._index(frm, event)])
+        return sum(a for a in self._target_atoms(frm) if a & ~event == 0)
 
     def outer(self, frm: int, event: int) -> int | None:
         """Smallest expressible event around, or None when no target event
         contains the argument."""
-        to = 2 if frm == 1 else 1
-        value = int(self._outer[(frm, to)][self._index(frm, event)])
-        return None if value == -1 else value
+        atoms = self._target_atoms(frm)
+        if event & ~sum(atoms):
+            return None
+        return sum(a for a in atoms if a & event)
+
+    def _tables(self, frm: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both approximations of every source event, -1 for an undefined
+        outer one, one pass per target atom."""
+        if frm not in self._arrays:
+            src = self.space.event_array(frm)
+            inner = np.zeros_like(src)
+            meets = np.zeros_like(src)
+            for a in self._target_atoms(frm):
+                inner |= np.where((src & a) == a, a, 0)
+                meets |= np.where((src & a) != 0, a, 0)
+            total = sum(self._target_atoms(frm))
+            self._arrays[frm] = (inner, np.where((src & ~total) == 0, meets, -1))
+        return self._arrays[frm]
 
     def inner_array(self, frm: int) -> np.ndarray:
-        return self._inner[(frm, 2 if frm == 1 else 1)]
+        return self._tables(frm)[0]
 
     def outer_array(self, frm: int) -> np.ndarray:
-        return self._outer[(frm, 2 if frm == 1 else 1)]
+        return self._tables(frm)[1]
 
 
 def sigma_approximation(space: JointStateSpace) -> SemanticTranslation:

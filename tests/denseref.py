@@ -4,20 +4,28 @@ Each translation checker here walks every pair of lattice elements in
 512-row chunks, exactly as the library's checkers did before they were
 rewritten as cover, atom and subset-zeta decisions; the relation code at the
 end builds matrix products, as the library did before its lattice sweeps.
-The differential suites require identical reports, witnesses included, from
-both.
+The analysis code after them builds the set approximations with one
+vector operation per target event, renders a joint state-space with one
+``formula_text`` call per proposition, checks a common language with one
+pass per member and compares event fields as sets of every event, as the library did before it worked from atom events and
+blocks.  The differential suites require identical reports, witnesses
+included, from both.
 """
 
 import numpy as np
 
 from crosslang import (
     AlgebraTooLargeError,
+    AwarenessVerdict,
+    CharacterizationMismatchError,
     CrossAlgebraError,
     CrossImplication,
     DegenerateCommonLanguageError,
+    InconsistentInputError,
     Prop,
     common_language,
     implies,
+    perfect_translations,
 )
 from crosslang.algebra import Algebra
 from crosslang.implication import _SLOW_CLOSE_LIMIT, _unstar
@@ -252,6 +260,143 @@ def joint_embeddings(t, space):
                        () if legs_witness is None else (legs_witness,))
         )
     return report
+
+
+def semantic_tables(space):
+    """The inner and outer set approximation of every source event, keyed by
+    (source side, target side): for each target event, OR it into the inner
+    image of the events containing it and AND it into the outer image of the
+    events it contains."""
+    tables_inner = {}
+    tables_outer = {}
+    for frm, to in ((1, 2), (2, 1)):
+        src = space.event_array(frm)
+        dst_events = sorted(set(int(v) for v in space.event_array(to)))
+        inner = np.zeros(len(src), dtype=np.int64)
+        outer = np.full(len(src), -1, dtype=np.int64)
+        for f in dst_events:
+            contained = (f & ~src) == 0
+            inner[contained] |= f
+            contains = (src & ~f) == 0
+            outer[contains] &= f
+        tables_inner[(frm, to)] = inner
+        tables_outer[(frm, to)] = outer
+    return tables_inner, tables_outer
+
+
+def joint_to_dict(space):
+    """``JointStateSpace.to_dict`` with one ``formula_text`` per proposition."""
+    a1, a2 = space.algebra1, space.algebra2
+    states = []
+    for a, b in space.states:
+        states.append({
+            "atom1": None if a is None else a1.formula_text(Prop(a1, 1 << a)),
+            "atom2": None if b is None else a2.formula_text(Prop(a2, 1 << b)),
+        })
+    def table(side, algebra):
+        ev = space.event_array(side)
+        return {
+            algebra.formula_text(Prop(algebra, mask)): [
+                s for s in range(space.state_count) if int(ev[mask]) >> s & 1
+            ]
+            for mask in range(algebra.full_mask + 1)
+        }
+    return {
+        "schema_version": 1,
+        "language1": a1.name,
+        "language2": a2.name,
+        "states": states,
+        "valuation1": table(1, a1),
+        "valuation2": table(2, a2),
+        "minimal": True,
+    }
+
+
+def common_checks(masks, partner_masks, full):
+    """The checks of ``common_language`` on ascending member masks and their
+    partners: one pass per member a over every b, raising at the first
+    failing pair in (a, b) order, closure before implication at the same
+    pair, then the top."""
+    is_member = np.zeros(full + 1, dtype=bool)
+    is_member[masks] = True
+    for a, partner_a in zip(masks, partner_masks):
+        closed = is_member[a & masks] & is_member[(full ^ a) & masks]
+        preserved = ((a & ~masks) == 0) == ((partner_a & ~partner_masks) == 0)
+        bad = np.flatnonzero(~(closed & preserved))
+        if bad.size and not closed[bad[0]]:
+            raise CharacterizationMismatchError(
+                "perfect set is not closed under meet / relative complement"
+            )
+        if bad.size:
+            raise CharacterizationMismatchError(
+                "partner bijection does not preserve implication"
+            )
+    top = int(np.bitwise_or.reduce(masks))
+    if not is_member[top] or top == 0:
+        raise CharacterizationMismatchError("common language lacks a distinct top")
+
+
+def classify_awareness(t, space):
+    """``classify_awareness`` on the event fields as sets of Python ints."""
+    if not t.is_consistent():
+        raise InconsistentInputError("translation fails its axioms")
+    sigma = {side: set(int(v) for v in space.event_array(side)) for side in (1, 2)}
+    tops = {
+        side: int(space.event_array(side)[space.algebra(side).full_mask])
+        for side in (1, 2)
+    }
+    evidence = {}
+    divergences = []
+    flags = {}
+    for i, j in ((1, 2), (2, 1)):
+        included = sigma[i] <= sigma[j]
+        coarsening = included and tops[i] == tops[j]
+        restriction = sigma[i] == {e & tops[i] for e in sigma[j]}
+        perfect_total = len(perfect_translations(t, i)) == (
+            space.algebra(i).full_mask + 1
+        )
+        d = f"{i}>{j}"
+        inner = t.array(d, "inner")
+        outer = t.array(d, "outer")
+        pointwise = bool((inner[:-1] == outer[:-1]).all())
+        flags[(i, j)] = (included, coarsening, restriction)
+        evidence[f"sigma{i}_subset_of_sigma{j}"] = bool(included)
+        evidence[f"{i}_pure_coarsening_of_{j}"] = bool(coarsening)
+        evidence[f"{i}_pure_restriction_of_{j}"] = bool(restriction)
+        evidence[f"perfect_set_{i}_is_whole_algebra"] = bool(perfect_total)
+        evidence[f"inner_equals_outer_{d}"] = pointwise
+        if not (included == perfect_total == pointwise):
+            divergences.append(
+                f"direction {d}: field inclusion {included}, "
+                f"perfect totality {perfect_total}, pointwise {pointwise}"
+            )
+    evidence["total_events_equal"] = tops[1] == tops[2]
+
+    if sigma[1] == sigma[2]:
+        classification = "equal"
+        summary = "the languages express the same events"
+    else:
+        classification = "incomparable"
+        summary = "neither event field contains the other"
+        for i, j in ((1, 2), (2, 1)):
+            included, coarsening, restriction = flags[(i, j)]
+            if not included:
+                continue
+            if coarsening:
+                classification = f"{i}-pure-coarsening-of-{j}"
+                summary = (
+                    f"language {i} less aware than language {j} (pure coarsening)"
+                )
+            elif restriction:
+                classification = f"{i}-pure-restriction-of-{j}"
+                summary = (
+                    f"language {i} less aware than language {j} (pure restriction)"
+                )
+            else:
+                classification = f"{i}-less-aware-than-{j}"
+                summary = f"language {i} less aware than language {j}"
+            break
+    return AwarenessVerdict(classification, summary, evidence, divergences)
 
 
 def order_embedding_witness(space):

@@ -3,9 +3,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import crosslang.commonality as commonality
 from conftest import CORPUS
-from crosslang import check_consistency, format_language, load_corpus
-from crosslang.randgen import make_cell_spec
+from crosslang import check_consistency, common_language, load_corpus
+from crosslang.randgen import write_cell_corpus
 from crosslang.translation import galois_pair_holds
 
 
@@ -15,20 +16,6 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
-
-
-def write_cell_corpus(path, n_cells, star):
-    """Two n-cell languages; each atom's outer image is its twin, or * for
-    every atom when ``star`` is set."""
-    for i, prefix in ((1, "a"), (2, "b")):
-        spec = make_cell_spec(f"lang{i}", [f"{prefix}{k}" for k in range(n_cells)])
-        (path / f"lang{i}.lang").write_text(format_language(spec))
-    lines = []
-    for k in range(n_cells):
-        lines.append(f"outer 1>2: a{k} => {'*' if star else f'b{k}'}")
-        lines.append(f"outer 2>1: b{k} => {'*' if star else f'a{k}'}")
-    (path / "translation.tr").write_text("\n".join(lines) + "\n")
-    return path
 
 
 def assert_clean_usage_error(res):
@@ -278,6 +265,34 @@ def test_check_consistency_at_fourteen_models_stays_small(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_bounds_and_classify_at_sixteen_models(tmp_path):
+    """Both answer a 16 x 16 pair; bounds approximates one event and
+    classify decides the common language over its 16 blocks."""
+    d = write_cell_corpus(tmp_path, 16, star=False)
+    probs = tmp_path / "weights.json"
+    probs.write_text(json.dumps([1 / 16] * 16))
+    res = run_cli("bounds", str(d), str(probs), "a0 | a3", "--lang", "1")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["low"] == out["high"] == 2 / 16
+    res = run_cli("classify", str(d))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["verdict"]["classification"] == "equal"
+
+
+def test_common_language_at_fourteen_models_needs_no_pairwise_scan(tmp_path, monkeypatch):
+    """The block decision settles a 14 x 14 pair: the per-member scan,
+    O(|P|^2) over 2**14 members, never runs."""
+    def no_scan(*args):
+        raise AssertionError("the pairwise scan ran")
+
+    monkeypatch.setattr(commonality, "_first_pairwise_failure", no_scan)
+    t = load_corpus(write_cell_corpus(tmp_path, 14, star=False)).require_translation()
+    common = common_language(t)
+    assert len(common.members) == 2**14
+    assert common.partner[common.top] == t.algebra2.top
 
 
 def test_joint_above_63_states_exits_two(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import crosslang.commonality as commonality
@@ -295,8 +296,9 @@ def test_common_language_checks_match_pairwise_reference(monkeypatch):
         perfect = {Prop(a1, m) for m in masks}
         if len(perfect) < 2:
             continue
-        monkeypatch.setattr(commonality, "perfect_translations",
-                            lambda t, side: set(perfect))
+        is_perfect = np.zeros(a1.full_mask + 1, dtype=bool)
+        is_perfect[sorted(masks)] = True
+        monkeypatch.setattr(commonality, "_perfect_mask", lambda t, side: is_perfect)
         expected = pairwise_common_checks(t, perfect)
         try:
             common = common_language(t)

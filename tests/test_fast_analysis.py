@@ -1,0 +1,227 @@
+"""Differential suite: the analysis layer built from atom events and blocks
+against the per-event, per-proposition and per-member references in
+``denseref``: set approximations and probability bounds, the rendered joint
+state-space, the awareness verdict, ``formula_texts`` and the
+common-language checks, on generated
+translations of up to six models per side and hand-built member sets."""
+
+import random
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import denseref
+from crosslang import (
+    Algebra,
+    CharacterizationMismatchError,
+    ContradictionError,
+    LanguageSpec,
+    Prop,
+    SemanticTranslation,
+    check_consistency,
+    classify_awareness,
+    joint_space_from_translation,
+    probability_bounds,
+    translation_from_atom_outers,
+)
+from crosslang.commonality import _check_common, _is_block_embedding
+from crosslang.randgen import (
+    cell_algebra,
+    random_consistent_translation,
+    random_formula,
+    random_star_prop,
+)
+from crosslang.semantics import _STATE_LIST_BLOCK, _state_lists
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def consistent(draw):
+    """Consistent translations of up to six models a side; half of them are
+    drawn with many star images, so that some events leave every target
+    event."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return random_consistent_translation(rng, max_atoms=6)
+    while True:
+        a1 = cell_algebra("left", rng.randint(1, 6), "a")
+        a2 = cell_algebra("right", rng.randint(1, 6), "b")
+        t = translation_from_atom_outers(
+            a1, a2,
+            {atom: random_star_prop(rng, a2, star_weight=0.4) for atom in a1.atoms()},
+            {atom: random_star_prop(rng, a1, star_weight=0.4) for atom in a2.atoms()},
+        )
+        if check_consistency(t).passed:
+            return t
+
+
+def _mass(weights, event):
+    return sum(w for i, w in enumerate(weights) if event >> i & 1)
+
+
+@FUZZ
+@given(consistent(), st.randoms(use_true_random=False))
+def test_set_approximations_and_bounds_match_per_event_reference(t, rng):
+    space = joint_space_from_translation(t)
+    inner_ref, outer_ref = denseref.semantic_tables(space)
+    sem = SemanticTranslation(space)
+    weights = [rng.random() + 1e-3 for _ in range(space.state_count)]
+    weights = [w / sum(weights) for w in weights]
+    for frm, to in ((1, 2), (2, 1)):
+        inner, outer = inner_ref[(frm, to)], outer_ref[(frm, to)]
+        assert np.array_equal(sem.inner_array(frm), inner)
+        assert np.array_equal(sem.outer_array(frm), outer)
+        algebra = space.algebra(frm)
+        for mask, event in enumerate(space.event_array(frm).tolist()):
+            lo, hi = int(inner[mask]), int(outer[mask])
+            assert sem.inner(frm, event) == lo
+            assert sem.outer(frm, event) == (None if hi == -1 else hi)
+            expected = (_mass(weights, lo), 1.0 if hi == -1 else _mass(weights, hi))
+            assert probability_bounds(space, weights, Prop(algebra, mask), to) == expected
+        assert probability_bounds(space, weights, algebra.star, to) == (1.0, 1.0)
+    assert space.to_dict() == denseref.joint_to_dict(space)
+    assert (classify_awareness(t, space).to_dict()
+            == denseref.classify_awareness(t, space).to_dict())
+
+
+@st.composite
+def algebras(draw):
+    """Cell algebras, whose atoms are labelled by cell names, and algebras of
+    a few free or constrained atoms, whose atoms are labelled by conjunctions
+    of literals such as ``a & !b``."""
+    if draw(st.booleans()):
+        return cell_algebra("cells", draw(st.integers(1, 6)), "c")
+    names = ("a", "b", "c", "d")[:draw(st.integers(1, 4))]
+    spec = LanguageSpec("free", names, ())
+    rng = draw(st.randoms(use_true_random=False))
+    beliefs = tuple(random_formula(rng, spec, depth=2)
+                    for _ in range(draw(st.integers(0, 2))))
+    try:
+        return Algebra.from_spec(LanguageSpec("free", names, beliefs))
+    except ContradictionError:
+        assume(False)
+
+
+@FUZZ
+@given(algebras())
+def test_formula_texts_match_formula_text(algebra):
+    expected = [algebra.formula_text(Prop(algebra, m)) for m in range(algebra.full_mask + 1)]
+    assert algebra.formula_texts() == expected
+
+
+def test_formula_texts_of_conjunction_labels():
+    a = Algebra.from_spec(LanguageSpec("free", ("a", "b"), ()))
+    texts = a.formula_texts()
+    assert texts[0] == "false" and texts[-1] == "true"
+    assert " & !" in texts[1] and texts[3] == f"{texts[1]} | {texts[2]}"
+
+
+# --- common-language checks ------------------------------------------------------
+
+
+@st.composite
+def member_sets(draw):
+    """Ascending member masks of an m-model host with their partner masks.
+    The base set is every union of the blocks of a random partition of some
+    bits, each member's partner the join of its blocks' partners; then it
+    is left closed, given an extra member, dropped a member, a union of
+    several blocks (which keeps every block and block complement when there
+    are four or more) or its top,
+    given partners that are order-preserving but not join-preserving (the
+    top's partner gains a bit of its own), or given random partners."""
+    m = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    labels = draw(st.lists(st.integers(0, len(bits) - 1),
+                           min_size=len(bits), max_size=len(bits)))
+    blocks = {}
+    for bit, label in zip(bits, labels):
+        blocks[label] = blocks.get(label, 0) | 1 << bit
+    n2 = draw(st.integers(len(blocks), 6))
+    if draw(st.booleans()):   # distinct partner bits: an embedding
+        order = draw(st.permutations(range(n2)))
+        partner_of = {b: 1 << order[k] for k, b in enumerate(blocks.values())}
+    else:
+        partner_of = {b: draw(st.integers(0, (1 << n2) - 1)) for b in blocks.values()}
+    members = {0: 0}
+    for b, p in partner_of.items():
+        members.update({m_ | b: v | p for m_, v in members.items()})
+    kind = draw(st.sampled_from(["closed", "extra", "drop", "drop-union", "no-top",
+                                 "not-join", "random"]))
+    top = max(members)
+    unions = [u for u in sorted(members)
+              if u != top and sum(1 for b in blocks.values() if u & b) > 1]
+    if kind == "extra":
+        members[draw(st.integers(0, (1 << m) - 1))] = draw(st.integers(0, (1 << n2) - 1))
+    elif kind == "drop":
+        del members[draw(st.sampled_from(sorted(members)))]
+    elif kind == "drop-union" and unions:
+        del members[draw(st.sampled_from(unions))]
+    elif kind == "no-top":
+        del members[top]
+    elif kind == "not-join":
+        members[top] |= 1 << n2   # a bit no other partner has
+    elif kind == "random":
+        members = {k: draw(st.integers(0, (1 << n2) - 1)) for k in members}
+    assume(len(members) >= 2)
+    masks = np.array(sorted(members), dtype=np.int64)
+    partners = np.array([members[k] for k in sorted(members)], dtype=np.int64)
+    return kind, masks, partners, (1 << m) - 1
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except CharacterizationMismatchError as exc:
+        return str(exc)
+    return None
+
+
+@FUZZ
+@given(member_sets())
+def test_common_checks_match_pairwise_reference(case):
+    kind, masks, partners, full = case
+    expected = _outcome(denseref.common_checks, masks, partners, full)
+    assert _outcome(_check_common, masks, partners, full) == expected
+    if kind == "closed" and expected is None:
+        # a closed set with join-preserving partners never needs the scan
+        assert _is_block_embedding(masks, partners, int(masks[-1]))
+
+
+def test_order_preserving_partner_that_is_not_join_preserving_is_decided_by_the_scan():
+    """{0, a, b, a|b} with partners 0, x, y and x|y|z: an order embedding
+    that misses the join, so the block decision fails and the scan passes
+    it."""
+    masks = np.array([0, 1, 2, 3], dtype=np.int64)
+    partners = np.array([0, 1, 2, 7], dtype=np.int64)
+    assert not _is_block_embedding(masks, partners, 3)
+    assert _outcome(denseref.common_checks, masks, partners, 3) is None
+    assert _outcome(_check_common, masks, partners, 3) is None
+
+
+def test_probability_bounds_need_no_approximation_table(monkeypatch):
+    """A point query approximates its one event from the target atom events."""
+    def no_table(self, frm):
+        raise AssertionError("built a whole approximation table")
+
+    monkeypatch.setattr(SemanticTranslation, "_tables", no_table)
+    for seed in range(3):
+        t = random_consistent_translation(random.Random(seed), max_atoms=5)
+        space = joint_space_from_translation(t)
+        weights = [1 / space.state_count] * space.state_count
+        lo, hi = probability_bounds(space, weights, t.algebra1.top, 2)
+        assert 0 <= lo <= hi <= 1
+        lo, hi = probability_bounds(space, weights, t.algebra2.top, 1)
+        assert 0 <= lo <= hi <= 1
+
+
+def test_state_lists_across_blocks():
+    """The rendered state lists of events beyond one block of events, for a
+    few states and for the full 63."""
+    rng = np.random.default_rng(3)
+    for n_states in (5, 63):
+        ev = rng.integers(0, 2**n_states, size=3 * _STATE_LIST_BLOCK + 7, dtype=np.int64)
+        expected = [[s for s in range(n_states) if v >> s & 1] for v in ev.tolist()]
+        assert _state_lists(ev, n_states) == expected
