@@ -1,12 +1,16 @@
-"""Scale sweep: the analysis commands as fresh processes on identity cell pairs.
+"""Scale sweep: CLI commands as fresh processes on identity cell pairs.
 
 For each size m in ``SIZES`` it writes the m x m identity cell pair of
-``crosslang.randgen.write_cell_corpus`` (always with this checkout's code)
-plus uniform weights, and runs each of ``COMMANDS`` on it, one fresh
+``crosslang.randgen.write_cell_corpus`` (always with this checkout's code),
+uniform weights and a cover-seed file in which every proposition of either
+side implies its twin, and runs each of ``COMMANDS`` on it, one fresh
 ``python -m crosslang`` process each, under a wall-clock cap of ``CAP_S``
-seconds.  Each row records the wall time, the peak RSS of that child
-process, the bytes it printed and its exit code, or ``"timeout"`` when the
-cap killed it.  The sweep never skips a row.
+seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
+would exhaust the host's memory fails with MemoryError instead).  Each row
+records the wall time, the peak RSS of that child process, the bytes it
+printed and its exit code, or ``"timeout"`` when the cap killed it, plus
+the last line of its stderr as ``error`` when there is one.  The sweep never
+skips a row.
 
     python3 scripts/scale.py                       # writes BENCH_scale.json
     python3 scripts/scale.py --src ../other-checkout/src --output other.json
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -35,29 +40,53 @@ sys.path.insert(0, str(ROOT / "src"))
 from crosslang.randgen import write_cell_corpus  # noqa: E402
 
 SIZES = (8, 10, 12, 14, 16)
-COMMANDS = ("joint", "common", "classify", "bounds")
+COMMANDS = ("joint", "common", "classify", "bounds",
+            "check-implication", "export-dot-cross", "export-dot-full")
 CAP_S = 60.0
+MEM_CAP_MB = 3072
+SEED_FILE = "cover.imp"
 
 
 def write_pair(path: Path, m: int) -> None:
-    """The m x m identity cell pair and uniform weights over its m states."""
+    """The m x m identity cell pair, uniform weights over its m states and
+    the cover seeds: each proposition of either side implies its twin."""
     write_cell_corpus(path, m, star=False)
     (path / "weights.json").write_text(json.dumps([1 / m] * m) + "\n")
+    formulas = {prefix: [" | ".join(f"{prefix}{k}" for k in range(m) if mask >> k & 1)
+                         or "false" for mask in range(1 << m)]
+                for prefix in "ab"}
+    with open(path / SEED_FILE, "w") as out:
+        for (src, sp), (dst, dp) in ((("lang1", "a"), ("lang2", "b")),
+                                     (("lang2", "b"), ("lang1", "a"))):
+            for lhs, rhs in zip(formulas[sp], formulas[dp]):
+                out.write(f"imp: {src}.{lhs} => {dst}.{rhs}\n")
 
 
 def argv(command: str, corpus: Path) -> list[str]:
     if command == "bounds":
         return ["bounds", str(corpus), str(corpus / "weights.json"), "a0 | a1",
                 "--lang", "1", "--format", "json"]
+    if command == "check-implication":
+        return ["check", str(corpus / "lang1.lang"), str(corpus / "lang2.lang"),
+                str(corpus / SEED_FILE), "--mode", "implication", "--format", "json"]
+    if command.startswith("export-dot"):
+        return ["export-dot", str(corpus), "--what", "cross",
+                *(["--full"] if command.endswith("full") else [])]
     return [command, str(corpus), "--format", "json"]
+
+
+def _cap_memory():
+    cap = MEM_CAP_MB * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def run(cmd: list[str], env: dict) -> dict:
     """One child process: wall time, its own peak RSS (from ``wait4``), the
-    bytes it printed and its exit code, or ``timeout``."""
-    with tempfile.TemporaryFile() as out:
+    bytes it printed, its exit code or ``timeout``, and its last stderr line."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
-        child = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env)
+        child = subprocess.Popen(cmd, stdout=out, stderr=err, env=env,
+                                 preexec_fn=_cap_memory)
         deadline = started + CAP_S
         while True:
             pid, status, usage = os.wait4(child.pid, os.WNOHANG)
@@ -72,10 +101,15 @@ def run(cmd: list[str], env: dict) -> dict:
             time.sleep(0.01)
         wall = time.perf_counter() - started
         child.returncode = code   # reaped here; keeps Popen from waiting again
-        return {"wall_s": round(wall, 3),
-                "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-                "output_bytes": out.tell(),
-                "exit": code}
+        err.seek(0)
+        stderr = err.read().decode("utf-8", "replace").strip().splitlines()
+        row = {"wall_s": round(wall, 3),
+               "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+               "output_bytes": out.tell(),
+               "exit": code}
+        if stderr:
+            row["error"] = stderr[-1][:200]
+        return row
 
 
 def main(argv_in=None) -> int:
@@ -101,6 +135,7 @@ def main(argv_in=None) -> int:
     Path(args.output).write_text(json.dumps({
         "pair": "identity cell pair, m x m",
         "cap_s": CAP_S,
+        "mem_cap_mb": MEM_CAP_MB,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "rows": rows,

@@ -34,11 +34,12 @@ def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     """Drop cross pairs that factor through a strictly finer step on either
     side; what remains is the transitive reduction restricted to props.
 
-    Every relation drawn here is down-closed in its sources and up-closed in
-    its targets: ``close`` and its Warshall fallback saturate both, and a row
-    of ``implication_from_translation`` is the up-set of a monotone outer
-    image.  So (λ, η) factors through a finer step iff it factors through a
-    cover: λ with one more bit reaches η, or λ reaches η with one bit less.
+    This dense form serves relations with a row that is not the up-set of
+    its meet.  Every relation drawn here is down-closed in its sources and
+    up-closed in its targets, as ``close`` and its Warshall fallback
+    saturate both.  So (λ, η) factors through a finer step iff it factors
+    through a cover: λ with one more bit reaches η, or λ reaches η with one
+    bit less.
     """
     block = rows[:-1, :-1]
     keep = block.copy()
@@ -51,10 +52,64 @@ def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     return keep_t.T
 
 
+def _reduced_targets(meet: np.ndarray, m_src: int) -> np.ndarray:
+    """The cover reduction of a relation whose rows are the up-sets of their
+    meets, as one target per source (-1 for none): only (λ, meet[λ]) can
+    survive, and it does unless λ with one more bit has the same meet."""
+    meet = meet[:-1]
+    keep = meet != -1
+    for b in range(m_src):
+        pairs = _bit_pairs(meet, b)
+        _bit_pairs(keep, b)[:, 0] &= pairs[:, 0] != pairs[:, 1]
+    return np.where(keep, meet, -1)
+
+
+def _arrows(rel: np.ndarray):
+    """(sources, targets) of dense boolean rows, or of one target per source,
+    in row-major order."""
+    if rel.ndim == 2:
+        return np.nonzero(rel)
+    src = np.flatnonzero(rel != -1)
+    return src, rel[src]
+
+
+def _has(rel: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    return rel[src, dst] if rel.ndim == 2 else rel[src] == dst
+
+
+def _arrow_lines(fwd: np.ndarray, back: np.ndarray) -> list[str]:
+    """The cross arrows of both directions, mutually implied pairs once and
+    double-headed, one arrow at a time: a full diagram has millions."""
+    fwd_src, fwd_dst = _arrows(fwd)
+    back_src, back_dst = _arrows(back)
+    alone = ~_has(fwd, back_dst, back_src)
+    style = 'color=forestgreen, style=bold'
+    lines = []
+    for x, y, mutual in zip(map(int, fwd_src), map(int, fwd_dst),
+                            _has(back, fwd_dst, fwd_src)):
+        if mutual:
+            lines.append(
+                f"  {_node_id(1, x)} -> {_node_id(2, y)} "
+                f"[{style}, dir=both];"
+            )
+        else:
+            lines.append(f"  {_node_id(1, x)} -> {_node_id(2, y)} [{style}];")
+    for y, x in zip(map(int, back_src[alone]), map(int, back_dst[alone])):
+        lines.append(f"  {_node_id(2, y)} -> {_node_id(1, x)} [{style}];")
+    return lines
+
+
 def cross_dot(r: CrossImplication, full: bool = False) -> str:
-    """Both cover diagrams plus the cross arrows (reduced unless ``full``);
-    mutually implied pairs are drawn once, double-headed."""
+    """Both cover diagrams plus the cross arrows (reduced unless ``full``)."""
     a1, a2 = r.algebra1, r.algebra2
+    m1, m2 = a1.model_count, a2.model_count
+    meets = None if full else r.principal_meets
+    if meets is not None:
+        fwd, back = _reduced_targets(meets[0], m1), _reduced_targets(meets[1], m2)
+    elif full:
+        fwd, back = r.rows12[:-1, :-1], r.rows21[:-1, :-1]
+    else:
+        fwd, back = _reduced_cross(r.rows12, m1, m2), _reduced_cross(r.rows21, m2, m1)
     lines = ['digraph cross {', "  rankdir=BT;"]
     lines.append(f'  subgraph cluster_1 {{ label="{a1.name}";')
     lines.extend("  " + l for l in _hasse_lines(a1, 1))
@@ -62,27 +117,6 @@ def cross_dot(r: CrossImplication, full: bool = False) -> str:
     lines.append(f'  subgraph cluster_2 {{ label="{a2.name}";')
     lines.extend("  " + l for l in _hasse_lines(a2, 2))
     lines.append("  }")
-    if full:
-        fwd = r.rows12[: a1.full_mask + 1, : a2.full_mask + 1]
-        back = r.rows21[: a2.full_mask + 1, : a1.full_mask + 1]
-    else:
-        fwd = _reduced_cross(r.rows12, a1.model_count, a2.model_count)
-        back = _reduced_cross(r.rows21, a2.model_count, a1.model_count)
-    style = 'color=forestgreen, style=bold'
-    for x, y in np.argwhere(fwd):
-        if back[y, x]:
-            lines.append(
-                f"  {_node_id(1, int(x))} -> {_node_id(2, int(y))} "
-                f"[{style}, dir=both];"
-            )
-        else:
-            lines.append(
-                f"  {_node_id(1, int(x))} -> {_node_id(2, int(y))} [{style}];"
-            )
-    for y, x in np.argwhere(back):
-        if not fwd[x, y]:
-            lines.append(
-                f"  {_node_id(2, int(y))} -> {_node_id(1, int(x))} [{style}];"
-            )
+    lines.extend(_arrow_lines(fwd, back))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,11 +2,19 @@
 
 Within one language the relation always delegates to that algebra's own
 implication; only the cross-language pairs (plus any within-language pairs a
-pathological closure forced, kept separately as evidence) are stored.  Cross
-pairs live in two boolean matrices indexed by proposition mask, star slot
-last, so saturation steps are bit-parallel sweeps and the relation checks
-compare per-proposition images (the meet of what a row reaches, the join of
-what reaches a column) instead of multiplying matrices.
+pathological closure forced, kept separately as evidence) are stored.
+
+A closed relation is fixed by its cross seeds: row λ is the up-set of the
+targets of the seeds whose source lies above λ or is the star.  ``close``
+and ``implication_from_translation`` keep the seeds as mask arrays plus, per
+direction, image vectors over the proposition masks (star slot last): for
+each source the meet of the targets it reaches and their least popcount,
+for each target the join of the sources reaching it and their greatest
+popcount.  A row is principal exactly when its least popcount is that of
+its meet, so the checks decide from these vectors in O(m·2^m).  Dense
+boolean rows are built on demand only: for relations handed in as rows,
+which need not be closed, for a witness scan after a failed decision, and
+for readers that want the matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from .reports import AxiomCheck, AxiomReport
 from .translation import Translation, _element, with_star
 
 _SLOW_CLOSE_LIMIT = 2048
+# dense rows are built only while m1 + m2 models stay at or under this:
+# 2^26 proposition pairs, 64 MB of booleans per direction
+_DENSE_MODEL_LIMIT = 26
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -31,22 +42,67 @@ class CrossImplication:
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
                  rows12: np.ndarray, rows21: np.ndarray,
                  extra1: frozenset = frozenset(), extra2: frozenset = frozenset()):
+        self._setup(algebra1, algebra2, extra1, extra2)
+        n1, n2 = algebra1.full_mask + 2, algebra2.full_mask + 2
+        if rows12.shape != (n1, n2) or rows21.shape != (n2, n1):
+            raise ValueError("cross matrices have the wrong shape")
+        self._rows = (rows12, rows21)
+        self.images = self.principal_meets = None
+
+    @classmethod
+    def from_seeds(cls, algebra1: Algebra, algebra2: Algebra,
+                   seeds12: tuple, seeds21: tuple) -> "CrossImplication":
+        """The cross pairs that the seeds, the two orders and the bound pairs
+        give by sweeping sources down and targets up, held as images.  Each
+        seed set is a (source masks, target masks) pair of arrays, -1 for the
+        star.  Whether bouncing through the other language stays inside the
+        orders is left to the transitivity check."""
+        r = cls.__new__(cls)
+        r._setup(algebra1, algebra2, frozenset(), frozenset())
+        m1, m2 = algebra1.model_count, algebra2.model_count
+        r.images = (_Images(*seeds12, m1, m2), _Images(*seeds21, m2, m1))
+        r._rows = None
+        # the meet images of both directions when every row is the up-set
+        # of its meet; None for a relation held as dense rows
+        r.principal_meets = (tuple(i.meet for i in r.images)
+                             if all(i.rows_principal().all() for i in r.images) else None)
+        return r
+
+    def _setup(self, algebra1, algebra2, extra1, extra2):
         if algebra1.name == algebra2.name:
             raise CrossAlgebraError(
                 "the two languages of a relation need distinct names"
             )
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        n1, n2 = algebra1.full_mask + 2, algebra2.full_mask + 2
-        if rows12.shape != (n1, n2) or rows21.shape != (n2, n1):
-            raise ValueError("cross matrices have the wrong shape")
-        self.rows12 = rows12
-        self.rows21 = rows21
         # within-language pairs forced by closure but absent from the orders;
         # stored as (source index, target index) with the star slot last
         self.extra1 = frozenset(extra1)
         self.extra2 = frozenset(extra2)
         self._report = None
+
+    # --- dense rows, built on demand ---
+
+    def _dense(self) -> tuple:
+        if self._rows is None:
+            m1, m2 = self.algebra1.model_count, self.algebra2.model_count
+            if m1 + m2 > _DENSE_MODEL_LIMIT:
+                raise AlgebraTooLargeError(
+                    f"the dense implication rows of {m1} x {m2} models exceed "
+                    f"2^{_DENSE_MODEL_LIMIT} proposition pairs"
+                )
+            self._rows = tuple(images.dense_rows() for images in self.images)
+        return self._rows
+
+    @property
+    def rows12(self) -> np.ndarray:
+        """Language 1 sources by mask against language 2 targets, star slots
+        last."""
+        return self._dense()[0]
+
+    @property
+    def rows21(self) -> np.ndarray:
+        return self._dense()[1]
 
     # --- indexing helpers ---
 
@@ -68,15 +124,26 @@ class CrossImplication:
                 return True
             extra = self.extra1 if sx == 1 else self.extra2
             return (self._idx(x), self._idx(y)) in extra
-        if sx == 1:
-            return bool(self.rows12[self._idx(x), self._idx(y)])
-        return bool(self.rows21[self._idx(x), self._idx(y)])
+        if self.principal_meets is not None:
+            meet = self.principal_meets[sx - 1][self._idx(x)]
+            return isinstance(y, Star) or bool(meet != -1 and meet & ~y.mask == 0)
+        return bool(self._dense()[sx - 1][self._idx(x), self._idx(y)])
 
     def equivalent(self, x: StarProp, y: StarProp) -> bool:
         return self.holds(x, y) and self.holds(y, x)
 
     def cross_pair_count(self) -> int:
-        return int(self.rows12.sum() + self.rows21.sum())
+        meets = self.principal_meets
+        if meets is None:
+            return int(self.rows12.sum() + self.rows21.sum())
+        # a principal row reaches the 2^(m - |meet|) supersets of its meet,
+        # and every row reaches the star
+        total = 0
+        for meet, m_dst in zip(meets, (self.algebra2.model_count,
+                                       self.algebra1.model_count)):
+            free = m_dst - np.bitwise_count(meet[meet != -1]).astype(np.int64)
+            total += int((np.int64(1) << free).sum()) + len(meet)
+        return total
 
     def __eq__(self, other):
         return (
@@ -108,14 +175,91 @@ class CrossImplication:
 #
 # The 2^m proposition slots of an axis come first, by mask, so with the star
 # slot cut off they reshape without a copy into the pairs of slots that differ
-# in one bit.  Saturation ORs one half of each pair into the other, and the
-# checks reduce over one half: O(m·n²) bit operations, no pairwise product.
+# in one bit.  Sweeps combine one half of each pair into the other: over image
+# vectors that is O(m·2^m), over dense rows O(m·n²), never a pairwise product.
 
 
 def _bit_pairs(a: np.ndarray, b: int) -> np.ndarray:
     """``a``'s axis 0 (2^m proposition slots) viewed as [high bits, bit ``b``
     clear or set, low bits]; writes to the view go through to ``a``."""
     return a.reshape(-1, 2, 1 << b, *a.shape[1:])
+
+
+def _sweep(v: np.ndarray, m: int, op, up: bool):
+    """v[x] = op(v[x], v[y]) over the proposition slots, for every y above x
+    (``up``) or below it, in one pass per bit."""
+    into, frm = (0, 1) if up else (1, 0)
+    for b in range(m):
+        pairs = _bit_pairs(v[:-1], b)
+        op(pairs[:, into], pairs[:, frm], out=pairs[:, into])
+
+
+class _Images:
+    """One direction of a seed-built relation.
+
+    ``meet[s]`` is the meet of the proposition targets that source slot ``s``
+    reaches, -1 for none, and ``low[s]`` their least popcount.  ``join[t]``
+    is the join of the proposition sources reaching target slot ``t``, -1
+    when the star reaches it (and with it every proposition), and
+    ``high[t]`` their greatest popcount.  A source reaches the up-closure of
+    the seed targets above it, so meets and least popcounts come from one
+    superset sweep; a target is reached by the down-closure of the seed
+    sources below it, so joins and greatest popcounts come from one subset
+    sweep.  The star column, which every source reaches, stays implicit.
+    """
+
+    def __init__(self, xs: np.ndarray, ts: np.ndarray, m_src: int, m_dst: int):
+        self.xs = np.asarray(xs, dtype=np.int64)
+        self.ts = np.asarray(ts, dtype=np.int64)
+        self.m_src, self.m_dst = m_src, m_dst
+        to_prop = self.ts != -1
+        # the seed (0, 0): contradictions align
+        xs = np.append(self.xs[to_prop], 0)
+        ts = np.append(self.ts[to_prop], 0)
+
+        self.meet = np.full((1 << m_src) + 1, -1, dtype=np.int64)
+        self.low = np.full((1 << m_src) + 1, m_dst + 1, dtype=np.int64)
+        np.bitwise_and.at(self.meet, xs, ts)
+        np.minimum.at(self.low, xs, np.bitwise_count(ts).astype(np.int64))
+        _sweep(self.meet, m_src, np.bitwise_and, up=True)
+        _sweep(self.low, m_src, np.minimum, up=True)
+        # every proposition reaches what the star reaches
+        self.meet[:-1] &= self.meet[-1]
+        np.minimum(self.low[:-1], self.low[-1], out=self.low[:-1])
+
+        self.join = np.zeros((1 << m_dst) + 1, dtype=np.int64)
+        self.high = np.zeros((1 << m_dst) + 1, dtype=np.int64)
+        np.bitwise_or.at(self.join, ts, xs)        # a star source, -1, absorbs
+        np.maximum.at(self.high, ts, np.where(
+            xs == -1, m_src, np.bitwise_count(xs).astype(np.int64)))
+        _sweep(self.join, m_dst, np.bitwise_or, up=False)
+        _sweep(self.high, m_dst, np.maximum, up=False)
+        self.join[-1], self.high[-1] = -1, m_src   # the star column
+
+    def rows_principal(self) -> np.ndarray:
+        """Per source slot: the row is the up-set of its meet (or empty)."""
+        return (self.meet == -1) | (self.low == np.bitwise_count(self.meet))
+
+    def prop_join(self) -> np.ndarray:
+        """``join`` with the star's reach read as every proposition source."""
+        return np.where(self.join == -1, (1 << self.m_src) - 1, self.join)
+
+    def dense_rows(self) -> np.ndarray:
+        rows = np.zeros(((1 << self.m_src) + 1, (1 << self.m_dst) + 1), dtype=bool)
+        rows[self.xs, self.ts] = True              # -1 is the star slot
+        rows[0, 0] = rows[-1, -1] = True
+        _down_close_sources(rows, self.m_src)
+        _up_close_targets(rows, self.m_dst)
+        rows.flags.writeable = False
+        return rows
+
+
+def _bounce_free(images: tuple) -> bool:
+    """Whether no λ → η → μ leaves the source order, either way round: for
+    every η the join of the sources reaching it lies under the meet of the
+    targets it reaches, a star counting as all ones (-1)."""
+    fwd, back = images
+    return not ((fwd.join & ~back.meet).any() or (back.join & ~fwd.meet).any())
 
 
 def _down_close_sources(rows: np.ndarray, m_src: int):
@@ -155,15 +299,6 @@ def _meets(rows: np.ndarray, m_dst: int) -> np.ndarray:
     for b in range(m_dst):
         out[~_bit_pairs(cols, b)[:, 0].any(axis=(0, 1))] |= 1 << b
     return out
-
-
-def _bounces_inside(rows_a: np.ndarray, rows_b: np.ndarray, m_src: int) -> bool:
-    """Whether every λ → η → μ through ``rows_a`` then ``rows_b`` keeps λ ≤ μ
-    in the source order.  That holds iff for every η the join of the sources
-    reaching η lies under the meet of the targets η reaches, a star counting
-    as all ones (-1): the star lies under the star only."""
-    joins = np.where(rows_a[-1], -1, _joins(rows_a, m_src))
-    return not (joins & ~_meets(rows_b, m_src)).any()
 
 
 def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, m_src: int,
@@ -211,63 +346,48 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     within-language pairs the closure forces, are kept aside so the
     extensibility check can fail with them as witnesses.
 
-    One pass of the sweeps saturates the cross pairs: down-closing the
-    sources and then up-closing the targets is already a fixpoint, because
-    up-closure is monotone per row, so row[u] ⊇ row[x] for u ⊆ x, rows[:-1] ⊇
-    rows[-1] and the star column all survive it.  The result is clean when
-    no λ → η → μ leaves the source order (``_bounces_inside``); otherwise a
-    dense Warshall closure over the union takes over.
+    Sweeping sources down and targets up saturates the cross pairs, which
+    the images hold.  The result is clean when no λ → η → μ leaves the
+    source order (``_bounce_free``); otherwise a dense Warshall closure over
+    the union takes over.
     """
-    m1, m2 = a1.model_count, a2.model_count
-    n1, n2 = a1.full_mask + 2, a2.full_mask + 2
-    rows12 = np.zeros((n1, n2), dtype=bool)
-    rows21 = np.zeros((n2, n1), dtype=bool)
-    rows12[0, 0] = rows21[0, 0] = True          # contradictions align
-    rows12[-1, -1] = rows21[-1, -1] = True      # stars align
-    extra_seeds1, extra_seeds2 = set(), set()
-
-    def idx(x):
-        return CrossImplication._idx(x)
-
+    sides = {a1.name: 1, a2.name: 2}
+    cross = {1: ([], []), 2: ([], [])}
+    extra_seeds = {1: set(), 2: set()}
     for x, y in seeds:
-        sides = {a1.name: 1, a2.name: 2}
         try:
             sx, sy = sides[x.algebra.name], sides[y.algebra.name]
         except KeyError:
             raise CrossAlgebraError("seed endpoint outside the two languages")
         if sx == sy:
             if not implies(x, y):
-                (extra_seeds1 if sx == 1 else extra_seeds2).add((idx(x), idx(y)))
-        elif sx == 1:
-            rows12[idx(x), idx(y)] = True
+                extra_seeds[sx].add((CrossImplication._idx(x), CrossImplication._idx(y)))
         else:
-            rows21[idx(x), idx(y)] = True
-
-    _down_close_sources(rows12, m1)
-    _down_close_sources(rows21, m2)
-    _up_close_targets(rows12, m2)
-    _up_close_targets(rows21, m1)
-    clean = _bounces_inside(rows12, rows21, m1) and _bounces_inside(rows21, rows12, m2)
-    if clean and not extra_seeds1 and not extra_seeds2:
-        return CrossImplication(a1, a2, rows12, rows21)
+            xs, ts = cross[sx]
+            xs.append(-1 if isinstance(x, Star) else x.mask)
+            ts.append(-1 if isinstance(y, Star) else y.mask)
+    r = CrossImplication.from_seeds(a1, a2, cross[1], cross[2])
+    if _bounce_free(r.images) and not extra_seeds[1] and not extra_seeds[2]:
+        return r
 
     # the closure escapes the within-language orders: fall back to a full
     # Warshall-style closure over the union (small instances only)
+    n1, n2 = a1.full_mask + 2, a2.full_mask + 2
     if n1 + n2 > _SLOW_CLOSE_LIMIT:
         raise AlgebraTooLargeError(
             "closure forces within-language pairs and the algebras are too "
             "large for the dense fallback"
         )
-    w1 = _within_matrix(m1)
-    w2 = _within_matrix(m2)
+    w1 = _within_matrix(a1.model_count)
+    w2 = _within_matrix(a2.model_count)
     u = np.zeros((n1 + n2, n1 + n2), dtype=bool)
     u[:n1, :n1] = w1
     u[n1:, n1:] = w2
-    u[:n1, n1:] = rows12
-    u[n1:, :n1] = rows21
-    for i, j in extra_seeds1:
+    u[:n1, n1:] = r.rows12
+    u[n1:, :n1] = r.rows21
+    for i, j in extra_seeds[1]:
         u[i, j] = True
-    for i, j in extra_seeds2:
+    for i, j in extra_seeds[2]:
         u[n1 + i, n1 + j] = True
     while True:
         new = u | _bool_matmul(u, u)
@@ -285,6 +405,11 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
 
 
 # --- axiom checks --------------------------------------------------------------
+#
+# A relation held as images is closed by construction, so each check is a
+# decision on the image vectors; the dense scans below run on hand-built
+# rows, and on materialised rows only after a failed decision, so that first
+# witnesses come out as they always did.
 
 
 def check_implication_axioms(r: CrossImplication) -> AxiomReport:
@@ -292,8 +417,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     consistency and negation consistency, each with a first witness."""
     report = AxiomReport()
     a1, a2 = r.algebra1, r.algebra2
-    m1, m2 = a1.model_count, a2.model_count
-    n1, n2 = a1.full_mask + 2, a2.full_mask + 2
+    images = r.images
 
     # extensibility: the relation restricted to one language is that
     # language's own implication -- any stored extra pair is a violation
@@ -306,9 +430,62 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
         else:
             report.checks.append(AxiomCheck(f"extensibility:{side}", True))
 
-    # transitivity: sources may be weakened, targets generalised, and
-    # bouncing through the other language must stay inside the order
-    trans_witness = None
+    trans_witness = (None if images is not None and _bounce_free(images)
+                     else _transitivity_witness(r))
+    report.checks.append(
+        AxiomCheck("transitivity", trans_witness is None,
+                   () if trans_witness is None else (trans_witness,))
+    )
+
+    # bound consistency: contradictions and stars align, and the star
+    # reaches nothing below the other star
+    if images is not None:
+        bound_ok = bool(images[0].meet[-1] == -1 and images[1].meet[-1] == -1)
+    else:
+        bound_ok = (
+            bool(r.rows12[0, 0]) and bool(r.rows21[0, 0])
+            and bool(r.rows12[-1, -1]) and bool(r.rows21[-1, -1])
+            and not r.rows12[-1, :-1].any() and not r.rows21[-1, :-1].any()
+        )
+    report.checks.append(
+        AxiomCheck("bound-consistency", bound_ok,
+                   () if bound_ok else ((a1.bottom, a2.bottom),))
+    )
+
+    # connective consistency: for each source proposition the set of targets
+    # it reaches is closed under meets (equivalently contains its total
+    # meet), and the set of sources reaching it is closed under joins
+    for tag, fwd, back, src, dst in (("1>2", 0, 1, a1, a2), ("2>1", 1, 0, a2, a1)):
+        witness = (_connective_witness(images[fwd], images[back], src, dst)
+                   if images is not None
+                   else _dense_connective_witness(r._dense()[fwd], r._dense()[back],
+                                                  src, dst))
+        report.checks.append(
+            AxiomCheck(f"connective-consistency:{tag}", witness is None,
+                       () if witness is None else (witness,))
+        )
+
+    # negation consistency: when a proposition reaches the other tautology,
+    # anything implying its negation is in turn negated by it
+    meets = r.principal_meets
+    for tag, fwd, back, src, dst in (("1>2", 0, 1, a1, a2), ("2>1", 1, 0, a2, a1)):
+        if meets is not None:
+            hit = _negation_witness(meets[fwd], meets[back], dst.model_count)
+        else:
+            hit = _dense_negation_witness(r._dense()[fwd], r._dense()[back], src, dst)
+        report.checks.append(
+            AxiomCheck(f"negation-consistency:{tag}", hit is None,
+                       () if hit is None else ((Prop(src, hit[0]), Prop(dst, hit[1])),))
+        )
+    return report
+
+
+def _transitivity_witness(r: CrossImplication):
+    """Sources may be weakened, targets generalised, and bouncing through the
+    other language must stay inside the order: the first pair the sweeps
+    would add, else the first bounce outside, else None."""
+    a1, a2 = r.algebra1, r.algebra2
+    m1, m2 = a1.model_count, a2.model_count
     for rows, m_src, m_dst, src, dst in (
         (r.rows12, m1, m2, a1, a2),
         (r.rows21, m2, m1, a2, a1),
@@ -319,87 +496,85 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
         gained = closed & ~rows
         if gained.any():
             i, j = divmod(int(gained.argmax()), gained.shape[1])
-            trans_witness = (_element(src, _unstar(i, src)),
-                             _element(dst, _unstar(j, dst)))
-            break
-    if trans_witness is None:
-        for rows_a, rows_b, m_src, src, mid, extra in (
-            (r.rows12, r.rows21, m1, a1, a2, r.extra1),
-            (r.rows21, r.rows12, m2, a2, a1, r.extra2),
-        ):
-            if _bounces_inside(rows_a, rows_b, m_src):
-                continue
-            bounce = _first_bounce_outside(rows_a, rows_b, m_src, extra)
-            if bounce is not None:
-                i, k, j = bounce
-                trans_witness = (_element(src, _unstar(i, src)),
-                                 _element(mid, _unstar(k, mid)),
-                                 _element(src, _unstar(j, src)))
-                break
-    report.checks.append(
-        AxiomCheck("transitivity", trans_witness is None,
-                   () if trans_witness is None else (trans_witness,))
-    )
-
-    # bound consistency: contradictions and stars align, and the star
-    # reaches nothing below the other star
-    bound_ok = (
-        bool(r.rows12[0, 0]) and bool(r.rows21[0, 0])
-        and bool(r.rows12[-1, -1]) and bool(r.rows21[-1, -1])
-        and not r.rows12[-1, :-1].any() and not r.rows21[-1, :-1].any()
-    )
-    report.checks.append(
-        AxiomCheck("bound-consistency", bound_ok,
-                   () if bound_ok else ((a1.bottom, a2.bottom),))
-    )
-
-    # connective consistency: for each source proposition the set of targets
-    # it reaches is closed under meets (equivalently contains its total
-    # meet), and the set of sources reaching it is closed under joins
-    for tag, rows_fwd, rows_back, src, dst in (
-        ("1>2", r.rows12, r.rows21, a1, a2),
-        ("2>1", r.rows21, r.rows12, a2, a1),
+            return (_element(src, _unstar(i, src)), _element(dst, _unstar(j, dst)))
+    for rows_a, rows_b, m_src, src, mid, extra in (
+        (r.rows12, r.rows21, m1, a1, a2, r.extra1),
+        (r.rows21, r.rows12, m2, a2, a1, r.extra2),
     ):
-        witness = None
-        meets = _meets(rows_fwd, dst.model_count)[:-1]
-        lam_idx = np.flatnonzero(meets != -1)
-        bad = lam_idx[~rows_fwd[lam_idx, meets[lam_idx]]]
-        if bad.size:
-            lam = int(bad[0])
-            witness = (Prop(src, lam), Prop(dst, int(meets[lam])))
-        if witness is None:
-            src_of = _joins(rows_back, dst.model_count)[:-1]
-            bad = np.flatnonzero(~rows_back[src_of, np.arange(src.full_mask + 1)])
-            if bad.size:
-                lam = int(bad[0])
-                witness = (Prop(dst, int(src_of[lam])), Prop(src, lam))
-        report.checks.append(
-            AxiomCheck(f"connective-consistency:{tag}", witness is None,
-                       () if witness is None else (witness,))
-        )
+        bounce = _first_bounce_outside(rows_a, rows_b, m_src, extra)
+        if bounce is not None:
+            i, k, j = bounce
+            return (_element(src, _unstar(i, src)),
+                    _element(mid, _unstar(k, mid)),
+                    _element(src, _unstar(j, src)))
+    return None
 
-    # negation consistency: when a proposition reaches the other tautology,
-    # anything implying its negation is in turn negated by it
-    for tag, rows_fwd, rows_back, src, dst in (
-        ("1>2", r.rows12, r.rows21, a1, a2),
-        ("2>1", r.rows21, r.rows12, a2, a1),
-    ):
-        np1, np2 = src.full_mask + 1, dst.full_mask + 1
-        guard = rows_fwd[:np1, dst.full_mask]
-        # negation is full_mask ^ mask, which reverses the proposition slots
-        reaches_neg = rows_back[:np2, :np1][:, ::-1]                    # [eta, lam]
-        negated = np.ascontiguousarray(rows_fwd[:np1, :np2].T)[::-1]   # [eta, lam]
-        viol = reaches_neg & ~negated
-        viol &= guard
-        if viol.any():
-            eta, lam = divmod(int(viol.argmax()), np1)
-            witness = ((Prop(src, lam), Prop(dst, eta)),)
-            report.checks.append(
-                AxiomCheck(f"negation-consistency:{tag}", False, witness)
-            )
-        else:
-            report.checks.append(AxiomCheck(f"negation-consistency:{tag}", True))
-    return report
+
+def _connective_witness(fwd: _Images, back: _Images, src: Algebra, dst: Algebra):
+    """The first source row that is not the up-set of its meet, else the
+    first target column that is not the down-set of its join; a principal
+    row has its meet's popcount as its least one, a principal column its
+    join's as its greatest."""
+    meet = fwd.meet[:-1]
+    bad = (meet != -1) & (fwd.low[:-1] != np.bitwise_count(meet))
+    if bad.any():
+        lam = int(bad.argmax())
+        return Prop(src, lam), Prop(dst, int(meet[lam]))
+    join = back.prop_join()[:-1]
+    bad = back.high[:-1] != np.bitwise_count(join)
+    if bad.any():
+        lam = int(bad.argmax())
+        return Prop(dst, int(join[lam])), Prop(src, lam)
+    return None
+
+
+def _dense_connective_witness(rows_fwd, rows_back, src: Algebra, dst: Algebra):
+    meets = _meets(rows_fwd, dst.model_count)[:-1]
+    lam_idx = np.flatnonzero(meets != -1)
+    bad = lam_idx[~rows_fwd[lam_idx, meets[lam_idx]]]
+    if bad.size:
+        lam = int(bad[0])
+        return Prop(src, lam), Prop(dst, int(meets[lam]))
+    src_of = _joins(rows_back, dst.model_count)[:-1]
+    bad = np.flatnonzero(~rows_back[src_of, np.arange(src.full_mask + 1)])
+    if bad.size:
+        lam = int(bad[0])
+        return Prop(dst, int(src_of[lam])), Prop(src, lam)
+    return None
+
+
+def _negation_witness(meet_fwd: np.ndarray, meet_back: np.ndarray, m_dst: int):
+    """The first (λ, η) violating negation consistency when every row is the
+    up-set of its meet, least η first: some λ reaching anything has η ∩
+    meet_fwd[λ] nonempty while η reaches ¬λ, that is η's back-meet misses λ.
+    Back-meets grow with η, so the least such η is an atom under
+    meet_fwd[λ]: the check asks each of those atoms for a back-meet that
+    meets λ (or none at all)."""
+    fwd = meet_fwd[:-1]
+    lam = np.arange(len(fwd), dtype=np.int64)
+    reaching = fwd != -1
+    for b in range(m_dst):
+        back = meet_back[1 << b]
+        if back == -1:
+            continue
+        bad = reaching & ((fwd >> b) & 1 == 1) & ((lam & back) == 0)
+        if bad.any():
+            return int(bad.argmax()), 1 << b
+    return None
+
+
+def _dense_negation_witness(rows_fwd, rows_back, src: Algebra, dst: Algebra):
+    np1, np2 = src.full_mask + 1, dst.full_mask + 1
+    guard = rows_fwd[:np1, dst.full_mask]
+    # negation is full_mask ^ mask, which reverses the proposition slots
+    reaches_neg = rows_back[:np2, :np1][:, ::-1]                    # [eta, lam]
+    negated = np.ascontiguousarray(rows_fwd[:np1, :np2].T)[::-1]   # [eta, lam]
+    viol = reaches_neg & ~negated
+    viol &= guard
+    if viol.any():
+        eta, lam = divmod(int(viol.argmax()), np1)
+        return lam, eta
+    return None
 
 
 def _unstar(idx: int, algebra: Algebra) -> int:
@@ -411,26 +586,17 @@ def _unstar(idx: int, algebra: Algebra) -> int:
 
 def implication_from_translation(t: Translation) -> CrossImplication:
     """The relation whose cross pairs mirror the outer operators: a source
-    proposition reaches exactly the generalisations of its outer image."""
+    proposition reaches exactly the generalisations of its outer image, so
+    the outer arrays are its seeds."""
     if not t.is_consistent():
         raise InconsistentInputError(
             "translation fails its axioms; no canonical implication exists"
         )
     a1, a2 = t.algebra1, t.algebra2
-
-    def rows_from_outer(src: Algebra, dst: Algebra, outer_vals: np.ndarray):
-        n_src, n_dst = src.full_mask + 2, dst.full_mask + 2
-        rows = np.zeros((n_src, n_dst), dtype=bool)
-        dst_masks = np.arange(dst.full_mask + 1, dtype=np.int64)
-        rows[:-1, :-1] = (outer_vals[:-1, None] & ~dst_masks[None, :]) == 0
-        rows[:, -1] = True
-        rows[-1, :-1] = False
-        return rows
-
-    return CrossImplication(
+    return CrossImplication.from_seeds(
         a1, a2,
-        rows_from_outer(a1, a2, t.array("1>2", "outer")),
-        rows_from_outer(a2, a1, t.array("2>1", "outer")),
+        (np.arange(a1.full_mask + 1), t.array("1>2", "outer")[:-1]),
+        (np.arange(a2.full_mask + 1), t.array("2>1", "outer")[:-1]),
     )
 
 
@@ -443,6 +609,11 @@ def translation_from_implication(r: CrossImplication) -> Translation:
             "relation fails its axioms; no consistent translation exists"
         )
     a1, a2 = r.algebra1, r.algebra2
+    if r.images is not None:
+        fwd, back = r.images
+        return Translation(a1, a2,
+                           with_star(back.prop_join()[:-1]), with_star(fwd.meet[:-1]),
+                           with_star(fwd.prop_join()[:-1]), with_star(back.meet[:-1]))
 
     def operators(dst: Algebra, fwd: np.ndarray, back: np.ndarray):
         return (with_star(_joins(back, dst.model_count)[:-1]),

@@ -136,119 +136,103 @@ def _fmt(f: Formula, context: int) -> str:
 
 # --- tokenizer / parser ------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)"
-    r"|(?P<op>[!&|()])"
-)
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(->|[!&|()])|(\S))")
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "column")
+_KEYWORDS = {"true": "true", "false": "false"}
 
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+
+def _position(text: str, line: int, pos: int) -> tuple[int, int]:
+    """(line, column) of an offset into ``text``, whose first line is ``line``."""
+    return line + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str, line: int = 1):
-    tokens = []
-    pos = 0
-    col0 = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - col0 + 1)
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                col0 = m.end() - len(m.group().rsplit("\n", 1)[1])
-        elif m.lastgroup == "ident":
-            word = m.group()
-            kind = word if word in ("true", "false") else "ident"
-            tokens.append(_Tok(kind, word, line, m.start() - col0 + 1))
-        else:
-            tokens.append(_Tok(m.group(), m.group(), line, m.start() - col0 + 1))
-        pos = m.end()
-    tokens.append(_Tok("end", "", line, pos - col0 + 1))
-    return tokens
+    """Kinds, texts and start offsets of the tokens, as three lists ending
+    with an ``end`` token at the end of the text."""
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        token = m.group(group)
+        if group == 3:
+            raise ParseError(f"unexpected character {token!r}",
+                             *_position(text, line, m.start(3)))
+        kinds.append(_KEYWORDS.get(token, "ident") if group == 1 else token)
+        texts.append(token)
+        starts.append(m.start(group))
+    kinds.append("end")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 class _FormulaParser:
-    def __init__(self, tokens, declared=None):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int = 1, declared=None):
+        self.text, self.line = text, line
+        self.kinds, self.texts, self.starts = _tokenize(text, line)
         self.i = 0
         self.declared = declared
 
-    @property
-    def cur(self):
-        return self.tokens[self.i]
+    def _raise(self, error, message):
+        raise error(message, *_position(self.text, self.line, self.starts[self.i]))
 
     def _fail(self, expected):
-        tok = self.cur
-        got = tok.text or "end of input"
-        raise ParseError(f"expected {expected}, got {got!r}", tok.line, tok.column)
-
-    def eat(self, kind, expected):
-        if self.cur.kind != kind:
-            self._fail(expected)
-        tok = self.cur
-        self.i += 1
-        return tok
+        got = self.texts[self.i] or "end of input"
+        self._raise(ParseError, f"expected {expected}, got {got!r}")
 
     def parse(self) -> Formula:
         node = self.arrow()
-        if self.cur.kind != "end":
+        if self.kinds[self.i] != "end":
             self._fail("end of formula")
         return node
 
     def arrow(self) -> Formula:
         left = self.disjunction()
-        if self.cur.kind == "->":
+        if self.kinds[self.i] == "->":
             self.i += 1
             return Arrow(left, self.arrow())
         return left
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
-        while self.cur.kind == "|":
+        while self.kinds[self.i] == "|":
             self.i += 1
             node = Or(node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.negation()
-        while self.cur.kind == "&":
+        while self.kinds[self.i] == "&":
             self.i += 1
             node = And(node, self.negation())
         return node
 
     def negation(self) -> Formula:
-        if self.cur.kind == "!":
+        if self.kinds[self.i] == "!":
             self.i += 1
             return Not(self.negation())
         return self.primary()
 
     def primary(self) -> Formula:
-        tok = self.cur
-        if tok.kind == "true":
+        kind = self.kinds[self.i]
+        if kind == "true":
             self.i += 1
             return TRUE
-        if tok.kind == "false":
+        if kind == "false":
             self.i += 1
             return FALSE
-        if tok.kind == "ident":
+        if kind == "ident":
+            name = self.texts[self.i]
+            if self.declared is not None and name not in self.declared:
+                self._raise(UndeclaredAtomError, f"undeclared atom {name!r}")
             self.i += 1
-            if self.declared is not None and tok.text not in self.declared:
-                raise UndeclaredAtomError(
-                    f"undeclared atom {tok.text!r}", tok.line, tok.column
-                )
-            return Atom(tok.text)
-        if tok.kind == "(":
+            return Atom(name)
+        if kind == "(":
             self.i += 1
             node = self.arrow()
-            self.eat(")", "')'")
+            if self.kinds[self.i] != ")":
+                self._fail("')'")
+            self.i += 1
             return node
         self._fail("a formula")
 
@@ -285,7 +269,7 @@ class LanguageSpec:
 def parse_formula(text: str, spec: LanguageSpec | None = None, line: int = 1) -> Formula:
     """Parse one formula; atoms must be declared in ``spec`` when given."""
     declared = set(spec.elementary) if spec is not None else None
-    return _FormulaParser(_tokenize(text, line), declared).parse()
+    return _FormulaParser(text, line, declared).parse()
 
 
 def parse_language(text: str) -> LanguageSpec:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
 
+import pytest
+
 import crosslang.commonality as commonality
 from conftest import CORPUS
 from crosslang import check_consistency, common_language, load_corpus
+from crosslang.cli import main
 from crosslang.randgen import write_cell_corpus
 from crosslang.translation import galois_pair_holds
 
@@ -310,3 +315,20 @@ def test_bounds_invalid_weights_exit_two(tmp_path):
         res = run_cli("bounds", str(base), str(probs), "egg_only | platypus",
                       "--lang", "1")
         assert_clean_usage_error(res)
+
+
+def test_main_reuses_its_parser_after_a_usage_error():
+    """One process, a usage error first and then a valid command: the second
+    call prints what a fresh process prints."""
+    base = CORPUS / "platypus"
+    argv = ["check", str(base / "lang1.lang"), str(base / "lang2.lang"),
+            str(base / "implication.imp"), "--mode", "implication", "--format", "json"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["check", "--mode", "nonsense"])
+    assert exc.value.code == 2 and "usage:" in err.getvalue()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    fresh = run_cli(*argv)
+    assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout)

@@ -1,18 +1,22 @@
-"""Differential suite: the one-pass lattice-sweep closure, the relation checks
-on image vectors and the cover-sweep cross reduction against the
+"""Differential suite: the closure and the relation checks in image form,
+the lazily built dense rows and the cover-sweep cross reduction against the
 matrix-product references in ``denseref`` and the scalar verdicts in
 ``scalarref``, on generated seed sets and relations of up to four models per
-side; then the memory these paths need at 10 and 12 models."""
+side; then the memory these paths need at 10 and 12 models, and a 16 x 16
+relation that never builds its dense rows."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import denseref
 import scalarref
+import crosslang.implication as implication
 from crosslang import (
+    AlgebraTooLargeError,
     CrossImplication,
     Prop,
     check_implication_axioms,
@@ -21,11 +25,17 @@ from crosslang import (
     format_language,
     implication_from_translation,
     load_corpus,
+    translation_from_implication,
 )
 from crosslang.corpus import parse_implication_seeds
 from crosslang.hasse import _reduced_cross
 from crosslang.implication import _bit_pairs
-from crosslang.randgen import cell_algebra, make_cell_spec, random_consistent_translation
+from crosslang.randgen import (
+    cell_algebra,
+    make_cell_spec,
+    random_consistent_translation,
+    write_cell_corpus,
+)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -62,6 +72,13 @@ def _fold(report):
     return out
 
 
+def _dense_copy(r):
+    """The same relation handed in as dense rows, so every reader takes its
+    dense path."""
+    return CrossImplication(r.algebra1, r.algebra2, r.rows12.copy(), r.rows21.copy(),
+                            r.extra1, r.extra2)
+
+
 @FUZZ
 @given(seed_sets())
 def test_close_matches_fixpoint_and_products(case):
@@ -71,6 +88,7 @@ def test_close_matches_fixpoint_and_products(case):
     report = check_implication_axioms(fast)
     assert report.to_dict() == denseref.check_implication_axioms(ref).to_dict()
     assert _fold(report) == scalarref.relation_verdicts(fast)
+    assert fast.cross_pair_count() == int(ref.rows12.sum() + ref.rows21.sum())
 
 
 @st.composite
@@ -108,10 +126,29 @@ def test_checks_match_products_on_hand_built_relations(r):
 
 
 @st.composite
+def seed_arrays(draw, src, dst):
+    """A few cross seeds as (source masks, target masks), either end
+    sometimes the star; mostly one seed per source, so that rows tend to be
+    principal, sometimes two."""
+    xs = draw(st.lists(st.integers(-1, src.full_mask), max_size=6))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2)) if xs else []
+    ts = [draw(st.integers(-1, dst.full_mask)) for _ in xs]
+    return np.array(xs, dtype=np.int64), np.array(ts, dtype=np.int64)
+
+
+@st.composite
 def closed_relations(draw):
-    if draw(st.booleans()):
+    """Relations held as images: a closure of seed sets, raw cross seeds
+    whose bounces may leave the orders, or the relation of a consistent
+    translation."""
+    kind = draw(st.sampled_from(["close", "seeds", "seeds", "translation"]))
+    if kind == "close":
         a1, a2, seeds = draw(seed_sets())
         return close(seeds, a1, a2)
+    if kind == "seeds":
+        a1, a2 = draw(algebra_pair())
+        return CrossImplication.from_seeds(a1, a2, draw(seed_arrays(a1, a2)),
+                                           draw(seed_arrays(a2, a1)))
     t = random_consistent_translation(draw(st.randoms(use_true_random=False)), max_atoms=4)
     return implication_from_translation(t)
 
@@ -119,10 +156,23 @@ def closed_relations(draw):
 @FUZZ
 @given(closed_relations())
 def test_cover_reduction_matches_strict_order_products(r):
+    """Also: reports, pair counts, DOT text and read-back translations in
+    image form equal those of the same rows handed in dense."""
     m1, m2 = r.algebra1.model_count, r.algebra2.model_count
     for rows, m_src, m_dst in ((r.rows12, m1, m2), (r.rows21, m2, m1)):
         assert np.array_equal(_reduced_cross(rows, m_src, m_dst),
                               denseref.reduced_cross(rows, m_src, m_dst))
+    dense = _dense_copy(r)
+    report = check_implication_axioms(r)
+    assert report.to_dict() == denseref.check_implication_axioms(dense).to_dict()
+    assert r.cross_pair_count() == dense.cross_pair_count()
+    for x, y in ((x, y) for a, b in ((r.algebra1, r.algebra2), (r.algebra2, r.algebra1))
+                 for x in a.star_lattice() for y in b.star_lattice()):
+        assert r.holds(x, y) == dense.holds(x, y)
+    for full in (False, True):
+        assert cross_dot(r, full) == cross_dot(dense, full)
+    if report.passed:
+        assert translation_from_implication(r) == translation_from_implication(dense)
 
 
 def test_bit_pairs_are_views():
@@ -195,3 +245,22 @@ def test_cross_dot_of_a_twelve_cell_refinement_stays_small(tmp_path):
     r = load_corpus(tmp_path).require_relation()
     dot, peak = _peak_mb(lambda: cross_dot(r))
     assert dot.startswith("digraph cross {") and peak < 32
+
+
+def test_sixteen_cell_identity_relation_never_builds_dense_rows(tmp_path, monkeypatch):
+    """The relation of the 16 x 16 identity translation is checked, counted
+    and read back from its images; building its rows (two 2^32-cell
+    matrices) is refused.  Before the image form this raised MemoryError."""
+    t = load_corpus(write_cell_corpus(tmp_path, 16, star=False)).translation
+
+    def refuse(images):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(implication._Images, "dense_rows", refuse)
+    r = implication_from_translation(t)
+    assert check_implication_axioms(r).passed
+    assert r.cross_pair_count() == 2 * (3**16 + 2**16 + 1)
+    assert translation_from_implication(r) == t
+    monkeypatch.undo()
+    with pytest.raises(AlgebraTooLargeError):
+        r.rows12

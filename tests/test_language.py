@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import parserref
 
 from crosslang import (
     DuplicateAtomError,
@@ -123,3 +127,26 @@ def test_oil_language_roundtrip(oil):
 def test_reserved_words_cannot_be_atoms():
     with pytest.raises(ParseError):
         parse_language("language A\natoms: p true")
+
+
+_FRAGMENTS = ["p", "q", "r", "x1", "_y", "true", "false", "!", "&", "|", "(", ")",
+              "->", " ", "  ", "\n", "\t", "$", "-", ">", "é"]
+
+
+def _outcome(parse, text, spec, line):
+    try:
+        return parse(text, spec, line)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12), st.booleans(),
+       st.integers(1, 9))
+def test_scanner_matches_reference_parser(fragments, with_spec, line):
+    """Trees, or error type, message, line and column, as before the
+    single-pass scanner."""
+    text = "".join(fragments)
+    spec = parse_language("language A\natoms: p q") if with_spec else None
+    assert (_outcome(parse_formula, text, spec, line)
+            == _outcome(parserref.parse_formula, text, spec, line))
