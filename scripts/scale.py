@@ -2,8 +2,10 @@
 
 For each size m in ``SIZES`` it writes the m x m identity cell pair of
 ``crosslang.randgen.write_cell_corpus`` (always with this checkout's code),
-uniform weights and a cover-seed file in which every proposition of either
-side implies its twin, and runs each of ``COMMANDS`` on it, one fresh
+uniform weights, a cover-seed file in which every proposition of either
+side implies its twin and a narrowed copy of it in which ``a0`` implies
+``false`` (so the closure forces within-language pairs and takes the dense
+fallback), and runs each of ``COMMANDS`` on it, one fresh
 ``python -m crosslang`` process each, under a wall-clock cap of ``CAP_S``
 seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
 would exhaust the host's memory fails with MemoryError instead).  Each row
@@ -40,35 +42,40 @@ sys.path.insert(0, str(ROOT / "src"))
 from crosslang.randgen import write_cell_corpus  # noqa: E402
 
 SIZES = (8, 10, 12, 14, 16)
-COMMANDS = ("joint", "common", "classify", "bounds",
-            "check-implication", "export-dot-cross", "export-dot-full")
+COMMANDS = ("joint", "common", "classify", "bounds", "check-implication",
+            "check-implication-narrowed", "export-dot-cross", "export-dot-full")
 CAP_S = 60.0
 MEM_CAP_MB = 3072
-SEED_FILE = "cover.imp"
+SEED_FILES = {"check-implication": "cover.imp",
+              "check-implication-narrowed": "narrowed.imp"}
+NARROWED = ("imp: lang1.a0 => lang2.b0\n", "imp: lang1.a0 => lang2.false\n")
 
 
 def write_pair(path: Path, m: int) -> None:
-    """The m x m identity cell pair, uniform weights over its m states and
-    the cover seeds: each proposition of either side implies its twin."""
+    """The m x m identity cell pair, uniform weights over its m states, the
+    cover seeds (each proposition of either side implies its twin) and the
+    cover seeds with ``a0`` narrowed to ``false``."""
     write_cell_corpus(path, m, star=False)
     (path / "weights.json").write_text(json.dumps([1 / m] * m) + "\n")
     formulas = {prefix: [" | ".join(f"{prefix}{k}" for k in range(m) if mask >> k & 1)
                          or "false" for mask in range(1 << m)]
                 for prefix in "ab"}
-    with open(path / SEED_FILE, "w") as out:
-        for (src, sp), (dst, dp) in ((("lang1", "a"), ("lang2", "b")),
-                                     (("lang2", "b"), ("lang1", "a"))):
-            for lhs, rhs in zip(formulas[sp], formulas[dp]):
-                out.write(f"imp: {src}.{lhs} => {dst}.{rhs}\n")
+    cover = "".join(f"imp: {src}.{lhs} => {dst}.{rhs}\n"
+                    for (src, sp), (dst, dp) in ((("lang1", "a"), ("lang2", "b")),
+                                                 (("lang2", "b"), ("lang1", "a")))
+                    for lhs, rhs in zip(formulas[sp], formulas[dp]))
+    (path / SEED_FILES["check-implication"]).write_text(cover)
+    (path / SEED_FILES["check-implication-narrowed"]).write_text(cover.replace(*NARROWED, 1))
 
 
 def argv(command: str, corpus: Path) -> list[str]:
     if command == "bounds":
         return ["bounds", str(corpus), str(corpus / "weights.json"), "a0 | a1",
                 "--lang", "1", "--format", "json"]
-    if command == "check-implication":
+    if command in SEED_FILES:
         return ["check", str(corpus / "lang1.lang"), str(corpus / "lang2.lang"),
-                str(corpus / SEED_FILE), "--mode", "implication", "--format", "json"]
+                str(corpus / SEED_FILES[command]), "--mode", "implication",
+                "--format", "json"]
     if command.startswith("export-dot"):
         return ["export-dot", str(corpus), "--what", "cross",
                 *(["--full"] if command.endswith("full") else [])]

@@ -12,7 +12,12 @@ from pathlib import Path
 
 from .algebra import Algebra, Star, StarProp
 from .errors import ParseError
-from .implication import CrossImplication, close, translation_from_implication
+from .implication import (
+    CrossImplication,
+    close,
+    implication_from_translation,
+    translation_from_implication,
+)
 from .language import parse_formula, parse_language
 from .translation import Translation, translation_from_atom_outers
 
@@ -143,8 +148,6 @@ class Corpus:
     def require_relation(self) -> CrossImplication:
         if self.relation is not None:
             return self.relation
-        from .implication import implication_from_translation
-
         return implication_from_translation(self.require_translation())
 
 

@@ -35,11 +35,10 @@ def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     side; what remains is the transitive reduction restricted to props.
 
     This dense form serves relations with a row that is not the up-set of
-    its meet.  Every relation drawn here is down-closed in its sources and
-    up-closed in its targets, as ``close`` and its Warshall fallback
-    saturate both.  So (λ, η) factors through a finer step iff it factors
-    through a cover: λ with one more bit reaches η, or λ reaches η with one
-    bit less.
+    its meet.  Every relation is down-closed in its sources and up-closed
+    in its targets, as it is built from its seeds by sweeping both.  So
+    (λ, η) factors through a finer step iff it factors through a cover: λ
+    with one more bit reaches η, or λ reaches η with one bit less.
     """
     block = rows[:-1, :-1]
     keep = block.copy()

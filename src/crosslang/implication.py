@@ -5,16 +5,15 @@ implication; only the cross-language pairs (plus any within-language pairs a
 pathological closure forced, kept separately as evidence) are stored.
 
 A closed relation is fixed by its cross seeds: row λ is the up-set of the
-targets of the seeds whose source lies above λ or is the star.  ``close``
-and ``implication_from_translation`` keep the seeds as mask arrays plus, per
-direction, image vectors over the proposition masks (star slot last): for
-each source the meet of the targets it reaches and their least popcount,
-for each target the join of the sources reaching it and their greatest
-popcount.  A row is principal exactly when its least popcount is that of
-its meet, so the checks decide from these vectors in O(m·2^m).  Dense
-boolean rows are built on demand only: for relations handed in as rows,
-which need not be closed, for a witness scan after a failed decision, and
-for readers that want the matrices.
+targets of the seeds whose source lies above λ or is the star.  Every
+relation keeps its seeds as mask arrays plus, per direction, image vectors
+over the proposition masks (star slot last): for each source the meet of
+the targets it reaches and their least popcount, for each target the join
+of the sources reaching it and their greatest popcount.  A row is principal
+exactly when its least popcount is that of its meet, so the checks decide
+from these vectors in O(m·2^m).  Dense boolean rows are built on demand
+only: for a witness scan after a failed decision, for relations with a row
+that is not principal, and for readers that want the matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +25,9 @@ from .errors import AlgebraTooLargeError, CrossAlgebraError, InconsistentInputEr
 from .reports import AxiomCheck, AxiomReport
 from .translation import Translation, _element, with_star
 
-_SLOW_CLOSE_LIMIT = 2048
+# the dense fallback of ``close`` runs up to this many propositions in
+# total, which admits a 10 x 10 pair
+_SLOW_CLOSE_LIMIT = 2 * ((1 << 10) + 2)
 # dense rows are built only while m1 + m2 models stay at or under this:
 # 2^26 proposition pairs, 64 MB of booleans per direction
 _DENSE_MODEL_LIMIT = 26
@@ -37,48 +38,36 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CrossImplication:
-    """The implication relation over the union of two star lattices."""
+    """The implication relation over the union of two star lattices.
+
+    Its cross pairs are those that the seeds, the two orders and the bound
+    pairs give by sweeping sources down and targets up, held as images.
+    Each seed set is a (source masks, target masks) pair of arrays, -1 for
+    the star.  ``extra1`` and ``extra2`` are within-language pairs forced by
+    closure but absent from the orders, as (source index, target index) with
+    the star slot last.  Whether bouncing through the other language stays
+    inside the orders is left to the transitivity check.
+    """
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
-                 rows12: np.ndarray, rows21: np.ndarray,
+                 seeds12: tuple, seeds21: tuple,
                  extra1: frozenset = frozenset(), extra2: frozenset = frozenset()):
-        self._setup(algebra1, algebra2, extra1, extra2)
-        n1, n2 = algebra1.full_mask + 2, algebra2.full_mask + 2
-        if rows12.shape != (n1, n2) or rows21.shape != (n2, n1):
-            raise ValueError("cross matrices have the wrong shape")
-        self._rows = (rows12, rows21)
-        self.images = self.principal_meets = None
-
-    @classmethod
-    def from_seeds(cls, algebra1: Algebra, algebra2: Algebra,
-                   seeds12: tuple, seeds21: tuple) -> "CrossImplication":
-        """The cross pairs that the seeds, the two orders and the bound pairs
-        give by sweeping sources down and targets up, held as images.  Each
-        seed set is a (source masks, target masks) pair of arrays, -1 for the
-        star.  Whether bouncing through the other language stays inside the
-        orders is left to the transitivity check."""
-        r = cls.__new__(cls)
-        r._setup(algebra1, algebra2, frozenset(), frozenset())
-        m1, m2 = algebra1.model_count, algebra2.model_count
-        r.images = (_Images(*seeds12, m1, m2), _Images(*seeds21, m2, m1))
-        r._rows = None
-        # the meet images of both directions when every row is the up-set
-        # of its meet; None for a relation held as dense rows
-        r.principal_meets = (tuple(i.meet for i in r.images)
-                             if all(i.rows_principal().all() for i in r.images) else None)
-        return r
-
-    def _setup(self, algebra1, algebra2, extra1, extra2):
         if algebra1.name == algebra2.name:
             raise CrossAlgebraError(
                 "the two languages of a relation need distinct names"
             )
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        # within-language pairs forced by closure but absent from the orders;
-        # stored as (source index, target index) with the star slot last
         self.extra1 = frozenset(extra1)
         self.extra2 = frozenset(extra2)
+        m1, m2 = algebra1.model_count, algebra2.model_count
+        self.images = (_Images(*seeds12, m1, m2), _Images(*seeds21, m2, m1))
+        # the meet images of both directions when every row is the up-set
+        # of its meet, else None
+        self.principal_meets = (tuple(i.meet for i in self.images)
+                                if all(i.rows_principal().all() for i in self.images)
+                                else None)
+        self._rows = None
         self._report = None
 
     # --- dense rows, built on demand ---
@@ -281,33 +270,13 @@ def _up_close_targets(rows: np.ndarray, m_dst: int):
     rows[:, -1] |= cols.any(axis=0)  # targets imply their star
 
 
-def _joins(rows: np.ndarray, m_src: int) -> np.ndarray:
-    """For each target, the join (OR) of the proposition sources reaching it,
-    0 where none does; the star row is left out."""
-    out = np.zeros(rows.shape[1], dtype=np.int64)
-    for b in range(m_src):
-        out[_bit_pairs(rows[:-1], b)[:, 1].any(axis=(0, 1))] |= 1 << b
-    return out
-
-
-def _meets(rows: np.ndarray, m_dst: int) -> np.ndarray:
-    """For each source, the meet (AND) of the proposition targets it reaches,
-    -1 where it reaches none; the star column is left out."""
-    cols = np.ascontiguousarray(rows[:, :-1].T)
-    out = np.zeros(cols.shape[1], dtype=np.int64)
-    out[~cols.any(axis=0)] = -1
-    for b in range(m_dst):
-        out[~_bit_pairs(cols, b)[:, 0].any(axis=(0, 1))] |= 1 << b
-    return out
-
-
-def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, m_src: int,
-                          extra: frozenset):
+def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndarray,
+                          m_src: int, extra: frozenset):
     """The first λ → η → μ, as (λ, η, μ) indices, whose (λ, μ) is neither in
     the source order nor in ``extra``: the least λ, then its least such μ,
-    then the least η between them; None if there is none."""
+    then the least η between them; None if there is none.  ``meets`` is the
+    meet image of ``rows_b``."""
     masks = np.append(np.arange(1 << m_src, dtype=np.int64), -1)
-    meets = _meets(rows_b, m_src)
     # only a λ with a bit that the meet of some η it reaches lacks (for the
     # star: some η reaching a proposition) leaves the order; such a row is
     # skipped only when ``extra`` excuses every pair it leaves the order with
@@ -366,7 +335,7 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
             xs, ts = cross[sx]
             xs.append(-1 if isinstance(x, Star) else x.mask)
             ts.append(-1 if isinstance(y, Star) else y.mask)
-    r = CrossImplication.from_seeds(a1, a2, cross[1], cross[2])
+    r = CrossImplication(a1, a2, cross[1], cross[2])
     if _bounce_free(r.images) and not extra_seeds[1] and not extra_seeds[2]:
         return r
 
@@ -400,16 +369,23 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     extra2 = frozenset(
         (int(i), int(j)) for i, j in np.argwhere(u[n1:, n1:] & ~w2)
     )
-    return CrossImplication(a1, a2, u[:n1, n1:].copy(), u[n1:, :n1].copy(),
+    return CrossImplication(a1, a2, _seeds_of(u[:n1, n1:]), _seeds_of(u[n1:, :n1]),
                             extra1, extra2)
+
+
+def _seeds_of(block: np.ndarray) -> tuple:
+    """The pairs of a dense cross block as seed arrays, star slots as -1."""
+    xs, ts = np.nonzero(block)
+    return (np.where(xs == block.shape[0] - 1, -1, xs),
+            np.where(ts == block.shape[1] - 1, -1, ts))
 
 
 # --- axiom checks --------------------------------------------------------------
 #
-# A relation held as images is closed by construction, so each check is a
-# decision on the image vectors; the dense scans below run on hand-built
-# rows, and on materialised rows only after a failed decision, so that first
-# witnesses come out as they always did.
+# Every relation is closed under both orders by construction, so each check
+# is a decision on the image vectors; the dense scans below run on
+# materialised rows only after a failed decision, or on rows that are not
+# principal, so that first witnesses come out as they always did.
 
 
 def check_implication_axioms(r: CrossImplication) -> AxiomReport:
@@ -430,8 +406,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
         else:
             report.checks.append(AxiomCheck(f"extensibility:{side}", True))
 
-    trans_witness = (None if images is not None and _bounce_free(images)
-                     else _transitivity_witness(r))
+    trans_witness = None if _bounce_free(images) else _transitivity_witness(r)
     report.checks.append(
         AxiomCheck("transitivity", trans_witness is None,
                    () if trans_witness is None else (trans_witness,))
@@ -439,14 +414,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
 
     # bound consistency: contradictions and stars align, and the star
     # reaches nothing below the other star
-    if images is not None:
-        bound_ok = bool(images[0].meet[-1] == -1 and images[1].meet[-1] == -1)
-    else:
-        bound_ok = (
-            bool(r.rows12[0, 0]) and bool(r.rows21[0, 0])
-            and bool(r.rows12[-1, -1]) and bool(r.rows21[-1, -1])
-            and not r.rows12[-1, :-1].any() and not r.rows21[-1, :-1].any()
-        )
+    bound_ok = bool(images[0].meet[-1] == -1 and images[1].meet[-1] == -1)
     report.checks.append(
         AxiomCheck("bound-consistency", bound_ok,
                    () if bound_ok else ((a1.bottom, a2.bottom),))
@@ -456,10 +424,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     # it reaches is closed under meets (equivalently contains its total
     # meet), and the set of sources reaching it is closed under joins
     for tag, fwd, back, src, dst in (("1>2", 0, 1, a1, a2), ("2>1", 1, 0, a2, a1)):
-        witness = (_connective_witness(images[fwd], images[back], src, dst)
-                   if images is not None
-                   else _dense_connective_witness(r._dense()[fwd], r._dense()[back],
-                                                  src, dst))
+        witness = _connective_witness(images[fwd], images[back], src, dst)
         report.checks.append(
             AxiomCheck(f"connective-consistency:{tag}", witness is None,
                        () if witness is None else (witness,))
@@ -481,27 +446,14 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
 
 
 def _transitivity_witness(r: CrossImplication):
-    """Sources may be weakened, targets generalised, and bouncing through the
-    other language must stay inside the order: the first pair the sweeps
-    would add, else the first bounce outside, else None."""
+    """Bouncing through the other language must stay inside the order (or
+    the stored extra pairs): the first bounce outside, else None."""
     a1, a2 = r.algebra1, r.algebra2
-    m1, m2 = a1.model_count, a2.model_count
-    for rows, m_src, m_dst, src, dst in (
-        (r.rows12, m1, m2, a1, a2),
-        (r.rows21, m2, m1, a2, a1),
+    for rows_a, rows_b, meets, src, mid, extra in (
+        (r.rows12, r.rows21, r.images[1].meet, a1, a2, r.extra1),
+        (r.rows21, r.rows12, r.images[0].meet, a2, a1, r.extra2),
     ):
-        closed = rows.copy()
-        _down_close_sources(closed, m_src)
-        _up_close_targets(closed, m_dst)
-        gained = closed & ~rows
-        if gained.any():
-            i, j = divmod(int(gained.argmax()), gained.shape[1])
-            return (_element(src, _unstar(i, src)), _element(dst, _unstar(j, dst)))
-    for rows_a, rows_b, m_src, src, mid, extra in (
-        (r.rows12, r.rows21, m1, a1, a2, r.extra1),
-        (r.rows21, r.rows12, m2, a2, a1, r.extra2),
-    ):
-        bounce = _first_bounce_outside(rows_a, rows_b, m_src, extra)
+        bounce = _first_bounce_outside(rows_a, rows_b, meets, src.model_count, extra)
         if bounce is not None:
             i, k, j = bounce
             return (_element(src, _unstar(i, src)),
@@ -525,21 +477,6 @@ def _connective_witness(fwd: _Images, back: _Images, src: Algebra, dst: Algebra)
     if bad.any():
         lam = int(bad.argmax())
         return Prop(dst, int(join[lam])), Prop(src, lam)
-    return None
-
-
-def _dense_connective_witness(rows_fwd, rows_back, src: Algebra, dst: Algebra):
-    meets = _meets(rows_fwd, dst.model_count)[:-1]
-    lam_idx = np.flatnonzero(meets != -1)
-    bad = lam_idx[~rows_fwd[lam_idx, meets[lam_idx]]]
-    if bad.size:
-        lam = int(bad[0])
-        return Prop(src, lam), Prop(dst, int(meets[lam]))
-    src_of = _joins(rows_back, dst.model_count)[:-1]
-    bad = np.flatnonzero(~rows_back[src_of, np.arange(src.full_mask + 1)])
-    if bad.size:
-        lam = int(bad[0])
-        return Prop(dst, int(src_of[lam])), Prop(src, lam)
     return None
 
 
@@ -593,7 +530,7 @@ def implication_from_translation(t: Translation) -> CrossImplication:
             "translation fails its axioms; no canonical implication exists"
         )
     a1, a2 = t.algebra1, t.algebra2
-    return CrossImplication.from_seeds(
+    return CrossImplication(
         a1, a2,
         (np.arange(a1.full_mask + 1), t.array("1>2", "outer")[:-1]),
         (np.arange(a2.full_mask + 1), t.array("2>1", "outer")[:-1]),
@@ -608,16 +545,7 @@ def translation_from_implication(r: CrossImplication) -> Translation:
         raise InconsistentInputError(
             "relation fails its axioms; no consistent translation exists"
         )
-    a1, a2 = r.algebra1, r.algebra2
-    if r.images is not None:
-        fwd, back = r.images
-        return Translation(a1, a2,
-                           with_star(back.prop_join()[:-1]), with_star(fwd.meet[:-1]),
-                           with_star(fwd.prop_join()[:-1]), with_star(back.meet[:-1]))
-
-    def operators(dst: Algebra, fwd: np.ndarray, back: np.ndarray):
-        return (with_star(_joins(back, dst.model_count)[:-1]),
-                with_star(_meets(fwd, dst.model_count)[:-1]))
-
-    return Translation(a1, a2, *operators(a2, r.rows12, r.rows21),
-                       *operators(a1, r.rows21, r.rows12))
+    fwd, back = r.images
+    return Translation(r.algebra1, r.algebra2,
+                       with_star(back.prop_join()[:-1]), with_star(fwd.meet[:-1]),
+                       with_star(fwd.prop_join()[:-1]), with_star(back.meet[:-1]))

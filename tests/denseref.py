@@ -12,6 +12,8 @@ blocks.  The differential suites require identical reports, witnesses
 included, from both.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from crosslang import (
@@ -28,9 +30,10 @@ from crosslang import (
     perfect_translations,
 )
 from crosslang.algebra import Algebra
-from crosslang.implication import _SLOW_CLOSE_LIMIT, _unstar
+from crosslang.hasse import _hasse_lines
+from crosslang.implication import _SLOW_CLOSE_LIMIT, _bit_pairs, _unstar
 from crosslang.reports import AxiomCheck, AxiomReport
-from crosslang.translation import _element
+from crosslang.translation import Translation, _element, with_star
 
 _CHUNK = 512
 
@@ -429,7 +432,30 @@ def order_embedding_witness(space):
 # ``check_implication_axioms`` decides transitivity, connective and negation
 # consistency with products, (2^m)^2 within-language matrices and gathers;
 # ``reduced_cross`` drops factoring pairs with dense strict orders.  All three
-# are the library's code from before the lattice-sweep rewrite.
+# are the library's code from before the lattice-sweep rewrite.  They hold a
+# relation as ``DenseRelation`` rows, and ``check_implication_axioms`` and
+# ``translation_from_rows`` read any relation with ``rows12``/``rows21``.
+
+
+@dataclass(frozen=True, eq=False)
+class DenseRelation:
+    """A cross relation as two dense boolean matrices (sources by mask
+    against targets by mask, star slots last) plus the within-language pairs
+    outside the orders, as (source index, target index)."""
+    algebra1: Algebra
+    algebra2: Algebra
+    rows12: np.ndarray
+    rows21: np.ndarray
+    extra1: frozenset = frozenset()
+    extra2: frozenset = frozenset()
+
+    def holds(self, x, y) -> bool:
+        sides = {self.algebra1.name: 1, self.algebra2.name: 2}
+        sx, sy = sides[x.algebra.name], sides[y.algebra.name]
+        i, j = CrossImplication._idx(x), CrossImplication._idx(y)
+        if sx == sy:
+            return implies(x, y) or (i, j) in (self.extra1 if sx == 1 else self.extra2)
+        return bool((self.rows12 if sx == 1 else self.rows21)[i, j])
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,7 +493,7 @@ def _within_matrix(n_models: int) -> np.ndarray:
     return out
 
 
-def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
+def close(seeds, a1: Algebra, a2: Algebra) -> DenseRelation:
     """Least relation containing the seeds, both within-language orders and
     the bound pairs, closed under transitivity.
 
@@ -517,7 +543,7 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     w2 = _within_matrix(m2)
     clean = not (comp1 & ~w1).any() and not (comp2 & ~w2).any()
     if clean and not extra_seeds1 and not extra_seeds2:
-        return CrossImplication(a1, a2, rows12, rows21)
+        return DenseRelation(a1, a2, rows12, rows21)
 
     # the closure escapes the within-language orders: fall back to a full
     # Warshall-style closure over the union (small instances only)
@@ -546,11 +572,11 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     extra2 = frozenset(
         (int(i), int(j)) for i, j in np.argwhere(u[n1:, n1:] & ~w2)
     )
-    return CrossImplication(a1, a2, u[:n1, n1:].copy(), u[n1:, :n1].copy(),
-                            extra1, extra2)
+    return DenseRelation(a1, a2, u[:n1, n1:].copy(), u[n1:, :n1].copy(),
+                         extra1, extra2)
 
 
-def check_implication_axioms(r: CrossImplication) -> AxiomReport:
+def check_implication_axioms(r) -> AxiomReport:
     """Extensibility, transitivity, bound consistency, connective
     consistency and negation consistency, each with a first witness."""
     report = AxiomReport()
@@ -692,3 +718,62 @@ def reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     via_src = _bool_matmul(_strict_within(m_src), block)
     via_dst = _bool_matmul(block, _strict_within(m_dst))
     return block & ~via_src & ~via_dst
+
+
+def _joins(rows: np.ndarray, m_src: int) -> np.ndarray:
+    """For each target, the join (OR) of the proposition sources reaching it,
+    0 where none does; the star row is left out."""
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for b in range(m_src):
+        out[_bit_pairs(rows[:-1], b)[:, 1].any(axis=(0, 1))] |= 1 << b
+    return out
+
+
+def _meets(rows: np.ndarray, m_dst: int) -> np.ndarray:
+    """For each source, the meet (AND) of the proposition targets it reaches,
+    -1 where it reaches none; the star column is left out."""
+    cols = np.ascontiguousarray(rows[:, :-1].T)
+    out = np.zeros(cols.shape[1], dtype=np.int64)
+    out[~cols.any(axis=0)] = -1
+    for b in range(m_dst):
+        out[~_bit_pairs(cols, b)[:, 0].any(axis=(0, 1))] |= 1 << b
+    return out
+
+
+def translation_from_rows(r) -> Translation:
+    """The four operators read off dense rows: the inner image is the join
+    of everything below, the outer image the meet of everything above."""
+    a1, a2 = r.algebra1, r.algebra2
+
+    def operators(dst: Algebra, fwd: np.ndarray, back: np.ndarray):
+        return (with_star(_joins(back, dst.model_count)[:-1]),
+                with_star(_meets(fwd, dst.model_count)[:-1]))
+
+    return Translation(a1, a2, *operators(a2, r.rows12, r.rows21),
+                       *operators(a1, r.rows21, r.rows12))
+
+
+def cross_dot(r, full: bool = False) -> str:
+    """Both cover diagrams plus the cross arrows of dense rows, reduced by
+    ``reduced_cross`` unless ``full``, one arrow line per pair: a pair
+    implied both ways is drawn once, from language 1, double-headed."""
+    a1, a2 = r.algebra1, r.algebra2
+    m1, m2 = a1.model_count, a2.model_count
+    if full:
+        fwd, back = r.rows12[:-1, :-1], r.rows21[:-1, :-1]
+    else:
+        fwd, back = reduced_cross(r.rows12, m1, m2), reduced_cross(r.rows21, m2, m1)
+    style = "color=forestgreen, style=bold"
+    lines = ["digraph cross {", "  rankdir=BT;"]
+    for side, algebra in ((1, a1), (2, a2)):
+        lines.append(f'  subgraph cluster_{side} {{ label="{algebra.name}";')
+        lines.extend("  " + line for line in _hasse_lines(algebra, side))
+        lines.append("  }")
+    for x, y in zip(*np.nonzero(fwd)):
+        both = ", dir=both" if back[y, x] else ""
+        lines.append(f"  n1_{x} -> n2_{y} [{style}{both}];")
+    for y, x in zip(*np.nonzero(back)):
+        if not fwd[x, y]:
+            lines.append(f"  n2_{y} -> n1_{x} [{style}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

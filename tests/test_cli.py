@@ -7,10 +7,12 @@ import tracemalloc
 
 import pytest
 
+import crosslang.cli as cli
 import crosslang.commonality as commonality
-from conftest import CORPUS
+from conftest import CORPUS, write_narrowed_cover_pair
 from crosslang import check_consistency, common_language, load_corpus
 from crosslang.cli import main
+from crosslang.oracle import OracleBudget
 from crosslang.randgen import write_cell_corpus
 from crosslang.translation import galois_pair_holds
 
@@ -75,6 +77,28 @@ def test_check_implication_mode():
                   str(base / "implication.imp"), "--mode", "implication")
     assert res.returncode == 0
     assert "overall: PASS" in res.stdout
+
+
+NARROWED_6X6_REPORT = """\
+FAIL extensibility:1  witness: (a0, false)
+FAIL extensibility:2  witness: (b0, false)
+PASS transitivity
+PASS bound-consistency
+FAIL connective-consistency:1>2  witness: (b5 | b0, a5)
+FAIL connective-consistency:2>1  witness: (a5 | a0, b5)
+FAIL negation-consistency:1>2  witness: (a5 | a0, b0)
+FAIL negation-consistency:2>1  witness: (b5 | b0, a0)
+overall: FAIL
+"""
+
+
+def test_check_implication_dense_fallback_report(tmp_path):
+    """Identity cover seeds on 6 x 6 cells with a0 narrowed to false: the
+    closure takes the dense fallback and the report is pinned."""
+    d = write_narrowed_cover_pair(tmp_path, 6)
+    res = run_cli("check", str(d / "lang1.lang"), str(d / "lang2.lang"),
+                  str(d / "narrowed.imp"), "--mode", "implication")
+    assert (res.returncode, res.stdout, res.stderr) == (1, NARROWED_6X6_REPORT, "")
 
 
 def test_check_malformed_spec_exits_two(tmp_path):
@@ -218,6 +242,21 @@ def test_oracle_flag_reports_clean_budget_abort_on_big_corpus():
     assert payload["oracle"]["adjoint:1>2"] is True
     assert payload["oracle"]["adjoint:2>1"] is True
     assert payload["oracle"]["status"].startswith("budget exceeded")
+
+
+def test_oracle_budget_refuses_before_the_state_sets(monkeypatch):
+    """An over-budget oracle answers before ``state_set_of`` does any work."""
+    def no_state_sets(*args):
+        raise AssertionError("state sets built")
+
+    monkeypatch.setattr(cli, "OracleBudget", lambda: OracleBudget(max_atoms=1))
+    monkeypatch.setattr(cli, "state_set_of", no_state_sets)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["translate", str(CORPUS / "oil-prices"), "1>2", "inner",
+                     "usd_80_90", "--oracle", "--format", "json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["oracle"]["status"].startswith("budget exceeded")
 
 
 def test_check_oracle_skips_on_inconsistent_translation():

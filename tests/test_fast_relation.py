@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import denseref
 import scalarref
+from conftest import write_narrowed_cover_pair
 import crosslang.implication as implication
 from crosslang import (
     AlgebraTooLargeError,
@@ -29,7 +30,7 @@ from crosslang import (
 )
 from crosslang.corpus import parse_implication_seeds
 from crosslang.hasse import _reduced_cross
-from crosslang.implication import _bit_pairs
+from crosslang.implication import _bit_pairs, _seeds_of
 from crosslang.randgen import (
     cell_algebra,
     make_cell_spec,
@@ -72,11 +73,10 @@ def _fold(report):
     return out
 
 
-def _dense_copy(r):
-    """The same relation handed in as dense rows, so every reader takes its
-    dense path."""
-    return CrossImplication(r.algebra1, r.algebra2, r.rows12.copy(), r.rows21.copy(),
-                            r.extra1, r.extra2)
+def _pairs(a1, a2):
+    """Every (x, y) over the union of both star lattices."""
+    elements = [*a1.star_lattice(), *a2.star_lattice()]
+    return ((x, y) for x in elements for y in elements)
 
 
 @FUZZ
@@ -84,7 +84,11 @@ def _dense_copy(r):
 def test_close_matches_fixpoint_and_products(case):
     a1, a2, seeds = case
     fast, ref = close(seeds, a1, a2), denseref.close(seeds, a1, a2)
-    assert fast == ref   # rows12, rows21, extra1 and extra2
+    assert np.array_equal(fast.rows12, ref.rows12)
+    assert np.array_equal(fast.rows21, ref.rows21)
+    assert (fast.extra1, fast.extra2) == (ref.extra1, ref.extra2)
+    for x, y in _pairs(a1, a2):
+        assert fast.holds(x, y) == ref.holds(x, y)
     report = check_implication_axioms(fast)
     assert report.to_dict() == denseref.check_implication_axioms(ref).to_dict()
     assert _fold(report) == scalarref.relation_verdicts(fast)
@@ -94,20 +98,22 @@ def test_close_matches_fixpoint_and_products(case):
 @st.composite
 def hand_built(draw):
     """Random dense rows at one of three densities, closed by the reference
-    sweeps or not, with extra within-language pairs drawn from the bounces
-    that leave the order (to excuse some of them) and from anywhere."""
+    sweeps and passed in as seeds, with extra within-language pairs drawn
+    from the bounces that leave the order (to excuse some of them) and from
+    anywhere."""
     a1, a2 = draw(algebra_pair())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.05, 0.3, 0.7]))
     rows12 = rng.random((a1.full_mask + 2, a2.full_mask + 2)) < density
     rows21 = rng.random((a2.full_mask + 2, a1.full_mask + 2)) < density
-    if draw(st.booleans()):
-        for rows, m_src, m_dst in ((rows12, a1.model_count, a2.model_count),
-                                   (rows21, a2.model_count, a1.model_count)):
-            denseref._down_close_sources(rows, m_src)
-            denseref._up_close_targets(rows, m_dst)
+    for rows, m_src, m_dst in ((rows12, a1.model_count, a2.model_count),
+                               (rows21, a2.model_count, a1.model_count)):
+        denseref._down_close_sources(rows, m_src)
+        denseref._up_close_targets(rows, m_dst)
+    seeds12, seeds21 = _seeds_of(rows12), _seeds_of(rows21)
+    r = CrossImplication(a1, a2, seeds12, seeds21)
     extras = []
-    for rows_a, rows_b, algebra in ((rows12, rows21, a1), (rows21, rows12, a2)):
+    for rows_a, rows_b, algebra in ((r.rows12, r.rows21, a1), (r.rows21, r.rows12, a2)):
         outside = (denseref._bool_matmul(rows_a, rows_b)
                    & ~denseref._within_matrix(algebra.model_count))
         pairs = [(int(i), int(j)) for i, j in np.argwhere(outside)]
@@ -116,7 +122,7 @@ def hand_built(draw):
         picked |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                     max_size=2)))
         extras.append(frozenset(picked))
-    return CrossImplication(a1, a2, rows12, rows21, *extras)
+    return CrossImplication(a1, a2, seeds12, seeds21, *extras)
 
 
 @FUZZ
@@ -147,8 +153,8 @@ def closed_relations(draw):
         return close(seeds, a1, a2)
     if kind == "seeds":
         a1, a2 = draw(algebra_pair())
-        return CrossImplication.from_seeds(a1, a2, draw(seed_arrays(a1, a2)),
-                                           draw(seed_arrays(a2, a1)))
+        return CrossImplication(a1, a2, draw(seed_arrays(a1, a2)),
+                                draw(seed_arrays(a2, a1)))
     t = random_consistent_translation(draw(st.randoms(use_true_random=False)), max_atoms=4)
     return implication_from_translation(t)
 
@@ -156,23 +162,24 @@ def closed_relations(draw):
 @FUZZ
 @given(closed_relations())
 def test_cover_reduction_matches_strict_order_products(r):
-    """Also: reports, pair counts, DOT text and read-back translations in
-    image form equal those of the same rows handed in dense."""
+    """Also: reports, pair counts, ``holds``, DOT text and read-back
+    translations from the images equal those the dense references give on
+    the same rows."""
     m1, m2 = r.algebra1.model_count, r.algebra2.model_count
     for rows, m_src, m_dst in ((r.rows12, m1, m2), (r.rows21, m2, m1)):
         assert np.array_equal(_reduced_cross(rows, m_src, m_dst),
                               denseref.reduced_cross(rows, m_src, m_dst))
-    dense = _dense_copy(r)
+    dense = denseref.DenseRelation(r.algebra1, r.algebra2, r.rows12, r.rows21,
+                                   r.extra1, r.extra2)
     report = check_implication_axioms(r)
     assert report.to_dict() == denseref.check_implication_axioms(dense).to_dict()
-    assert r.cross_pair_count() == dense.cross_pair_count()
-    for x, y in ((x, y) for a, b in ((r.algebra1, r.algebra2), (r.algebra2, r.algebra1))
-                 for x in a.star_lattice() for y in b.star_lattice()):
+    assert r.cross_pair_count() == int(r.rows12.sum() + r.rows21.sum())
+    for x, y in _pairs(r.algebra1, r.algebra2):
         assert r.holds(x, y) == dense.holds(x, y)
     for full in (False, True):
-        assert cross_dot(r, full) == cross_dot(dense, full)
+        assert cross_dot(r, full) == denseref.cross_dot(dense, full)
     if report.passed:
-        assert translation_from_implication(r) == translation_from_implication(dense)
+        assert translation_from_implication(r) == denseref.translation_from_rows(dense)
 
 
 def test_bit_pairs_are_views():
@@ -231,6 +238,30 @@ def test_relation_on_ten_by_ten_cover_seeds_stays_small(tmp_path):
     assert r == c.relation and peak < 8
     report, peak = _peak_mb(lambda: check_implication_axioms(r))
     assert report.passed and peak < 8
+
+
+def test_dense_fallback_answers_on_ten_by_ten_cells(tmp_path):
+    """Identity cover seeds on 10 x 10 cells with a0 narrowed to false: the
+    closure forces within-language pairs, and the dense fallback over both
+    lattices (2052 propositions) gives a verdict with first witnesses."""
+    d = write_narrowed_cover_pair(tmp_path, 10)
+    c = load_corpus(d)
+    seeds = parse_implication_seeds((d / "narrowed.imp").read_text(),
+                                    c.algebra1, c.algebra2)
+    r = close(seeds, c.algebra1, c.algebra2)
+    witnesses = {check.name: [tuple(x.algebra.formula_text(x) for x in w)
+                              for w in check.witnesses]
+                 for check in check_implication_axioms(r).checks}
+    assert witnesses == {
+        "extensibility:1": [("a0", "false")],
+        "extensibility:2": [("b0", "false")],
+        "transitivity": [],
+        "bound-consistency": [],
+        "connective-consistency:1>2": [("b9 | b0", "a9")],
+        "connective-consistency:2>1": [("a9 | a0", "b9")],
+        "negation-consistency:1>2": [("a9 | a0", "b0")],
+        "negation-consistency:2>1": [("b9 | b0", "a0")],
+    }
 
 
 def test_cross_dot_of_a_twelve_cell_refinement_stays_small(tmp_path):
