@@ -5,9 +5,23 @@ is the set of models that satisfy it, packed into an ``int`` bitmask (bit i
 set means model i satisfies it).  The distinguished element ``star`` sits
 above the tautology; joining anything with it gives it back, meeting gives
 the other operand, and it has no negation.
+
+Every map over a star lattice -- a translation operator, an image of the
+implication relation, a valuation into a joint state-space -- is an array
+indexed by slot: the 2**m proposition slots by mask, ascending, then one
+star slot.  Values are masks, with -1 for the star.  In two's complement -1
+is all ones, so ``a & ~b == 0`` is the star-lattice order, ``&`` and ``|``
+are meet and join, and index -1 lands on the star slot.  With the star slot
+cut off, the proposition slots reshape without a copy into the pairs of
+slots that differ in one bit, so a walk over every cover of the lattice is
+one array operation per bit: ``bit_pairs``, ``cover_pairs`` and ``sweep``
+below, and ``atom_unions`` for the maps that send each proposition to the
+join of its atoms' values.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (
     AlgebraTooLargeError,
@@ -299,6 +313,25 @@ class Algebra:
         """All propositions followed by the star (the canonical index order)."""
         return self.all_props() + [self.star]
 
+    # --- the slot layout ---
+
+    def slots(self) -> np.ndarray:
+        """Every element of the star lattice as a value: masks ascending,
+        then the star as -1."""
+        return np.append(np.arange(self.full_mask + 1, dtype=np.int64), -1)
+
+    def slot(self, x: StarProp) -> int:
+        """The value of an element of this algebra: its mask, -1 for the star."""
+        if x.algebra.name != self.name:
+            raise CrossAlgebraError(
+                f"{x.algebra.name!r} given where {self.name!r} is expected")
+        return -1 if isinstance(x, Star) else x.mask
+
+    def element(self, v: int) -> StarProp:
+        """The element of a value or slot index: -1 and the star's index
+        ``full_mask + 1`` are the star, anything else a mask."""
+        return self.star if v == -1 or v == self.full_mask + 1 else Prop(self, v)
+
     # --- denotation ---
 
     def denote(self, formula: Formula) -> Prop:
@@ -353,3 +386,38 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name!r}, {self.model_count} models)"
+
+
+# --- arrays over the proposition slots ------------------------------------------
+
+
+def bit_pairs(a: np.ndarray, b: int) -> np.ndarray:
+    """``a``'s axis 0 (2**m proposition slots) viewed as [high bits, bit ``b``
+    clear or set, low bits]; writes to the view go through to ``a``."""
+    return a.reshape(-1, 2, 1 << b, *a.shape[1:])
+
+
+def cover_pairs(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views ``(a[x], a[x | bit])`` over every cover of the 2**m proposition
+    slots on ``a``'s axis 0, one pair of views per bit."""
+    m = len(a).bit_length() - 1
+    return [(v[:, 0], v[:, 1]) for v in (bit_pairs(a, b) for b in range(m))]
+
+
+def sweep(a: np.ndarray, op, up: bool) -> None:
+    """In place over the 2**m proposition slots on ``a``'s axis 0: ``a[x]``
+    becomes ``op`` over ``a[y]`` for every y above x (``up``) or below it,
+    one pass per bit, O(m·2^m)."""
+    for lower, upper in cover_pairs(a):
+        into, frm = (lower, upper) if up else (upper, lower)
+        op(into, frm, out=into)
+
+
+def atom_unions(values) -> np.ndarray:
+    """The int64 array over 2**m masks whose entry x is the ``|`` of
+    ``values[i]`` over the bits i of x: the masks with bit i set are those
+    below it joined with ``values[i]``, so it doubles once per value, O(2^m)."""
+    out = np.zeros(1, dtype=np.int64)
+    for v in values:
+        out = np.concatenate((out, out | v))
+    return out

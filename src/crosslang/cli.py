@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 when every requested check passes, 1 on axiom failures or
-inconsistent inputs, 2 on unusable inputs (syntax errors, missing files,
-invalid probability weights, a size cap exceeded).
+inconsistent inputs, 2 on unusable inputs (syntax errors, missing or
+unreadable files, files that are not UTF-8, invalid probability weights, a
+size cap exceeded).
 Output is byte-identical for identical inputs and flags; wall-clock timing
 is only included when explicitly requested with ``--timing``.
 """
@@ -17,12 +18,13 @@ import sys
 import time
 from pathlib import Path
 
-from .algebra import Algebra
+from .algebra import DEFAULT_ATOM_CAP
 from .corpus import (
     IMPLICATION_FILE,
     LANG1_FILE,
     LANG2_FILE,
     TRANSLATION_FILE,
+    load_algebras,
     load_corpus,
     parse_implication_file,
     parse_translation_file,
@@ -44,7 +46,7 @@ from .implication import (
     implication_from_translation,
     translation_from_implication,
 )
-from .language import parse_formula, parse_language
+from .language import parse_formula
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
 from .semantics import joint_space_from_translation, probability_bounds
 from .translation import check_consistency
@@ -118,20 +120,22 @@ def _oracle_section_for(t) -> tuple[dict, bool]:
     return section, agree
 
 
-def _attach_oracle(args, payload, corpus) -> int:
+def _attach_oracle(args, payload, t) -> int:
+    """Add the oracle section under ``--oracle``; ``t`` is None when the
+    checked input failed before a translation could be read off it."""
     if not args.oracle:
         return 0
-    section, agree = _oracle_section_for(corpus.require_translation())
+    if t is None:
+        payload["oracle"] = {"status": "skipped: axioms failed"}
+        return 0
+    section, agree = _oracle_section_for(t)
     payload["oracle"] = section
     return 0 if agree else 1
 
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    spec1 = parse_language(Path(args.lang1).read_text(encoding="utf-8"))
-    spec2 = parse_language(Path(args.lang2).read_text(encoding="utf-8"))
-    a1 = Algebra.from_spec(spec1, args.max_atoms)
-    a2 = Algebra.from_spec(spec2, args.max_atoms)
+    a1, a2 = load_algebras(args.lang1, args.lang2, args.max_atoms)
     pair_text = Path(args.pair_file).read_text(encoding="utf-8")
     if args.mode == "translation":
         t = parse_translation_file(pair_text, a1, a2)
@@ -139,6 +143,7 @@ def cmd_check(args) -> int:
     else:
         r = parse_implication_file(pair_text, a1, a2)
         report = check_implication_axioms(r)
+        t = translation_from_implication(r) if args.oracle and report.passed else None
     inputs = {
         "lang1": _digest(Path(args.lang1)),
         "lang2": _digest(Path(args.lang2)),
@@ -148,19 +153,7 @@ def cmd_check(args) -> int:
     payload["mode"] = args.mode
     payload["axioms"] = report.to_dict()
     payload["passed"] = report.passed
-    oracle_exit = 0
-    if args.oracle:
-        if args.mode == "translation":
-            t_checked = t
-        else:
-            t_checked = (translation_from_implication(r)
-                         if report.passed else None)
-        if t_checked is None:
-            payload["oracle"] = {"status": "skipped: axioms failed"}
-        else:
-            section, agree = _oracle_section_for(t_checked)
-            payload["oracle"] = section
-            oracle_exit = 0 if agree else 1
+    oracle_exit = _attach_oracle(args, payload, t)
     _emit(args, payload, report.summary_lines()
           + [f"overall: {'PASS' if report.passed else 'FAIL'}"])
     return (0 if report.passed else 1) or oracle_exit
@@ -184,7 +177,7 @@ def cmd_translate(args) -> int:
         "formula": args.formula,
         "result": rendered,
     })
-    exit_code = _attach_oracle(args, payload, corpus)
+    exit_code = _attach_oracle(args, payload, t)
     _emit(args, payload, [rendered])
     return exit_code
 
@@ -196,7 +189,7 @@ def cmd_joint(args) -> int:
     space = joint_space_from_translation(t)
     payload = _base_report("joint", _corpus_inputs(corpus.path), started, args)
     table = payload["joint_state_space"] = space.to_dict()
-    exit_code = _attach_oracle(args, payload, corpus)
+    exit_code = _attach_oracle(args, payload, t)
     lines = []
     if args.format == "text":
         lines = [f"states: {space.state_count}"]
@@ -216,7 +209,7 @@ def cmd_common(args) -> int:
         return 1
     payload = _base_report("common", _corpus_inputs(corpus.path), started, args)
     table = payload["common_language"] = common.to_dict()
-    exit_code = _attach_oracle(args, payload, corpus)
+    exit_code = _attach_oracle(args, payload, t)
     lines = []
     if args.format == "text":
         lines = [f"common language: {len(common.members)} members"]
@@ -236,7 +229,7 @@ def cmd_classify(args) -> int:
     payload = _base_report("classify", _corpus_inputs(corpus.path), started, args)
     payload["verdict"] = verdict.to_dict()
     payload["embeddings"] = embeddings.to_dict()
-    exit_code = _attach_oracle(args, payload, corpus)
+    exit_code = _attach_oracle(args, payload, t)
     _emit(args, payload, [verdict.summary, f"classification: {verdict.classification}"])
     return exit_code
 
@@ -259,7 +252,7 @@ def cmd_bounds(args) -> int:
         "low": lo,
         "high": hi,
     })
-    exit_code = _attach_oracle(args, payload, corpus)
+    exit_code = _attach_oracle(args, payload, t)
     _emit(args, payload, [f"[{round(lo, 4)}, {round(hi, 4)}]"])
     return exit_code
 
@@ -283,7 +276,7 @@ def cmd_export_dot(args) -> int:
 def _add_common(parser, default_format: str):
     parser.add_argument("--format", choices=["json", "text"], default=default_format)
     parser.add_argument("--output", help="write output to this file instead of stdout")
-    parser.add_argument("--max-atoms", type=int, default=20,
+    parser.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP,
                         help="cap on elementary propositions per language")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-validate against the brute-force oracle")
@@ -361,7 +354,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, AtomCapError,
+    except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError, AtomCapError,
             AlgebraTooLargeError, ContradictionError, InvalidWeightsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

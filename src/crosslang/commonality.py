@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Prop
+from .algebra import Algebra, Prop, atom_unions
 from .errors import (
     CharacterizationMismatchError,
     DegenerateCommonLanguageError,
@@ -213,11 +213,9 @@ def _is_atom_homomorphism(ev: np.ndarray) -> bool:
     """Whether a valuation preserves meets and relative complements: it sends
     false to the empty event and each proposition to the union of its
     atoms' events, and those events are pairwise disjoint."""
-    x = np.arange(1, len(ev), dtype=np.int64)
-    atoms = ev[x[(x & (x - 1)) == 0]]
+    atoms = ev[1 << np.arange(len(ev).bit_length() - 1)]
     disjoint = np.bitwise_count(atoms).sum() == np.bitwise_count(np.bitwise_or.reduce(atoms))
-    return bool(ev[0] == 0 and disjoint
-                and (ev[x] == (ev[x & (x - 1)] | ev[x & -x])).all())
+    return bool(disjoint and np.array_equal(ev, atom_unions(atoms)))
 
 
 def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import Algebra, Star, StarProp
+from .algebra import DEFAULT_ATOM_CAP, Algebra, Star, StarProp
 from .errors import ParseError
 from .implication import (
     CrossImplication,
@@ -66,7 +66,7 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
         if "=>" not in body:
             raise ParseError("expected '=>' in mapping line", lineno, 1)
         lhs_text, rhs_text = body.split("=>", 1)
-        if head[0] == "outer" and len(head) == 2:
+        if len(head) == 2 and head[0] == "outer":
             direction = _parse_side(head[1], lineno)
             src, dst = sides[direction]
             lhs = _parse_value(lhs_text, src, lineno)
@@ -76,7 +76,7 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
                     lineno, 1,
                 )
             atom_outers[direction][lhs] = _parse_value(rhs_text, dst, lineno)
-        elif head[0] == "override" and len(head) == 3 and head[1] in ("inner", "outer"):
+        elif len(head) == 3 and head[0] == "override" and head[1] in ("inner", "outer"):
             direction = _parse_side(head[2], lineno)
             src, dst = sides[direction]
             overrides.append((
@@ -151,12 +151,16 @@ class Corpus:
         return implication_from_translation(self.require_translation())
 
 
-def load_corpus(path: str | Path, max_atoms: int = 20) -> Corpus:
+def load_algebras(path1: str | Path, path2: str | Path,
+                  max_atoms: int = DEFAULT_ATOM_CAP) -> tuple[Algebra, Algebra]:
+    """The algebras of two language files, both parsed before either is built."""
+    specs = [parse_language(Path(p).read_text(encoding="utf-8")) for p in (path1, path2)]
+    return tuple(Algebra.from_spec(spec, max_atoms) for spec in specs)
+
+
+def load_corpus(path: str | Path, max_atoms: int = DEFAULT_ATOM_CAP) -> Corpus:
     path = Path(path)
-    spec1 = parse_language((path / LANG1_FILE).read_text(encoding="utf-8"))
-    spec2 = parse_language((path / LANG2_FILE).read_text(encoding="utf-8"))
-    a1 = Algebra.from_spec(spec1, max_atoms)
-    a2 = Algebra.from_spec(spec2, max_atoms)
+    a1, a2 = load_algebras(path / LANG1_FILE, path / LANG2_FILE, max_atoms)
     translation = None
     relation = None
     tr_path = path / TRANSLATION_FILE

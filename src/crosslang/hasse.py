@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra
-from .implication import CrossImplication, _bit_pairs
+from .algebra import Algebra, cover_pairs
+from .implication import CrossImplication
 
 
 def _node_id(side: int, mask: int) -> str:
@@ -30,7 +30,7 @@ def algebra_dot(algebra: Algebra, side: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
+def _reduced_cross(rows: np.ndarray) -> np.ndarray:
     """Drop cross pairs that factor through a strictly finer step on either
     side; what remains is the transitive reduction restricted to props.
 
@@ -42,24 +42,24 @@ def _reduced_cross(rows: np.ndarray, m_src: int, m_dst: int) -> np.ndarray:
     """
     block = rows[:-1, :-1]
     keep = block.copy()
-    for b in range(m_src):
-        _bit_pairs(keep, b)[:, 0] &= ~_bit_pairs(block, b)[:, 1]
+    for (keep_lower, _), (_, block_upper) in zip(cover_pairs(keep), cover_pairs(block)):
+        keep_lower &= ~block_upper
     keep_t = np.ascontiguousarray(keep.T)
     block_t = np.ascontiguousarray(block.T)
-    for b in range(m_dst):
-        _bit_pairs(keep_t, b)[:, 1] &= ~_bit_pairs(block_t, b)[:, 0]
+    for (_, keep_upper), (block_lower, _) in zip(cover_pairs(keep_t),
+                                                 cover_pairs(block_t)):
+        keep_upper &= ~block_lower
     return keep_t.T
 
 
-def _reduced_targets(meet: np.ndarray, m_src: int) -> np.ndarray:
+def _reduced_targets(meet: np.ndarray) -> np.ndarray:
     """The cover reduction of a relation whose rows are the up-sets of their
     meets, as one target per source (-1 for none): only (λ, meet[λ]) can
     survive, and it does unless λ with one more bit has the same meet."""
     meet = meet[:-1]
     keep = meet != -1
-    for b in range(m_src):
-        pairs = _bit_pairs(meet, b)
-        _bit_pairs(keep, b)[:, 0] &= pairs[:, 0] != pairs[:, 1]
+    for (keep_lower, _), (lower, upper) in zip(cover_pairs(keep), cover_pairs(meet)):
+        keep_lower &= lower != upper
     return np.where(keep, meet, -1)
 
 
@@ -101,14 +101,13 @@ def _arrow_lines(fwd: np.ndarray, back: np.ndarray) -> list[str]:
 def cross_dot(r: CrossImplication, full: bool = False) -> str:
     """Both cover diagrams plus the cross arrows (reduced unless ``full``)."""
     a1, a2 = r.algebra1, r.algebra2
-    m1, m2 = a1.model_count, a2.model_count
     meets = None if full else r.principal_meets
     if meets is not None:
-        fwd, back = _reduced_targets(meets[0], m1), _reduced_targets(meets[1], m2)
+        fwd, back = _reduced_targets(meets[0]), _reduced_targets(meets[1])
     elif full:
         fwd, back = r.rows12[:-1, :-1], r.rows21[:-1, :-1]
     else:
-        fwd, back = _reduced_cross(r.rows12, m1, m2), _reduced_cross(r.rows21, m2, m1)
+        fwd, back = _reduced_cross(r.rows12), _reduced_cross(r.rows21)
     lines = ['digraph cross {', "  rankdir=BT;"]
     lines.append(f'  subgraph cluster_1 {{ label="{a1.name}";')
     lines.extend("  " + l for l in _hasse_lines(a1, 1))

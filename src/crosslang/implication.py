@@ -6,8 +6,8 @@ pathological closure forced, kept separately as evidence) are stored.
 
 A closed relation is fixed by its cross seeds: row λ is the up-set of the
 targets of the seeds whose source lies above λ or is the star.  Every
-relation keeps its seeds as mask arrays plus, per direction, image vectors
-over the proposition masks (star slot last): for each source the meet of
+relation keeps its seeds as value arrays plus, per direction, image vectors
+over the slots of the ``algebra`` module's layout: for each source the meet of
 the targets it reaches and their least popcount, for each target the join
 of the sources reaching it and their greatest popcount.  A row is principal
 exactly when its least popcount is that of its meet, so the checks decide
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Prop, Star, StarProp, implies
+from .algebra import Algebra, Prop, Star, StarProp, implies, sweep
 from .errors import AlgebraTooLargeError, CrossAlgebraError, InconsistentInputError
 from .reports import AxiomCheck, AxiomReport
-from .translation import Translation, _element, with_star
+from .translation import Translation, with_star
 
 # the dense fallback of ``close`` runs up to this many propositions in
 # total, which admits a 10 x 10 pair
@@ -160,27 +160,11 @@ class CrossImplication:
         return self.axiom_report().passed
 
 
-# --- lattice sweeps and images ---------------------------------------------------
+# --- images ---------------------------------------------------------------------
 #
-# The 2^m proposition slots of an axis come first, by mask, so with the star
-# slot cut off they reshape without a copy into the pairs of slots that differ
-# in one bit.  Sweeps combine one half of each pair into the other: over image
-# vectors that is O(m·2^m), over dense rows O(m·n²), never a pairwise product.
-
-
-def _bit_pairs(a: np.ndarray, b: int) -> np.ndarray:
-    """``a``'s axis 0 (2^m proposition slots) viewed as [high bits, bit ``b``
-    clear or set, low bits]; writes to the view go through to ``a``."""
-    return a.reshape(-1, 2, 1 << b, *a.shape[1:])
-
-
-def _sweep(v: np.ndarray, m: int, op, up: bool):
-    """v[x] = op(v[x], v[y]) over the proposition slots, for every y above x
-    (``up``) or below it, in one pass per bit."""
-    into, frm = (0, 1) if up else (1, 0)
-    for b in range(m):
-        pairs = _bit_pairs(v[:-1], b)
-        op(pairs[:, into], pairs[:, frm], out=pairs[:, into])
+# Images and dense rows are closed by the ``algebra`` module's sweeps over the
+# proposition slots: over image vectors that is O(m·2^m), over dense rows
+# O(m·n²), never a pairwise product.
 
 
 class _Images:
@@ -210,8 +194,8 @@ class _Images:
         self.low = np.full((1 << m_src) + 1, m_dst + 1, dtype=np.int64)
         np.bitwise_and.at(self.meet, xs, ts)
         np.minimum.at(self.low, xs, np.bitwise_count(ts).astype(np.int64))
-        _sweep(self.meet, m_src, np.bitwise_and, up=True)
-        _sweep(self.low, m_src, np.minimum, up=True)
+        sweep(self.meet[:-1], np.bitwise_and, up=True)
+        sweep(self.low[:-1], np.minimum, up=True)
         # every proposition reaches what the star reaches
         self.meet[:-1] &= self.meet[-1]
         np.minimum(self.low[:-1], self.low[-1], out=self.low[:-1])
@@ -221,8 +205,8 @@ class _Images:
         np.bitwise_or.at(self.join, ts, xs)        # a star source, -1, absorbs
         np.maximum.at(self.high, ts, np.where(
             xs == -1, m_src, np.bitwise_count(xs).astype(np.int64)))
-        _sweep(self.join, m_dst, np.bitwise_or, up=False)
-        _sweep(self.high, m_dst, np.maximum, up=False)
+        sweep(self.join[:-1], np.bitwise_or, up=False)
+        sweep(self.high[:-1], np.maximum, up=False)
         self.join[-1], self.high[-1] = -1, m_src   # the star column
 
     def rows_principal(self) -> np.ndarray:
@@ -237,8 +221,15 @@ class _Images:
         rows = np.zeros(((1 << self.m_src) + 1, (1 << self.m_dst) + 1), dtype=bool)
         rows[self.xs, self.ts] = True              # -1 is the star slot
         rows[0, 0] = rows[-1, -1] = True
-        _down_close_sources(rows, self.m_src)
-        _up_close_targets(rows, self.m_dst)
+        # a source reaches what every source it implies reaches, the star's
+        # targets included
+        sweep(rows[:-1], np.bitwise_or, up=True)
+        rows[:-1] |= rows[-1]
+        # a source reaching a target reaches everything above it
+        cols = np.ascontiguousarray(rows[:, :-1].T)
+        sweep(cols, np.bitwise_or, up=False)
+        rows[:, :-1] = cols.T
+        rows[:, -1] |= cols.any(axis=0)
         rows.flags.writeable = False
         return rows
 
@@ -251,37 +242,18 @@ def _bounce_free(images: tuple) -> bool:
     return not ((fwd.join & ~back.meet).any() or (back.join & ~fwd.meet).any())
 
 
-def _down_close_sources(rows: np.ndarray, m_src: int):
-    """row[u] |= row[x] for every u that implies x (mask subsets)."""
-    props = rows[:-1]
-    for b in range(m_src):
-        pairs = _bit_pairs(props, b)
-        pairs[:, 0] |= pairs[:, 1]
-    rows[:-1] |= rows[-1]  # every proposition implies the star
-
-
-def _up_close_targets(rows: np.ndarray, m_dst: int):
-    """row targets absorb everything they imply upward (mask supersets)."""
-    cols = np.ascontiguousarray(rows[:, :-1].T)
-    for b in range(m_dst):
-        pairs = _bit_pairs(cols, b)
-        pairs[:, 1] |= pairs[:, 0]
-    rows[:, :-1] = cols.T
-    rows[:, -1] |= cols.any(axis=0)  # targets imply their star
-
-
 def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndarray,
-                          m_src: int, extra: frozenset):
+                          src: Algebra, extra: frozenset):
     """The first λ → η → μ, as (λ, η, μ) indices, whose (λ, μ) is neither in
     the source order nor in ``extra``: the least λ, then its least such μ,
     then the least η between them; None if there is none.  ``meets`` is the
     meet image of ``rows_b``."""
-    masks = np.append(np.arange(1 << m_src, dtype=np.int64), -1)
+    masks = src.slots()
     # only a λ with a bit that the meet of some η it reaches lacks (for the
     # star: some η reaching a proposition) leaves the order; such a row is
     # skipped only when ``extra`` excuses every pair it leaves the order with
     suspects = np.zeros(len(masks), dtype=bool)
-    for b in range(m_src):
+    for b in range(src.model_count):
         suspects |= ((masks >> b) & 1 == 1) & rows_a.any(
             axis=1, where=(meets >> b) & 1 == 0)
     suspects[-1] |= rows_a[-1].any(where=meets != -1)
@@ -296,15 +268,12 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
     return None
 
 
-def _within_matrix(n_models: int) -> np.ndarray:
-    """Star-lattice implication by index (props by mask, star slot last)."""
-    masks = np.append(np.arange(1 << n_models, dtype=np.int64), -1)
-    n = len(masks)
-    out = np.empty((n, n), dtype=bool)
-    for start in range(0, n, 512):
-        rows = masks[start:start + 512]
-        out[start:start + 512] = (rows[:, None] & ~masks[None, :]) == 0
-    return out
+def _within_matrix(algebra: Algebra) -> np.ndarray:
+    """Star-lattice implication by slot.  ``close`` calls it only under
+    ``_SLOW_CLOSE_LIMIT``, so a side has at most 2^11 + 1 slots and the
+    int64 temporary at most 34 MB, less than the closure's float32 products."""
+    slots = algebra.slots()
+    return (slots[:, None] & ~slots[None, :]) == 0
 
 
 def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
@@ -333,8 +302,8 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
                 extra_seeds[sx].add((CrossImplication._idx(x), CrossImplication._idx(y)))
         else:
             xs, ts = cross[sx]
-            xs.append(-1 if isinstance(x, Star) else x.mask)
-            ts.append(-1 if isinstance(y, Star) else y.mask)
+            xs.append(x.algebra.slot(x))
+            ts.append(y.algebra.slot(y))
     r = CrossImplication(a1, a2, cross[1], cross[2])
     if _bounce_free(r.images) and not extra_seeds[1] and not extra_seeds[2]:
         return r
@@ -347,8 +316,8 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
             "closure forces within-language pairs and the algebras are too "
             "large for the dense fallback"
         )
-    w1 = _within_matrix(a1.model_count)
-    w2 = _within_matrix(a2.model_count)
+    w1 = _within_matrix(a1)
+    w2 = _within_matrix(a2)
     u = np.zeros((n1 + n2, n1 + n2), dtype=bool)
     u[:n1, :n1] = w1
     u[n1:, n1:] = w2
@@ -400,8 +369,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     for side, algebra, extra in ((1, a1, r.extra1), (2, a2, r.extra2)):
         if extra:
             i, j = min(extra)
-            witness = ((_element(algebra, _unstar(i, algebra)),
-                        _element(algebra, _unstar(j, algebra))),)
+            witness = ((algebra.element(i), algebra.element(j)),)
             report.checks.append(AxiomCheck(f"extensibility:{side}", False, witness))
         else:
             report.checks.append(AxiomCheck(f"extensibility:{side}", True))
@@ -453,12 +421,10 @@ def _transitivity_witness(r: CrossImplication):
         (r.rows12, r.rows21, r.images[1].meet, a1, a2, r.extra1),
         (r.rows21, r.rows12, r.images[0].meet, a2, a1, r.extra2),
     ):
-        bounce = _first_bounce_outside(rows_a, rows_b, meets, src.model_count, extra)
+        bounce = _first_bounce_outside(rows_a, rows_b, meets, src, extra)
         if bounce is not None:
             i, k, j = bounce
-            return (_element(src, _unstar(i, src)),
-                    _element(mid, _unstar(k, mid)),
-                    _element(src, _unstar(j, src)))
+            return src.element(i), mid.element(k), src.element(j)
     return None
 
 
@@ -512,10 +478,6 @@ def _dense_negation_witness(rows_fwd, rows_back, src: Algebra, dst: Algebra):
         eta, lam = divmod(int(viol.argmax()), np1)
         return lam, eta
     return None
-
-
-def _unstar(idx: int, algebra: Algebra) -> int:
-    return -1 if idx == algebra.full_mask + 1 else idx
 
 
 # --- conversions ---------------------------------------------------------------

@@ -113,10 +113,9 @@ def mutate_one_value(rng: random.Random, t: Translation) -> Translation:
     lam = Prop(src, rng.randrange(src.full_mask + 1))
     old = t.array(direction, mode)[lam.mask]
     while True:
-        pick = rng.choice(list(range(dst.full_mask + 1)) + [-1])
+        pick = rng.choice(dst.slots().tolist())
         if pick != old:
-            return t.replace(direction, mode, lam,
-                             dst.star if pick == -1 else Prop(dst, pick))
+            return t.replace(direction, mode, lam, dst.element(pick))
 
 
 def random_formula(rng: random.Random, spec: LanguageSpec, depth: int = 3):

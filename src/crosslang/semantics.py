@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Prop, Star, StarProp
+from .algebra import Algebra, Prop, Star, StarProp, atom_unions, cover_pairs
 from .errors import (
     AlgebraTooLargeError,
     CrosslangError,
@@ -23,7 +23,7 @@ from .implication import (
     translation_from_implication,
 )
 from .reports import AxiomCheck, AxiomReport
-from .translation import Translation, cover_pairs, first_violation
+from .translation import Translation, first_violation
 
 
 class JointStateSpace:
@@ -51,10 +51,7 @@ class JointStateSpace:
                     f"an atom of {algebra.name!r} appears in no state; "
                     "the valuation would not be injective"
                 )
-            # the masks with atom i set are those below it joined with its event
-            ev = np.zeros(1, dtype=np.int64)
-            for state_mask in atom_states:
-                ev = np.concatenate((ev, ev | state_mask))
+            ev = atom_unions(atom_states)
             ev.flags.writeable = False
             self._ev[side] = ev
             self._atoms[side] = tuple(atom_states)

@@ -2,18 +2,26 @@
 
 A translation stores four total operators on the star-augmented lattices:
 the inner and outer operators in each direction.  Each one is a read-only
-int64 array of value masks indexed by source mask, with the star slot kept
-at the end and ``-1`` standing for the star.  Two's-complement makes that
-encoding compose: with ``-1`` as an all-ones mask, ``a & ~b == 0`` is exactly
-the star-lattice implication, ``&``/``|`` are meet/join, and index ``-1``
-lands on the star slot.
+int64 array of values over the source's slots, in the layout that the
+``algebra`` module describes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Prop, Star, StarProp, implies, meet, negate
+from .algebra import (
+    Algebra,
+    Prop,
+    Star,
+    StarProp,
+    atom_unions,
+    cover_pairs,
+    implies,
+    meet,
+    negate,
+    sweep,
+)
 from .errors import CrossAlgebraError, CrosslangError
 from .reports import AxiomCheck, AxiomReport
 
@@ -21,20 +29,11 @@ from .reports import AxiomCheck, AxiomReport
 _OPERATORS = (("1>2", "inner"), ("1>2", "outer"), ("2>1", "inner"), ("2>1", "outer"))
 
 
-def _slot(x: StarProp, algebra: Algebra) -> int:
-    """Array index of an argument or array value of an image; -1 is the star."""
-    if x.algebra.name != algebra.name:
-        raise CrossAlgebraError(
-            f"{x.algebra.name!r} given where {algebra.name!r} is expected")
-    return -1 if isinstance(x, Star) else x.mask
-
-
 class Translation:
     """Inner/outer operator pairs in both directions between two algebras.
 
-    Each operator is given as an int64 array of value masks indexed by
-    source mask, star slot last, ``-1`` for the star; it is validated,
-    copied and stored read-only.
+    Each operator is given as an int64 array of values over the source's
+    slots; it is validated, copied and stored read-only.
     """
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
@@ -76,10 +75,10 @@ class Translation:
     def apply(self, direction: str, mode: str, x: StarProp) -> StarProp:
         """The image of one argument; an outer image of star means undefined."""
         src, dst = self.endpoints(direction)
-        return _element(dst, int(self._operators[(direction, mode)][_slot(x, src)]))
+        return dst.element(int(self._operators[(direction, mode)][src.slot(x)]))
 
     def array(self, direction: str, mode: str) -> np.ndarray:
-        """Value masks indexed by source mask, star slot last, -1 for star."""
+        """The operator's values over the source's slots."""
         return self._operators[(direction, mode)]
 
     def replace(self, direction: str, mode: str, x: StarProp, y: StarProp) -> "Translation":
@@ -87,7 +86,7 @@ class Translation:
         src, dst = self.endpoints(direction)
         operators = dict(self._operators)
         vals = operators[(direction, mode)].copy()
-        vals[_slot(x, src)] = _slot(y, dst)
+        vals[src.slot(x)] = dst.slot(y)
         operators[(direction, mode)] = vals
         return Translation(self.algebra1, self.algebra2,
                            *(operators[key] for key in _OPERATORS))
@@ -108,10 +107,6 @@ class Translation:
         if self._consistency is None:
             self._consistency = check_consistency(self).passed
         return self._consistency
-
-
-def _element(algebra: Algebra, idx: int) -> StarProp:
-    return algebra.star if idx > algebra.full_mask or idx < 0 else Prop(algebra, idx)
 
 
 def with_star(vals: np.ndarray) -> np.ndarray:
@@ -142,15 +137,8 @@ def translation_from_atom_outers(
     a1.require_enumerable()   # before allocating 2**model_count entries
     a2.require_enumerable()
 
-    imgs12 = [_slot(outer_on_atoms12[atom], a2) for atom in a1.atoms()]
-    imgs21 = [_slot(outer_on_atoms21[atom], a1) for atom in a2.atoms()]
-
-    def extend_outer(src: Algebra, imgs):
-        masks = np.arange(src.full_mask + 1, dtype=np.int64)
-        out = np.zeros(src.full_mask + 1, dtype=np.int64)
-        for j, img in enumerate(imgs):
-            out[(masks >> j) & 1 == 1] |= img
-        return with_star(out)
+    imgs12 = [a2.slot(outer_on_atoms12[atom]) for atom in a1.atoms()]
+    imgs21 = [a1.slot(outer_on_atoms21[atom]) for atom in a2.atoms()]
 
     def adjoint_inner(src: Algebra, dst_atom_imgs):
         # join over target atoms whose own outer image implies the argument
@@ -164,8 +152,8 @@ def translation_from_atom_outers(
 
     return Translation(
         a1, a2,
-        adjoint_inner(a1, imgs21), extend_outer(a1, imgs12),
-        adjoint_inner(a2, imgs12), extend_outer(a2, imgs21),
+        adjoint_inner(a1, imgs21), with_star(atom_unions(imgs12)),
+        adjoint_inner(a2, imgs12), with_star(atom_unions(imgs21)),
     )
 
 
@@ -200,25 +188,6 @@ def restricted_duality_holds(t: Translation, direction: str, lam: Prop) -> bool:
 _PAIRS_PER_BLOCK = 1 << 18
 
 
-def _star_slots(algebra: Algebra) -> np.ndarray:
-    """Every element of the star lattice as a value: masks ascending, star (-1) last."""
-    return np.append(np.arange(algebra.full_mask + 1, dtype=np.int64), -1)
-
-
-def cover_pairs(vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views ``(vals[x], vals[x | bit])`` over every cover of a mask-indexed
-    array of length 2**m, one pair of views per bit."""
-    m = len(vals).bit_length() - 1
-    return [(v[:, 0], v[:, 1]) for v in (vals.reshape(-1, 2, 1 << j) for j in range(m))]
-
-
-def _subset_sweep(vals: np.ndarray, op) -> None:
-    """In place, ``vals[x]`` becomes ``op`` over ``vals[y]`` for all y ⊆ x:
-    Yates's subset-zeta transform, O(m·2^m)."""
-    for lower, upper in cover_pairs(vals):
-        op(upper, lower, out=upper)
-
-
 def first_violation(rows: np.ndarray, cols: np.ndarray, violates) -> tuple[int, int] | None:
     """The first pair ``(row, col)``, row-major in the given orders, that
     violates a condition, or None.
@@ -239,7 +208,7 @@ def first_violation(rows: np.ndarray, cols: np.ndarray, violates) -> tuple[int, 
 
 
 def _pair_witness(algebra: Algebra, hit: tuple[int, int] | None):
-    return None if hit is None else (_element(algebra, hit[0]), _element(algebra, hit[1]))
+    return None if hit is None else (algebra.element(hit[0]), algebra.element(hit[1]))
 
 
 # --- exhaustive checkers -------------------------------------------------------
@@ -261,8 +230,8 @@ def _galois_failing_rows(src: Algebra, inner_vals: np.ndarray,
     joined = np.zeros(n, dtype=np.int64)
     np.bitwise_or.at(joined, back[eta], eta)
     size = np.bincount(back[eta], minlength=n)
-    _subset_sweep(joined, np.bitwise_or)
-    _subset_sweep(size, np.add)
+    sweep(joined, np.bitwise_or, up=False)
+    sweep(size, np.add, up=False)
     inner = inner_vals[:-1]
     concrete = inner != -1
     down_size = np.int64(1) << np.bitwise_count(np.where(concrete, inner, 0))
@@ -282,10 +251,10 @@ def check_galois(t: Translation) -> AxiomReport:
         failing = _galois_failing_rows(src, inner_vals, outer_back)
         if failing.size:
             lam, eta = first_violation(
-                failing[:1], _star_slots(dst),
+                failing[:1], dst.slots(),
                 lambda x, y: ((y & ~inner_vals[x]) == 0) != ((outer_back[y] & ~x) == 0),
             )
-            witness = (_element(src, lam), _element(dst, eta))
+            witness = (src.element(lam), dst.element(eta))
             report.checks.append(AxiomCheck(f"galois:{direction}", False, (witness,)))
         else:
             report.checks.append(AxiomCheck(f"galois:{direction}", True))
@@ -302,8 +271,7 @@ def check_approximation(t: Translation) -> AxiomReport:
         ok = (inner_vals & ~outer_vals) == 0
         bad = np.flatnonzero(~ok)
         if bad.size:
-            i = int(bad[0])
-            witness = (_element(src, i if i < len(ok) - 1 else -1),)
+            witness = (src.element(int(bad[0])),)
             report.checks.append(
                 AxiomCheck(f"approximation:{direction}", False, (witness,))
             )
@@ -365,7 +333,7 @@ def _preservation_violation(src: Algebra, vals: np.ndarray, kind: str):
         holds = vals[x] == (vals[x | zero] & vals[src.full_mask ^ zero])
     if holds.all():
         return None
-    slots = _star_slots(src)
+    slots = src.slots()
     return _pair_witness(src, first_violation(
         slots, slots, lambda a, b: vals[op(a, b)] != op(vals[a], vals[b])))
 
@@ -376,7 +344,7 @@ def _monotone_violation(src: Algebra, vals: np.ndarray):
     the top value -1, so it is enough to test the covers of the masks."""
     if all(((lower & ~upper) == 0).all() for lower, upper in cover_pairs(vals[:-1])):
         return None
-    slots = _star_slots(src)
+    slots = src.slots()
     return _pair_witness(src, first_violation(
         slots, slots, lambda x, y: ((x & ~y) == 0) & ((vals[x] & ~vals[y]) != 0)))
 

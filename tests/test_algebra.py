@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from crosslang import (
@@ -15,6 +16,7 @@ from crosslang import (
     negate,
     parse_language,
 )
+from crosslang.algebra import atom_unions, bit_pairs, cover_pairs, sweep
 from crosslang.randgen import random_formula
 
 
@@ -147,3 +149,75 @@ def test_lattice_enumeration_guarded():
     big = Algebra.from_spec(spec)  # 32 models, far beyond 2**32 propositions
     with pytest.raises(AlgebraTooLargeError):
         big.all_props()
+
+
+# --- the slot layout and the array helpers over it ---------------------------
+
+
+def test_slot_and_element_round_trip():
+    a = algebra("language A\natoms: p q")
+    b = algebra("language B\natoms: p")
+    assert a.slots().tolist() == list(range(a.full_mask + 1)) + [-1]
+    for x in a.star_lattice():
+        assert a.element(a.slot(x)) == x
+    for v in a.slots():
+        assert a.slot(a.element(v)) == v
+    assert a.element(a.full_mask + 1) == a.star
+    with pytest.raises(CrossAlgebraError, match="'B' given where 'A' is expected"):
+        a.slot(b.top)
+    with pytest.raises(CrossAlgebraError):
+        a.slot(b.star)
+
+
+def test_cover_pairs_are_the_covers():
+    for m in range(7):
+        pairs = cover_pairs(np.arange(1 << m))
+        assert len(pairs) == m
+        for b, (lower, upper) in enumerate(pairs):
+            assert sorted(lower.ravel().tolist()) == [x for x in range(1 << m)
+                                                      if not x >> b & 1]
+            assert (upper == lower | 1 << b).all()
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+@pytest.mark.parametrize("op", [np.bitwise_and, np.bitwise_or, np.minimum,
+                                np.maximum, np.add], ids=lambda op: op.__name__)
+def test_sweep_matches_brute_loop(op, up):
+    """Two columns, so the sweep runs along axis 0 only; values include -1."""
+    rng = np.random.default_rng(0)
+    for m in range(7):
+        vals = rng.integers(-1, 1 << m, size=(1 << m, 2))
+        got = vals.copy()
+        sweep(got, op, up)
+        for x in range(1 << m):
+            related = [y for y in range(1 << m)
+                       if ((x & ~y) if up else (y & ~x)) == 0]
+            assert (got[x] == op.reduce(vals[related])).all()
+
+
+def test_atom_unions_match_brute_loop():
+    rng = np.random.default_rng(1)
+    for m in range(7):
+        values = rng.integers(-1, 1 << 20, size=m)
+        got = atom_unions(values)
+        assert got.dtype == np.int64 and len(got) == 1 << m
+        for x in range(1 << m):
+            want = 0
+            for i in range(m):
+                if x >> i & 1:
+                    want |= int(values[i])
+            assert got[x] == want
+
+
+def test_bit_pairs_are_views():
+    rows = np.zeros((2**4 + 1, 3), dtype=bool)
+    cols = np.zeros((3, 2**4)).T
+    for b in range(4):
+        assert np.shares_memory(bit_pairs(rows[:-1], b), rows)
+        assert np.shares_memory(bit_pairs(cols, b), cols)
+    for lower, upper in cover_pairs(rows[:-1]):
+        assert np.shares_memory(lower, rows) and np.shares_memory(upper, rows)
+    # a sweep over a view writes through to the array behind it
+    rows[-2, 0] = rows[-1, 1] = True
+    sweep(rows[:-1], np.bitwise_or, up=True)
+    assert rows[:-1, 0].all() and not rows[:-1, 1].any()

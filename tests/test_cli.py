@@ -214,6 +214,24 @@ def test_missing_corpus_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("case", ["file-for-folder", "folder-for-file", "not-utf8",
+                                  "empty-head"])
+def test_unreadable_inputs_exit_two(tmp_path, case):
+    oil = CORPUS / "oil-prices"
+    langs = [str(oil / "lang1.lang"), str(oil / "lang2.lang")]
+    pair = tmp_path / "pair.tr"
+    pair.write_bytes(b"outer 1>2: \xff => *\n" if case == "not-utf8" else b": a => b\n")
+    argv = {
+        "file-for-folder": ["joint", langs[0]],
+        "folder-for-file": ["check", str(tmp_path), langs[1], str(oil / "translation.tr")],
+        "not-utf8": ["check", *langs, str(pair)],
+        "empty-head": ["check", *langs, str(pair)],
+    }[case]
+    res = run_cli(*argv)
+    assert_clean_usage_error(res)
+    assert "Traceback" not in res.stderr
+
+
 def test_translate_inconsistent_corpus_exits_one():
     res = run_cli("translate", str(CORPUS / "adjunction-violation"), "1>2",
                   "inner", "p")

@@ -30,7 +30,7 @@ from crosslang import (
 )
 from crosslang.corpus import parse_implication_seeds
 from crosslang.hasse import _reduced_cross
-from crosslang.implication import _bit_pairs, _seeds_of
+from crosslang.implication import _seeds_of
 from crosslang.randgen import (
     cell_algebra,
     make_cell_spec,
@@ -167,7 +167,7 @@ def test_cover_reduction_matches_strict_order_products(r):
     the same rows."""
     m1, m2 = r.algebra1.model_count, r.algebra2.model_count
     for rows, m_src, m_dst in ((r.rows12, m1, m2), (r.rows21, m2, m1)):
-        assert np.array_equal(_reduced_cross(rows, m_src, m_dst),
+        assert np.array_equal(_reduced_cross(rows),
                               denseref.reduced_cross(rows, m_src, m_dst))
     dense = denseref.DenseRelation(r.algebra1, r.algebra2, r.rows12, r.rows21,
                                    r.extra1, r.extra2)
@@ -180,14 +180,6 @@ def test_cover_reduction_matches_strict_order_products(r):
         assert cross_dot(r, full) == denseref.cross_dot(dense, full)
     if report.passed:
         assert translation_from_implication(r) == denseref.translation_from_rows(dense)
-
-
-def test_bit_pairs_are_views():
-    rows = np.zeros((2**4 + 1, 3), dtype=bool)
-    cols = np.zeros((3, 2**4)).T
-    for b in range(4):
-        assert np.shares_memory(_bit_pairs(rows[:-1], b), rows)
-        assert np.shares_memory(_bit_pairs(cols, b), cols)
 
 
 # --- memory ------------------------------------------------------------------
