@@ -41,11 +41,7 @@ from .errors import (
     ParseError,
 )
 from .hasse import algebra_dot, cross_dot
-from .implication import (
-    check_implication_axioms,
-    implication_from_translation,
-    translation_from_implication,
-)
+from .implication import implication_from_translation, translation_from_implication
 from .language import parse_formula
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
 from .semantics import joint_space_from_translation, probability_bounds
@@ -142,7 +138,7 @@ def cmd_check(args) -> int:
         report = check_consistency(t)
     else:
         r = parse_implication_file(pair_text, a1, a2)
-        report = check_implication_axioms(r)
+        report = r.axiom_report()
         t = translation_from_implication(r) if args.oracle and report.passed else None
     inputs = {
         "lang1": _digest(Path(args.lang1)),

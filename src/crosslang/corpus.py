@@ -3,18 +3,28 @@
 A corpus directory holds ``lang1.lang`` and ``lang2.lang`` plus at least one
 of ``translation.tr`` (atom-level outer maps, optionally with explicit
 ``override`` lines) and ``implication.imp`` (seed pairs for the closure).
+
+Every endpoint of either file goes through one reader, ``_parse_value``.
+It reads the common grammar directly: ``*`` is the star, and a union
+``name | name | ...`` of declared elementary names, ``true`` and ``false``
+is the OR of their model columns.  Any other text, an undeclared name
+included, goes to ``parse_formula``, so that errors keep their type,
+message, line and column.  Seeds travel as values, not elements: each
+endpoint is a (side, value) pair, side 1 or 2 and value a mask, -1 for the
+star, which is what ``implication.close_values`` takes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import DEFAULT_ATOM_CAP, Algebra, Star, StarProp
+from .algebra import DEFAULT_ATOM_CAP, Algebra
 from .errors import ParseError
 from .implication import (
     CrossImplication,
-    close,
+    close_values,
     implication_from_translation,
     translation_from_implication,
 )
@@ -25,6 +35,15 @@ LANG1_FILE = "lang1.lang"
 LANG2_FILE = "lang2.lang"
 TRANSLATION_FILE = "translation.tr"
 IMPLICATION_FILE = "implication.imp"
+
+# the endpoint grammar read without the parser, and the seed lines made of it
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_UNION = rf"{_NAME}(?:\s*\|\s*{_NAME})*"
+_UNION_RE = re.compile(_UNION)
+_ENDPOINT = rf"({_NAME})\.\s*(\*|{_UNION})\s*"
+_SEED_RE = re.compile(rf"imp:\s*{_ENDPOINT}=>\s*{_ENDPOINT}")
+# reserved words cannot be atoms; ``true`` is all ones, cut to the full mask
+_CONSTANTS = {"false": 0, "true": -1}
 
 
 def _content_lines(text: str):
@@ -40,11 +59,23 @@ def _parse_side(token: str, lineno: int) -> str:
     return token
 
 
-def _parse_value(text: str, algebra: Algebra, lineno: int) -> StarProp:
+def _parse_value(text: str, algebra: Algebra, lineno: int) -> int:
+    """The value of an endpoint: a mask, -1 for ``*``."""
     text = text.strip()
     if text == "*":
-        return algebra.star
-    return algebra.denote(parse_formula(text, algebra.spec, lineno))
+        return -1
+    if _UNION_RE.fullmatch(text):
+        columns = algebra._columns
+        mask = 0
+        for name in text.split("|"):
+            name = name.strip()
+            column = columns.get(name, _CONSTANTS.get(name))
+            if column is None:
+                break          # undeclared: the parser reports it
+            mask |= column
+        else:
+            return mask & algebra.full_mask
+    return algebra.denote(parse_formula(text, algebra.spec, lineno)).mask
 
 
 def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
@@ -70,19 +101,20 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
             direction = _parse_side(head[1], lineno)
             src, dst = sides[direction]
             lhs = _parse_value(lhs_text, src, lineno)
-            if isinstance(lhs, Star) or not lhs.is_atom:
+            if lhs <= 0 or lhs & (lhs - 1):
                 raise ParseError(
                     f"{lhs_text.strip()!r} does not denote an atom of {src.name!r}",
                     lineno, 1,
                 )
-            atom_outers[direction][lhs] = _parse_value(rhs_text, dst, lineno)
+            atom_outers[direction][src.element(lhs)] = dst.element(
+                _parse_value(rhs_text, dst, lineno))
         elif len(head) == 3 and head[0] == "override" and head[1] in ("inner", "outer"):
             direction = _parse_side(head[2], lineno)
             src, dst = sides[direction]
             overrides.append((
                 direction, head[1],
-                _parse_value(lhs_text, src, lineno),
-                _parse_value(rhs_text, dst, lineno),
+                src.element(_parse_value(lhs_text, src, lineno)),
+                dst.element(_parse_value(rhs_text, dst, lineno)),
             ))
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno, 1)
@@ -92,40 +124,74 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     return t
 
 
-def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
-    """Seed pairs from ``imp: <lang>.<formula> => <lang>.<formula>`` lines.
+def _seed_keys(line: str, lineno: int, languages: dict):
+    """The (language, formula text) endpoints of a seed line outside the
+    direct grammar.  A generator, so that each endpoint is read before the
+    next one is checked: the error reported is the first along the line."""
+    if not line.startswith("imp:"):
+        raise ParseError("expected 'imp: <lang>.<formula> => <lang>.<formula>'",
+                         lineno, 1)
+    body = line[len("imp:"):]
+    if "=>" not in body:
+        raise ParseError("expected '=>' in seed line", lineno, 1)
+    for chunk in body.split("=>", 1):
+        chunk = chunk.strip()
+        if "." not in chunk:
+            raise ParseError(f"expected '<lang>.<formula>', got {chunk!r}",
+                             lineno, 1)
+        lang_name, formula = chunk.split(".", 1)
+        if lang_name not in languages:
+            raise ParseError(f"unknown language {lang_name!r}", lineno, 1)
+        yield lang_name, formula.strip()
 
-    Each distinct endpoint is parsed once; only successes are remembered, so
-    a malformed endpoint fails with the line it appears on."""
-    by_name = {a1.name: a1, a2.name: a2}
-    parsed = {}
+
+def _scan_seeds(text: str, a1: Algebra, a2: Algebra) -> list:
+    """The seeds of ``imp: <lang>.<formula> => <lang>.<formula>`` lines as
+    ((side, value), (side, value)) pairs, in file order.
+
+    A line of the direct grammar is split by one regular expression; any
+    other line is checked piece by piece.  Each distinct endpoint is read
+    once; only successes are remembered, so a malformed endpoint fails with
+    the line it appears on."""
+    languages = {a1.name: (1, a1), a2.name: (2, a2)}
+    endpoints = {}
+
+    def endpoint(key, lineno):
+        found = endpoints.get(key)
+        if found is None:
+            side, algebra = languages[key[0]]
+            found = endpoints[key] = (side, _parse_value(key[1], algebra, lineno))
+        return found
+
     seeds = []
     for lineno, line in _content_lines(text):
-        if not line.startswith("imp:"):
-            raise ParseError("expected 'imp: <lang>.<formula> => <lang>.<formula>'",
-                             lineno, 1)
-        body = line[len("imp:"):]
-        if "=>" not in body:
-            raise ParseError("expected '=>' in seed line", lineno, 1)
-        endpoints = []
-        for chunk in body.split("=>", 1):
-            chunk = chunk.strip()
-            if "." not in chunk:
-                raise ParseError(f"expected '<lang>.<formula>', got {chunk!r}",
-                                 lineno, 1)
-            lang_name, formula = chunk.split(".", 1)
-            if lang_name not in by_name:
-                raise ParseError(f"unknown language {lang_name!r}", lineno, 1)
-            key = (lang_name, formula.strip())
-            if key not in parsed:
-                parsed[key] = _parse_value(formula, by_name[lang_name], lineno)
-            endpoints.append(parsed[key])
-        seeds.append(tuple(endpoints))
+        m = _SEED_RE.fullmatch(line)
+        if m is not None and m[1] in languages and m[3] in languages:
+            seeds.append((endpoint((m[1], m[2]), lineno),
+                          endpoint((m[3], m[4]), lineno)))
+        else:
+            seeds.append(tuple([endpoint(key, lineno)
+                                for key in _seed_keys(line, lineno, languages)]))
     return seeds
 
 
+def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
+    """Seed pairs from ``imp: <lang>.<formula> => <lang>.<formula>`` lines,
+    as elements of the two algebras.
+
+    Endpoints of the direct grammar (``*``, or a union of declared names,
+    ``true`` and ``false``) are read without the parser; any other text goes
+    to ``parse_formula``.  The seeds are scanned as values, -1 for the star,
+    and each value is read back as a proposition or the star of its side."""
+    algebras = {1: a1, 2: a2}
+    return [tuple(algebras[side].element(value) for side, value in seed)
+            for seed in _scan_seeds(text, a1, a2)]
+
+
 def parse_implication_file(text: str, a1: Algebra, a2: Algebra) -> CrossImplication:
-    return close(parse_implication_seeds(text, a1, a2), a1, a2)
+    """The closed relation of a seed file; its seeds go to the closure as
+    values, without an element per endpoint."""
+    return close_values(_scan_seeds(text, a1, a2), a1, a2)
 
 
 @dataclass

@@ -269,7 +269,7 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
 
 
 def _within_matrix(algebra: Algebra) -> np.ndarray:
-    """Star-lattice implication by slot.  ``close`` calls it only under
+    """Star-lattice implication by slot.  ``close_values`` calls it only under
     ``_SLOW_CLOSE_LIMIT``, so a side has at most 2^11 + 1 slots and the
     int64 temporary at most 34 MB, less than the closure's float32 products."""
     slots = algebra.slots()
@@ -280,6 +280,25 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     """Least relation containing the seeds, both within-language orders and
     the bound pairs, closed under transitivity.
 
+    The seeds are pairs of elements of the two algebras.  They travel on as
+    values: each endpoint becomes a (side, value) pair, side 1 or 2 and value
+    its mask, -1 for the star, and ``close_values`` closes those.  Seed files
+    go to ``close_values`` directly, without an element per endpoint."""
+    sides = {a1.name: 1, a2.name: 2}
+    values = []
+    for x, y in seeds:
+        try:
+            sx, sy = sides[x.algebra.name], sides[y.algebra.name]
+        except KeyError:
+            raise CrossAlgebraError("seed endpoint outside the two languages")
+        values.append(((sx, x.algebra.slot(x)), (sy, y.algebra.slot(y))))
+    return close_values(values, a1, a2)
+
+
+def close_values(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
+    """``close`` on seeds given as values: each endpoint is a (side, value)
+    pair, side 1 for ``a1`` or 2 for ``a2`` and value a mask, -1 for the star.
+
     Same-language seeds that the order does not already validate, and any
     within-language pairs the closure forces, are kept aside so the
     extensibility check can fail with them as witnesses.
@@ -289,21 +308,17 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     source order (``_bounce_free``); otherwise a dense Warshall closure over
     the union takes over.
     """
-    sides = {a1.name: 1, a2.name: 2}
     cross = {1: ([], []), 2: ([], [])}
     extra_seeds = {1: set(), 2: set()}
-    for x, y in seeds:
-        try:
-            sx, sy = sides[x.algebra.name], sides[y.algebra.name]
-        except KeyError:
-            raise CrossAlgebraError("seed endpoint outside the two languages")
-        if sx == sy:
-            if not implies(x, y):
-                extra_seeds[sx].add((CrossImplication._idx(x), CrossImplication._idx(y)))
-        else:
+    star_index = {1: a1.full_mask + 1, 2: a2.full_mask + 1}
+    for (sx, x), (sy, y) in seeds:
+        if sx != sy:
             xs, ts = cross[sx]
-            xs.append(x.algebra.slot(x))
-            ts.append(y.algebra.slot(y))
+            xs.append(x)
+            ts.append(y)
+        elif x & ~y:
+            # outside the star-lattice order, kept by slot index
+            extra_seeds[sx].add((star_index[sx] if x == -1 else x, y))
     r = CrossImplication(a1, a2, cross[1], cross[2])
     if _bounce_free(r.images) and not extra_seeds[1] and not extra_seeds[2]:
         return r

@@ -8,21 +8,23 @@ from crosslang.randgen import write_cell_corpus
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def write_narrowed_cover_pair(path: Path, m: int) -> Path:
-    """The m x m identity cell pair of ``write_cell_corpus`` plus
-    ``narrowed.imp``: every proposition of either side implies its twin,
-    except ``a0``, which implies ``false``.  Its closure forces
+def write_cover_pair(path: Path, m: int) -> Path:
+    """The m x m identity cell pair of ``write_cell_corpus`` plus the seed
+    files of ``scripts/scale.py``: ``cover.imp``, in which every proposition
+    of either side implies its twin, and ``narrowed.imp``, the same except
+    that ``a0`` implies ``false``.  The closure of the narrowed file forces
     within-language pairs, so ``close`` takes the dense fallback."""
     write_cell_corpus(path, m, star=False)
     formulas = {prefix: [" | ".join(f"{prefix}{k}" for k in range(m) if mask >> k & 1)
                          or "false" for mask in range(1 << m)]
                 for prefix in "ab"}
-    lines = [f"imp: {src}.{lhs} => {dst}.{rhs}"
-             for (src, sp), (dst, dp) in ((("lang1", "a"), ("lang2", "b")),
-                                          (("lang2", "b"), ("lang1", "a")))
-             for lhs, rhs in zip(formulas[sp], formulas[dp])]
-    lines[1] = "imp: lang1.a0 => lang2.false"
-    (path / "narrowed.imp").write_text("\n".join(lines) + "\n")
+    cover = "".join(f"imp: {src}.{lhs} => {dst}.{rhs}\n"
+                    for (src, sp), (dst, dp) in ((("lang1", "a"), ("lang2", "b")),
+                                                 (("lang2", "b"), ("lang1", "a")))
+                    for lhs, rhs in zip(formulas[sp], formulas[dp]))
+    (path / "cover.imp").write_text(cover)
+    (path / "narrowed.imp").write_text(cover.replace(
+        "imp: lang1.a0 => lang2.b0\n", "imp: lang1.a0 => lang2.false\n", 1))
     return path
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import crosslang.cli as cli
 import crosslang.commonality as commonality
-from conftest import CORPUS, write_narrowed_cover_pair
+from conftest import CORPUS, write_cover_pair
 from crosslang import check_consistency, common_language, load_corpus
 from crosslang.cli import main
 from crosslang.oracle import OracleBudget
@@ -95,7 +95,7 @@ overall: FAIL
 def test_check_implication_dense_fallback_report(tmp_path):
     """Identity cover seeds on 6 x 6 cells with a0 narrowed to false: the
     closure takes the dense fallback and the report is pinned."""
-    d = write_narrowed_cover_pair(tmp_path, 6)
+    d = write_cover_pair(tmp_path, 6)
     res = run_cli("check", str(d / "lang1.lang"), str(d / "lang2.lang"),
                   str(d / "narrowed.imp"), "--mode", "implication")
     assert (res.returncode, res.stdout, res.stderr) == (1, NARROWED_6X6_REPORT, "")
@@ -389,3 +389,24 @@ def test_main_reuses_its_parser_after_a_usage_error():
         code = main(argv)
     fresh = run_cli(*argv)
     assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_check_implication_checks_the_axioms_once(monkeypatch, oracle):
+    """The verdict and the translation that ``--oracle`` reads off the
+    relation share one axiom report."""
+    import crosslang.implication as implication
+
+    calls = []
+    checker = implication.check_implication_axioms
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crosslang") and vars(module).get(
+                "check_implication_axioms") is checker:
+            monkeypatch.setattr(module, "check_implication_axioms",
+                                lambda r: calls.append(r) or checker(r))
+    base = CORPUS / "platypus"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["check", str(base / "lang1.lang"), str(base / "lang2.lang"),
+                     str(base / "implication.imp"), "--mode", "implication",
+                     *(["--oracle"] if oracle else [])])
+    assert (code, len(calls)) == (0, 1)

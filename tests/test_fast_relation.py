@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import denseref
 import scalarref
-from conftest import write_narrowed_cover_pair
+from conftest import write_cover_pair
 import crosslang.implication as implication
 from crosslang import (
     AlgebraTooLargeError,
@@ -236,7 +236,7 @@ def test_dense_fallback_answers_on_ten_by_ten_cells(tmp_path):
     """Identity cover seeds on 10 x 10 cells with a0 narrowed to false: the
     closure forces within-language pairs, and the dense fallback over both
     lattices (2052 propositions) gives a verdict with first witnesses."""
-    d = write_narrowed_cover_pair(tmp_path, 10)
+    d = write_cover_pair(tmp_path, 10)
     c = load_corpus(d)
     seeds = parse_implication_seeds((d / "narrowed.imp").read_text(),
                                     c.algebra1, c.algebra2)
