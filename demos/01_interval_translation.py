@@ -37,6 +37,6 @@ print("30-dollar grid, where both unit systems cut at the same prices:")
 from crosslang import common_language
 
 common = common_language(t)
-for member in common.members[1:5]:
-    partner = common.partner[member]
-    print(f"  {dollars.formula_text(member):35s} <-> {yuan.formula_text(partner)}")
+dollar_texts, yuan_texts = dollars.formula_texts(), yuan.formula_texts()
+for member, partner in zip(common.masks[1:5], common.partners[1:5]):
+    print(f"  {dollar_texts[member]:35s} <-> {yuan_texts[partner]}")

@@ -30,9 +30,8 @@ around = t.apply("2>1", "outer", t.apply("1>2", "inner", u))
 print("round trip via the inner image returns:", coarse.formula_text(around))
 
 print()
-print("fixed points:  ", sorted(coarse.formula_text(p) for p in fixed_points(t, 1)))
-print("perfect set:   ",
-      sorted(coarse.formula_text(p) for p in perfect_translations(t, 1)))
+texts = coarse.formula_texts()
+print("fixed points:  ", sorted(texts[m] for m in fixed_points(t, 1)))
+print("perfect set:   ", sorted(texts[m] for m in perfect_translations(t, 1)))
 common = common_language(t)
-print("common language:",
-      [coarse.formula_text(m) for m in common.members])
+print("common language:", [texts[m] for m in common.masks])

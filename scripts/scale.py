@@ -1,11 +1,13 @@
 """Scale sweep: CLI commands as fresh processes on identity cell pairs.
 
 For each size m in ``SIZES`` it writes the m x m identity cell pair of
-``crosslang.randgen.write_cell_corpus`` (always with this checkout's code),
-uniform weights, a cover-seed file in which every proposition of either
-side implies its twin and a narrowed copy of it in which ``a0`` implies
-``false`` (so the closure forces within-language pairs and takes the dense
-fallback), and runs each of ``COMMANDS`` on it, one fresh
+``crosslang.randgen.write_cell_corpus`` (always with this checkout's code)
+with its ``translation.tr``, which ``check-translation`` checks and
+``translate`` reads to translate ``a0 | a1``; uniform weights; a cover-seed
+file in which every proposition of either side implies its twin; and a
+narrowed copy of it in which ``a0`` implies ``false`` (so the closure
+forces within-language pairs and takes the dense fallback).  It runs each
+of ``COMMANDS`` on that pair, one fresh
 ``python -m crosslang`` process each, under a wall-clock cap of ``CAP_S``
 seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
 would exhaust the host's memory fails with MemoryError instead).  Each row
@@ -42,8 +44,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from crosslang.randgen import write_cell_corpus  # noqa: E402
 
 SIZES = (8, 10, 12, 14, 16)
-COMMANDS = ("joint", "common", "classify", "bounds", "check-implication",
-            "check-implication-narrowed", "export-dot-cross", "export-dot-full")
+COMMANDS = ("check-translation", "translate", "joint", "common", "classify", "bounds",
+            "check-implication", "check-implication-narrowed", "export-dot-cross",
+            "export-dot-full")
 CAP_S = 60.0
 MEM_CAP_MB = 3072
 SEED_FILES = {"check-implication": "cover.imp",
@@ -72,6 +75,11 @@ def argv(command: str, corpus: Path) -> list[str]:
     if command == "bounds":
         return ["bounds", str(corpus), str(corpus / "weights.json"), "a0 | a1",
                 "--lang", "1", "--format", "json"]
+    if command == "check-translation":
+        return ["check", str(corpus / "lang1.lang"), str(corpus / "lang2.lang"),
+                str(corpus / "translation.tr"), "--mode", "translation", "--format", "json"]
+    if command == "translate":
+        return ["translate", str(corpus), "1>2", "inner", "a0 | a1", "--format", "json"]
     if command in SEED_FILES:
         return ["check", str(corpus / "lang1.lang"), str(corpus / "lang2.lang"),
                 str(corpus / SEED_FILES[command]), "--mode", "implication",

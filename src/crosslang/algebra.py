@@ -421,3 +421,11 @@ def atom_unions(values) -> np.ndarray:
     for v in values:
         out = np.concatenate((out, out | v))
     return out
+
+
+def masks_where(holds: np.ndarray) -> np.ndarray:
+    """The masks x with ``holds[x]``, ascending, as a read-only int64 array:
+    the form of every result that is a set of propositions."""
+    masks = np.flatnonzero(holds).astype(np.int64, copy=False)
+    masks.flags.writeable = False
+    return masks

@@ -208,7 +208,7 @@ def cmd_common(args) -> int:
     exit_code = _attach_oracle(args, payload, t)
     lines = []
     if args.format == "text":
-        lines = [f"common language: {len(common.members)} members"]
+        lines = [f"common language: {len(common.masks)} members"]
         lines.extend(f"  {entry['host']}  <->  {entry['partner']}"
                      for entry in table["members"])
     _emit(args, payload, lines)

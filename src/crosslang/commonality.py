@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Prop, atom_unions
+from .algebra import Algebra, Prop, atom_unions, masks_where
 from .errors import (
     CharacterizationMismatchError,
     DegenerateCommonLanguageError,
@@ -21,83 +21,66 @@ def _direction(side: int) -> tuple[str, str]:
     return ("1>2", "2>1") if side == 1 else ("2>1", "1>2")
 
 
-def perfect_translations(t: Translation, side: int) -> set[Prop]:
-    """Propositions translated without ambiguity.
+def _recovered(t: Translation, side: int, there: str, back: str) -> np.ndarray:
+    """Per source mask: whether the round trip through the other language,
+    by the ``there`` operator and then the ``back`` one, returns it."""
+    fwd, rev = _direction(side)
+    image = t.array(fwd, there)[:-1]
+    return t.array(rev, back)[image] == np.arange(len(image))
+
+
+def perfect_translations(t: Translation, side: int) -> np.ndarray:
+    """Masks of the propositions translated without ambiguity, ascending.
 
     Four characterizations must coincide: inner equals outer, existence of a
     mutually implied partner, and recovery under each double outer / double
     inner round trip.  A mismatch can only mean a bug or an inconsistent
     translation, never a valid state.
     """
-    src, _ = t.endpoints(_direction(side)[0])
-    return {Prop(src, int(m)) for m in np.flatnonzero(_perfect_mask(t, side))}
-
-
-def _perfect_mask(t: Translation, side: int) -> np.ndarray:
-    """Membership in the perfect set, indexed by mask; see
-    ``perfect_translations``."""
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
-    fwd, back = _direction(side)
-    src, _ = t.endpoints(fwd)
-    inner_f = t.array(fwd, "inner")
-    outer_f = t.array(fwd, "outer")
-    inner_b = t.array(back, "inner")
-    outer_b = t.array(back, "outer")
-    n = src.full_mask + 1
-    lam = np.arange(n, dtype=np.int64)
-
-    set_a = inner_f[:n] == outer_f[:n]
-
+    fwd, _ = _direction(side)
+    inner = t.array(fwd, "inner")[:-1]
+    outer = t.array(fwd, "outer")[:-1]
+    set_a = inner == outer
     # some η lies between outer and inner iff outer is defined and under inner
-    set_b = (outer_f[:n] != -1) & ((outer_f[:n] & ~inner_f[:n]) == 0)
-    set_c = outer_b[outer_f[:n]] == lam
-    set_d = inner_b[inner_f[:n]] == lam
-
-    if not (np.array_equal(set_a, set_b) and np.array_equal(set_a, set_c)
-            and np.array_equal(set_a, set_d)):
+    set_b = (outer != -1) & ((outer & ~inner) == 0)
+    if not (np.array_equal(set_a, set_b)
+            and np.array_equal(set_a, _recovered(t, side, "outer", "outer"))
+            and np.array_equal(set_a, _recovered(t, side, "inner", "inner"))):
         raise CharacterizationMismatchError(
             "the characterizations of the perfect set disagree"
         )
-    return set_a
+    return masks_where(set_a)
 
 
-def fixed_points(t: Translation, side: int) -> set[Prop]:
-    """Propositions recovered exactly by both round trips through the
-    other language; contains the perfect set, often strictly."""
+def fixed_points(t: Translation, side: int) -> np.ndarray:
+    """Masks of the propositions recovered exactly by both round trips
+    through the other language, ascending; a superset of the perfect set,
+    often strict."""
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
-    fwd, back = _direction(side)
-    src, _ = t.endpoints(fwd)
-    inner_f = t.array(fwd, "inner")
-    outer_f = t.array(fwd, "outer")
-    inner_b = t.array(back, "inner")
-    outer_b = t.array(back, "outer")
-    n = src.full_mask + 1
-    lam = np.arange(n, dtype=np.int64)
-    fixed = (outer_b[inner_f[:n]] == lam) & (inner_b[outer_f[:n]] == lam)
-    return {Prop(src, int(m)) for m in np.flatnonzero(fixed)}
+    return masks_where(_recovered(t, side, "inner", "outer")
+                       & _recovered(t, side, "outer", "inner"))
 
 
 @dataclass
 class CommonLanguage:
-    """The perfect set hosted in one algebra, with its partner bijection."""
+    """The perfect set hosted in one algebra, as its member masks (ascending)
+    and their partners' masks, both read-only int64 arrays."""
 
     host: Algebra
     partner_algebra: Algebra
-    members: tuple[Prop, ...]
-    partner: dict[Prop, Prop]
+    masks: np.ndarray
+    partners: np.ndarray
 
     @property
     def top(self) -> Prop:
-        return self.members[-1]
+        return Prop(self.host, int(self.masks[-1]))
 
     @property
     def bottom(self) -> Prop:
-        return self.members[0]
-
-    def embed(self, side_of_host: bool, member: Prop) -> Prop:
-        return member if side_of_host else self.partner[member]
+        return Prop(self.host, int(self.masks[0]))
 
     def to_dict(self) -> dict:
         host, partner = self.host.formula_texts(), self.partner_algebra.formula_texts()
@@ -105,12 +88,12 @@ class CommonLanguage:
             "schema_version": 1,
             "host": self.host.name,
             "partner": self.partner_algebra.name,
-            "size": len(self.members),
-            "top": host[self.top.mask],
-            "bottom": host[self.bottom.mask],
+            "size": len(self.masks),
+            "top": host[self.masks[-1]],
+            "bottom": host[self.masks[0]],
             "members": [
-                {"host": host[m.mask], "partner": partner[self.partner[m].mask]}
-                for m in self.members
+                {"host": host[m], "partner": partner[p]}
+                for m, p in zip(self.masks.tolist(), self.partners.tolist())
             ],
         }
 
@@ -121,26 +104,17 @@ def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
     Verifies the closure laws (meets, relative complements, distinct top and
     bottom) and that the partner bijection preserves implication both ways.
     """
-    src, dst = t.endpoints(_direction(host_side)[0])
-    masks, partner_masks = _common_masks(t, host_side)
-    members = tuple(Prop(src, m) for m in masks.tolist())
-    partner = {m: Prop(dst, v) for m, v in zip(members, partner_masks.tolist())}
-    return CommonLanguage(src, dst, members, partner)
-
-
-def _common_masks(t: Translation, host_side: int) -> tuple[np.ndarray, np.ndarray]:
-    """The members of the common language, ascending, and their partners;
-    raises as ``common_language`` does."""
     fwd, _ = _direction(host_side)
-    src, _ = t.endpoints(fwd)
-    masks = np.flatnonzero(_perfect_mask(t, host_side)).astype(np.int64)
+    src, dst = t.endpoints(fwd)
+    masks = perfect_translations(t, host_side)
     if len(masks) < 2:
         raise DegenerateCommonLanguageError(
             "only the contradiction translates exactly"
         )
-    partner_masks = t.array(fwd, "outer")[masks]
-    _check_common(masks, partner_masks, src.full_mask)
-    return masks, partner_masks
+    partners = t.array(fwd, "outer")[masks]
+    partners.flags.writeable = False
+    _check_common(masks, partners, src.full_mask)
+    return CommonLanguage(src, dst, masks, partners)
 
 
 def _check_common(masks: np.ndarray, partners: np.ndarray, full: int) -> None:
@@ -252,9 +226,10 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
         )
 
     try:
-        masks, partners = _common_masks(t, host_side=1)
+        common = common_language(t, host_side=1)
     except DegenerateCommonLanguageError:
         return report
+    masks, partners = common.masks, common.partners
     a1, a2 = t.algebra1, t.algebra2
     ev1, ev2 = space.event_array(1), space.event_array(2)
     target = ev1[masks]
@@ -330,7 +305,7 @@ def classify_awareness(t: Translation, space: JointStateSpace) -> AwarenessVerdi
         included = all(sum(b for b in atoms[j] if b & ~a == 0) == a for a in atoms[i])
         coarsening = included and tops[i] == tops[j]
         restriction = set(atoms[i]) == {b & tops[i] for b in atoms[j]} - {0}
-        perfect_total = bool(_perfect_mask(t, i).all())
+        perfect_total = len(perfect_translations(t, i)) == space.algebra(i).full_mask + 1
         d = f"{i}>{j}"
         inner = t.array(d, "inner")
         outer = t.array(d, "outer")

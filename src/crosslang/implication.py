@@ -135,15 +135,21 @@ class CrossImplication:
         return total
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CrossImplication)
-            and self.algebra1.name == other.algebra1.name
-            and self.algebra2.name == other.algebra2.name
-            and np.array_equal(self.rows12, other.rows12)
-            and np.array_equal(self.rows21, other.rows21)
-            and self.extra1 == other.extra1
-            and self.extra2 == other.extra2
-        )
+        """Principal rows are the up-sets of their meets, and no other row
+        equals one, so dense rows are compared only when neither relation is
+        principal."""
+        if not (isinstance(other, CrossImplication)
+                and self.algebra1.name == other.algebra1.name
+                and self.algebra2.name == other.algebra2.name
+                and self.extra1 == other.extra1
+                and self.extra2 == other.extra2):
+            return False
+        mine, theirs = self.principal_meets, other.principal_meets
+        if mine is None and theirs is None:
+            mine, theirs = self._dense(), other._dense()
+        elif mine is None or theirs is None:
+            return False
+        return all(map(np.array_equal, mine, theirs))
 
     def __repr__(self):
         return (

@@ -17,11 +17,7 @@ from .errors import (
     InconsistentInputError,
     InvalidWeightsError,
 )
-from .implication import (
-    CrossImplication,
-    implication_from_translation,
-    translation_from_implication,
-)
+from .implication import CrossImplication, translation_from_implication
 from .reports import AxiomCheck, AxiomReport
 from .translation import Translation, first_violation
 
@@ -241,27 +237,45 @@ def _is_order_embedding(ev: np.ndarray) -> bool:
             and bool(((ev[atoms] & ~ev[full ^ atoms]) != 0).all()))
 
 
+def _pulled_back(space: JointStateSpace, frm: int, events: np.ndarray) -> np.ndarray:
+    """The target masks of events that are unions of target atom events, -1
+    kept: bit b is set where the event meets the event of target atom b."""
+    masks = np.zeros_like(events)
+    for b, atom in enumerate(space.atom_events(2 if frm == 1 else 1)):
+        masks |= np.where((events & atom) != 0, np.int64(1) << b, 0)
+    return np.where(events == -1, np.int64(-1), masks)
+
+
 def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
     """Check the three equivalent readings of one translation against a
     joint state-space: implication as event containment, the set
     approximation as the conjugated operators, and the operators as the
-    conjugated approximation."""
+    conjugated approximation.
+
+    A consistent translation implies the up-set of each outer image.  Target
+    events are unions of disjoint, nonempty atom events, so the event of λ
+    lies inside the event of η iff η is in the up-set of its outer set
+    approximation pulled back to a mask.  So each reading compares two
+    arrays, and a witness comes from the first row where they differ."""
     if not t.is_consistent():
         raise InconsistentInputError("translation fails its axioms")
-    r = implication_from_translation(t)
     sem = sigma_approximation(space)
     report = AxiomReport()
 
     witness = None
-    for frm, to, rows in ((1, 2, r.rows12), (2, 1, r.rows21)):
-        src_ev = space.event_array(frm)
-        dst_ev = space.event_array(to)
-        claimed = rows[:len(src_ev), :len(dst_ev)]
-        actual = (src_ev[:, None] & ~dst_ev[None, :]) == 0
-        bad = np.argwhere(claimed != actual)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            witness = (Prop(space.algebra(frm), i), Prop(space.algebra(to), j))
+    for frm, to in ((1, 2), (2, 1)):
+        claimed = t.array(f"{frm}>{to}", "outer")[:-1]
+        actual = _pulled_back(space, frm, sem.outer_array(frm))
+        row = np.flatnonzero(claimed != actual)[:1]
+        if row.size:
+            src, dst = space.algebra(frm), space.algebra(to)
+            # η lies in the up-set of one side's value only (-1 has none)
+            i, j = first_violation(
+                row, np.arange(dst.full_mask + 1, dtype=np.int64),
+                lambda x, y: ((claimed[x] & ~y) == 0) & (claimed[x] != -1)
+                != ((actual[x] & ~y) == 0) & (actual[x] != -1),
+            )
+            witness = (Prop(src, i), Prop(dst, j))
             break
     for side in (1, 2):
         ev = space.event_array(side)
@@ -283,30 +297,18 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
     ):
         witness = None
         for frm, to in ((1, 2), (2, 1)):
-            src_ev = space.event_array(frm)
-            dst_ev = space.event_array(to)
-            direction = f"{frm}>{to}"
             for mode in ("inner", "outer"):
-                t_vals = t.array(direction, mode)[:len(src_ev)]
+                t_vals = t.array(f"{frm}>{to}", mode)[:-1]
                 sem_vals = (sem.inner_array(frm) if mode == "inner"
                             else sem.outer_array(frm))
-                safe = np.where(t_vals == -1, 0, t_vals)
-                expected = np.where(t_vals == -1, np.int64(-1), dst_ev[safe])
                 if conjugate:
-                    bad = np.flatnonzero(sem_vals != expected)
+                    dst_ev = space.event_array(to)
+                    bad = sem_vals != np.where(t_vals == -1, np.int64(-1), dst_ev[t_vals])
                 else:
-                    # pull the approximation back through the valuations
-                    table = {int(v): m for m, v in enumerate(dst_ev)}
-                    pulled = np.array(
-                        [-1 if int(v) == -1 else table[int(v)] for v in sem_vals],
-                        dtype=np.int64,
-                    )
-                    bad = np.flatnonzero(pulled != t_vals)
-                if bad.size:
-                    witness = (Prop(space.algebra(frm), int(bad[0])),)
-                    break
-            if witness is not None:
-                break
+                    # pull the approximation back through the atom events
+                    bad = _pulled_back(space, frm, sem_vals) != t_vals
+                if witness is None and bad.any():
+                    witness = (Prop(space.algebra(frm), int(bad.argmax())),)
         report.checks.append(
             AxiomCheck(name, witness is None, () if witness is None else (witness,))
         )

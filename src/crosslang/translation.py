@@ -16,8 +16,8 @@ from .algebra import (
     Star,
     StarProp,
     atom_unions,
-    cover_pairs,
     implies,
+    masks_where,
     meet,
     negate,
     sweep,
@@ -341,31 +341,33 @@ def _preservation_violation(src: Algebra, vals: np.ndarray, kind: str):
 def _monotone_violation(src: Algebra, vals: np.ndarray):
     """The first ordered pair whose images are out of order, or None.  The
     star is above every argument, below none but itself, and its image is
-    the top value -1, so it is enough to test the covers of the masks."""
-    if all(((lower & ~upper) == 0).all() for lower, upper in cover_pairs(vals[:-1])):
+    the top value -1, so only a mask row x can fail: when its image is not
+    under the meet of the images above it (one superset sweep)."""
+    above = vals[:-1].copy()
+    sweep(above, np.bitwise_and, up=True)
+    row = np.flatnonzero((vals[:-1] & ~above) != 0)[:1]
+    if not row.size:
         return None
-    slots = src.slots()
     return _pair_witness(src, first_violation(
-        slots, slots, lambda x, y: ((x & ~y) == 0) & ((vals[x] & ~vals[y]) != 0)))
+        row, src.slots(), lambda x, y: ((x & ~y) == 0) & ((vals[x] & ~vals[y]) != 0)))
 
 
 def _ideal_violation(src: Algebra, vals: np.ndarray):
-    """The approximable set must be a downset closed under joins.
-
-    It is one iff it is downward closed over covers and either empty or
-    holding its own join.  The witness is the first down-set violation in
-    row-major order or, when there is none, the first join violation.
-    """
+    """The approximable set must be a downset closed under joins: no mask
+    outside it may have an approximable mask above it (one superset sweep),
+    and it must be empty or hold its own join.  The witness is the first
+    down-set violation, row-major, else the first join violation."""
     n = src.full_mask + 1
     approx = vals[:n] != -1
-    down = not any((upper & ~lower).any() for lower, upper in cover_pairs(approx))
-    closed = not approx.any() or approx[np.bitwise_or.reduce(np.flatnonzero(approx))]
-    if down and closed:
-        return None
     lam = np.arange(n, dtype=np.int64)
-    if not down:
+    any_above = approx.copy()
+    sweep(any_above, np.bitwise_or, up=True)
+    row = np.flatnonzero(~approx & any_above)[:1]
+    if row.size:
         return _pair_witness(src, first_violation(
-            lam, lam, lambda x, y: ((x & ~y) == 0) & ~approx[x] & approx[y]))
+            row, lam, lambda x, y: ((x & ~y) == 0) & ~approx[x] & approx[y]))
+    if not approx.any() or approx[np.bitwise_or.reduce(lam[approx])]:
+        return None
     return _pair_witness(src, first_violation(
         lam, lam, lambda x, y: approx[x] & approx[y] & ~approx[x | y]))
 
@@ -415,8 +417,7 @@ def check_derived_properties(t: Translation) -> AxiomReport:
     return report
 
 
-def approximable_set(t: Translation, direction: str, mode: str = "outer") -> set[Prop]:
-    """Propositions whose image is defined (not star)."""
-    src, _ = t.endpoints(direction)
-    vals = t.array(direction, mode)
-    return {Prop(src, m) for m in range(src.full_mask + 1) if vals[m] != -1}
+def approximable_set(t: Translation, direction: str) -> np.ndarray:
+    """Masks of the propositions whose outer image is defined (not star),
+    ascending."""
+    return masks_where(t.array(direction, "outer")[:-1] != -1)

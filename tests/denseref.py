@@ -7,9 +7,12 @@ end builds matrix products, as the library did before its lattice sweeps.
 The analysis code after them builds the set approximations with one
 vector operation per target event, renders a joint state-space with one
 ``formula_text`` call per proposition, checks a common language with one
-pass per member and compares event fields as sets of every event, as the library did before it worked from atom events and
-blocks.  The differential suites require identical reports, witnesses
-included, from both.
+pass per member, compares event fields as sets of every event and checks
+Proposition 2 on the dense implication rows, as the library did before it
+worked from atom events and blocks.  The set-valued results (perfect set,
+fixed points, approximable set, common language) are built as sets and
+dicts of ``Prop``, as before they became mask arrays.  The differential
+suites require identical reports, witnesses included, from both.
 """
 
 from dataclasses import dataclass
@@ -31,9 +34,10 @@ from crosslang import (
 )
 from crosslang.algebra import Algebra
 from crosslang.hasse import _hasse_lines
-from crosslang.implication import _SLOW_CLOSE_LIMIT
+from crosslang.implication import _SLOW_CLOSE_LIMIT, implication_from_translation
 from crosslang.reports import AxiomCheck, AxiomReport
-from crosslang.translation import Translation, with_star
+from crosslang.semantics import JointStateSpace, _is_order_embedding, sigma_approximation
+from crosslang.translation import Translation, first_violation, with_star
 
 _CHUNK = 512
 
@@ -261,8 +265,9 @@ def joint_embeddings(t, space):
     if common is not None:
         diagram_witness = None
         legs_witness = None
-        for m in common.members:
-            partner = common.partner[m]
+        a1, a2 = t.algebra1, t.algebra2
+        for m, partner in zip(common.masks.tolist(), common.partners.tolist()):
+            m, partner = Prop(a1, m), Prop(a2, partner)
             target = space.valuation(m)
             if space.valuation(partner) != target:
                 diagram_witness = diagram_witness or (m, partner)
@@ -442,6 +447,157 @@ def order_embedding_witness(space):
     return witness
 
 
+def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
+    """Check the three equivalent readings of one translation against a
+    joint state-space: implication as event containment, the set
+    approximation as the conjugated operators, and the operators as the
+    conjugated approximation."""
+    if not t.is_consistent():
+        raise InconsistentInputError("translation fails its axioms")
+    r = implication_from_translation(t)
+    sem = sigma_approximation(space)
+    report = AxiomReport()
+
+    witness = None
+    for frm, to, rows in ((1, 2, r.rows12), (2, 1, r.rows21)):
+        src_ev = space.event_array(frm)
+        dst_ev = space.event_array(to)
+        claimed = rows[:len(src_ev), :len(dst_ev)]
+        actual = (src_ev[:, None] & ~dst_ev[None, :]) == 0
+        bad = np.argwhere(claimed != actual)
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            witness = (Prop(space.algebra(frm), i), Prop(space.algebra(to), j))
+            break
+    for side in (1, 2):
+        ev = space.event_array(side)
+        if witness is None and not _is_order_embedding(ev):
+            masks = np.arange(len(ev), dtype=np.int64)
+            i, j = first_violation(
+                masks, masks,
+                lambda x, y: ((x & ~y) == 0) != ((ev[x] & ~ev[y]) == 0),
+            )
+            witness = (Prop(space.algebra(side), i), Prop(space.algebra(side), j))
+    report.checks.append(
+        AxiomCheck("implication-matches-containment", witness is None,
+                   () if witness is None else (witness,))
+    )
+
+    for name, conjugate in (
+        ("semantic-from-syntactic", True),
+        ("syntactic-from-semantic", False),
+    ):
+        witness = None
+        for frm, to in ((1, 2), (2, 1)):
+            src_ev = space.event_array(frm)
+            dst_ev = space.event_array(to)
+            direction = f"{frm}>{to}"
+            for mode in ("inner", "outer"):
+                t_vals = t.array(direction, mode)[:len(src_ev)]
+                sem_vals = (sem.inner_array(frm) if mode == "inner"
+                            else sem.outer_array(frm))
+                safe = np.where(t_vals == -1, 0, t_vals)
+                expected = np.where(t_vals == -1, np.int64(-1), dst_ev[safe])
+                if conjugate:
+                    bad = np.flatnonzero(sem_vals != expected)
+                else:
+                    # pull the approximation back through the valuations
+                    table = {int(v): m for m, v in enumerate(dst_ev)}
+                    pulled = np.array(
+                        [-1 if int(v) == -1 else table[int(v)] for v in sem_vals],
+                        dtype=np.int64,
+                    )
+                    bad = np.flatnonzero(pulled != t_vals)
+                if bad.size:
+                    witness = (Prop(space.algebra(frm), int(bad[0])),)
+                    break
+            if witness is not None:
+                break
+        report.checks.append(
+            AxiomCheck(name, witness is None, () if witness is None else (witness,))
+        )
+    return report
+
+
+# --- set-valued analysis results --------------------------------------------------
+#
+# ``perfect_translations``, ``fixed_points``, ``approximable_set`` and the
+# common language as the library built them before they became mask arrays:
+# sets, tuples and dicts of ``Prop`` from one loop over every mask.  The
+# common language is checked with the pairwise ``common_checks``.
+
+
+def _direction(side):
+    return ("1>2", "2>1") if side == 1 else ("2>1", "1>2")
+
+
+def perfect_set(t, side):
+    """Propositions translated without ambiguity; raises when the four
+    characterizations disagree."""
+    if not t.is_consistent():
+        raise InconsistentInputError("translation fails its axioms")
+    fwd, back = _direction(side)
+    src, _ = t.endpoints(fwd)
+    inner_f = t.array(fwd, "inner")
+    outer_f = t.array(fwd, "outer")
+    inner_b = t.array(back, "inner")
+    outer_b = t.array(back, "outer")
+    n = src.full_mask + 1
+    lam = np.arange(n, dtype=np.int64)
+
+    set_a = inner_f[:n] == outer_f[:n]
+    set_b = (outer_f[:n] != -1) & ((outer_f[:n] & ~inner_f[:n]) == 0)
+    set_c = outer_b[outer_f[:n]] == lam
+    set_d = inner_b[inner_f[:n]] == lam
+
+    if not (np.array_equal(set_a, set_b) and np.array_equal(set_a, set_c)
+            and np.array_equal(set_a, set_d)):
+        raise CharacterizationMismatchError(
+            "the characterizations of the perfect set disagree"
+        )
+    return {Prop(src, int(m)) for m in np.flatnonzero(set_a)}
+
+
+def fixed_point_set(t, side):
+    """Propositions recovered exactly by both round trips."""
+    if not t.is_consistent():
+        raise InconsistentInputError("translation fails its axioms")
+    fwd, back = _direction(side)
+    src, _ = t.endpoints(fwd)
+    inner_f = t.array(fwd, "inner")
+    outer_f = t.array(fwd, "outer")
+    inner_b = t.array(back, "inner")
+    outer_b = t.array(back, "outer")
+    n = src.full_mask + 1
+    lam = np.arange(n, dtype=np.int64)
+    fixed = (outer_b[inner_f[:n]] == lam) & (inner_b[outer_f[:n]] == lam)
+    return {Prop(src, int(m)) for m in np.flatnonzero(fixed)}
+
+
+def approximable_props(t, direction, mode="outer"):
+    """Propositions whose image is defined (not star)."""
+    src, _ = t.endpoints(direction)
+    vals = t.array(direction, mode)
+    return {Prop(src, m) for m in range(src.full_mask + 1) if vals[m] != -1}
+
+
+def common_members(t, host_side=1):
+    """The common language as a tuple of members, ascending, and a partner
+    dict; raises as ``common_language`` does."""
+    fwd, _ = _direction(host_side)
+    src, dst = t.endpoints(fwd)
+    masks = np.array(sorted(p.mask for p in perfect_set(t, host_side)), dtype=np.int64)
+    if len(masks) < 2:
+        raise DegenerateCommonLanguageError(
+            "only the contradiction translates exactly"
+        )
+    partner_masks = t.array(fwd, "outer")[masks]
+    common_checks(masks, partner_masks, src.full_mask)
+    members = tuple(Prop(src, m) for m in masks.tolist())
+    partner = {m: Prop(dst, v) for m, v in zip(members, partner_masks.tolist())}
+    return members, partner
+
+
 # --- the implication relation ----------------------------------------------------
 #
 # ``close`` runs the down/up sweeps to a fixpoint and tests the result against
@@ -473,6 +629,19 @@ class DenseRelation:
         if sx == sy:
             return implies(x, y) or (i, j) in (self.extra1 if sx == 1 else self.extra2)
         return bool((self.rows12 if sx == 1 else self.rows21)[i, j])
+
+
+def relations_equal(r, s) -> bool:
+    """``CrossImplication.__eq__`` on dense rows, for every relation."""
+    return (
+        isinstance(s, CrossImplication)
+        and r.algebra1.name == s.algebra1.name
+        and r.algebra2.name == s.algebra2.name
+        and np.array_equal(r.rows12, s.rows12)
+        and np.array_equal(r.rows21, s.rows21)
+        and r.extra1 == s.extra1
+        and r.extra2 == s.extra2
+    )
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -353,8 +353,9 @@ def test_common_language_at_fourteen_models_needs_no_pairwise_scan(tmp_path, mon
     monkeypatch.setattr(commonality, "_first_pairwise_failure", no_scan)
     t = load_corpus(write_cell_corpus(tmp_path, 14, star=False)).require_translation()
     common = common_language(t)
-    assert len(common.members) == 2**14
-    assert common.partner[common.top] == t.algebra2.top
+    assert len(common.masks) == 2**14
+    assert common.top == t.algebra1.top
+    assert common.partners[-1] == t.algebra2.top.mask
 
 
 def test_joint_above_63_states_exits_two(tmp_path):

@@ -52,36 +52,36 @@ def test_oil_perfect_set_is_thirty_dollar_grid(oil):
     t = oil.require_translation()
     a1 = oil.algebra1
     perfect = perfect_translations(t, 1)
-    assert {p.mask for p in perfect} == thirty_grid_masks(a1)
+    assert perfect.tolist() == sorted(thirty_grid_masks(a1))
     assert len(perfect) == 16
 
 
 def test_fixed_point_gap_perfect_is_only_bounds(fixed_point_gap):
     t = fixed_point_gap.translation
     a1 = fixed_point_gap.algebra1
-    assert perfect_translations(t, 1) == {a1.bottom, a1.top}
+    assert perfect_translations(t, 1).tolist() == [a1.bottom.mask, a1.top.mask]
 
 
 def test_identity_perfect_set_is_everything(twin_pair):
     t = identity_translation(twin_pair)
     a, _ = twin_pair
-    assert perfect_translations(t, 1) == set(a.all_props())
-    assert fixed_points(t, 1) == set(a.all_props())
+    assert perfect_translations(t, 1).tolist() == list(range(a.full_mask + 1))
+    assert fixed_points(t, 1).tolist() == list(range(a.full_mask + 1))
 
 
 def test_fixed_points_strictly_exceed_perfect_set(fixed_point_gap):
     t = fixed_point_gap.translation
     a1 = fixed_point_gap.algebra1
-    perfect = perfect_translations(t, 1)
-    fixed = fixed_points(t, 1)
-    assert a1.denote_text("u") in fixed
-    assert a1.denote_text("u") not in perfect
+    perfect = set(perfect_translations(t, 1).tolist())
+    fixed = set(fixed_points(t, 1).tolist())
+    assert a1.denote_text("u").mask in fixed
+    assert a1.denote_text("u").mask not in perfect
     assert perfect < fixed
 
 
 def test_oil_fixed_points_equal_perfect_set_on_dollar_side(oil):
     t = oil.require_translation()
-    assert fixed_points(t, 1) == perfect_translations(t, 1)
+    assert fixed_points(t, 1).tolist() == perfect_translations(t, 1).tolist()
 
 
 def test_oil_yuan_side_has_non_perfect_fixed_points(oil):
@@ -90,9 +90,11 @@ def test_oil_yuan_side_has_non_perfect_fixed_points(oil):
     t = oil.require_translation()
     a2 = oil.algebra2
     gap_span = a2.denote_text("cny_0_100 | cny_100_200 | cny_400_500")
-    assert gap_span in fixed_points(t, 2)
-    assert gap_span not in perfect_translations(t, 2)
-    assert perfect_translations(t, 2) < fixed_points(t, 2)
+    fixed = set(fixed_points(t, 2).tolist())
+    perfect = set(perfect_translations(t, 2).tolist())
+    assert gap_span.mask in fixed
+    assert gap_span.mask not in perfect
+    assert perfect < fixed
 
 
 def test_perfect_subset_of_fixed_on_random_instances():
@@ -100,19 +102,21 @@ def test_perfect_subset_of_fixed_on_random_instances():
     for _ in range(40):
         t = random_consistent_translation(rng, max_atoms=4)
         for side in (1, 2):
-            assert perfect_translations(t, side) <= fixed_points(t, side)
+            assert (set(perfect_translations(t, side).tolist())
+                    <= set(fixed_points(t, side).tolist()))
 
 
 def test_common_language_oil_pairs(oil):
     t = oil.require_translation()
     a1, a2 = oil.algebra1, oil.algebra2
     common = common_language(t)
-    assert len(common.members) == 16
+    assert len(common.masks) == 16
+    partner = dict(zip(common.masks.tolist(), common.partners.tolist()))
     low = a1.denote_text("usd_0_10 | usd_10_20 | usd_20_30")
-    assert common.partner[low] == a2.denote_text("cny_0_100 | cny_100_200")
+    assert partner[low.mask] == a2.denote_text("cny_0_100 | cny_100_200").mask
     assert common.top == a1.top
-    assert common.partner[common.top] == a2.denote_text(
-        " | ".join(f"cny_{100*i}_{100*i+100}" for i in range(8)))
+    assert partner[common.top.mask] == a2.denote_text(
+        " | ".join(f"cny_{100*i}_{100*i+100}" for i in range(8))).mask
     assert common.bottom == a1.bottom
 
 
@@ -120,8 +124,8 @@ def test_common_language_platypus_table(platypus):
     t = platypus.translation
     a1, a2 = platypus.algebra1, platypus.algebra2
     common = common_language(t)
-    table = {a1.formula_text(m): a2.formula_text(common.partner[m])
-             for m in common.members}
+    table = {a1.formula_text(Prop(a1, m)): a2.formula_text(Prop(a2, p))
+             for m, p in zip(common.masks.tolist(), common.partners.tolist())}
     assert table == {
         "false": "false",
         "mammal_only": "mammal",
@@ -134,7 +138,7 @@ def test_common_language_platypus_table(platypus):
 def test_common_language_fixed_point_gap_is_two_element(fixed_point_gap):
     common = common_language(fixed_point_gap.translation)
     a1 = fixed_point_gap.algebra1
-    assert common.members == (a1.bottom, a1.top)
+    assert common.masks.tolist() == [a1.bottom.mask, a1.top.mask]
 
 
 def test_common_language_degenerate_when_languages_share_nothing():
@@ -145,16 +149,19 @@ def test_common_language_degenerate_when_languages_share_nothing():
         {atom: a2.star for atom in a1.atoms()},
         {atom: a1.star for atom in a2.atoms()},
     )
-    assert perfect_translations(t, 1) == {a1.bottom}
+    assert perfect_translations(t, 1).tolist() == [a1.bottom.mask]
     with pytest.raises(DegenerateCommonLanguageError):
         common_language(t)
 
 
 def test_partner_bijection_is_order_isomorphism(oil):
-    common = common_language(oil.require_translation())
-    for a in common.members:
-        for b in common.members:
-            assert implies(a, b) == implies(common.partner[a], common.partner[b])
+    t = oil.require_translation()
+    common = common_language(t)
+    pairs = [(Prop(t.algebra1, m), Prop(t.algebra2, p))
+             for m, p in zip(common.masks.tolist(), common.partners.tolist())]
+    for a, partner_a in pairs:
+        for b, partner_b in pairs:
+            assert implies(a, b) == implies(partner_a, partner_b)
 
 
 def test_joint_embeddings_platypus_single_state_leg(platypus):
@@ -166,7 +173,8 @@ def test_joint_embeddings_platypus_single_state_leg(platypus):
     common = common_language(t)
     egg = a1.denote_text("egg_only")
     assert bin(space.valuation(egg)).count("1") == 1
-    assert space.valuation(egg) == space.valuation(common.partner[egg])
+    partner = common.partners[common.masks.tolist().index(egg.mask)]
+    assert space.valuation(egg) == space.valuation(Prop(platypus.algebra2, int(partner)))
 
 
 def test_joint_embeddings_identity_all_legs_equal(twin_pair):
@@ -181,7 +189,7 @@ def test_joint_embeddings_oil_sixteen_events(oil):
     report = joint_embeddings(t, space)
     assert report.passed, [c.name for c in report.failures()]
     common = common_language(t)
-    events = {space.valuation(m) for m in common.members}
+    events = {space.valuation(Prop(t.algebra1, m)) for m in common.masks.tolist()}
     assert len(events) == 16
 
 
@@ -232,8 +240,8 @@ def test_galois_restriction_to_perfect_sets_is_order_isomorphism():
     rng = random.Random(53)
     for _ in range(25):
         t = random_consistent_translation(rng, max_atoms=4)
-        perfect1 = perfect_translations(t, 1)
-        perfect2 = perfect_translations(t, 2)
+        perfect1 = {Prop(t.algebra1, m) for m in perfect_translations(t, 1).tolist()}
+        perfect2 = {Prop(t.algebra2, m) for m in perfect_translations(t, 2).tolist()}
         image = {t.apply("1>2", "outer", lam) for lam in perfect1}
         assert image == perfect2
         for lam in perfect1:
@@ -298,14 +306,15 @@ def test_common_language_checks_match_pairwise_reference(monkeypatch):
             continue
         is_perfect = np.zeros(a1.full_mask + 1, dtype=bool)
         is_perfect[sorted(masks)] = True
-        monkeypatch.setattr(commonality, "_perfect_mask", lambda t, side: is_perfect)
+        monkeypatch.setattr(commonality, "perfect_translations",
+                            lambda t, side: np.flatnonzero(is_perfect))
         expected = pairwise_common_checks(t, perfect)
         try:
             common = common_language(t)
             got = None
-            assert [m.mask for m in common.members] == sorted(masks)
-            assert all(common.partner[m] == t.apply("1>2", "outer", m)
-                       for m in common.members)
+            assert common.masks.tolist() == sorted(masks)
+            assert all(Prop(t.algebra2, p) == t.apply("1>2", "outer", Prop(a1, m))
+                       for m, p in zip(common.masks.tolist(), common.partners.tolist()))
         except CharacterizationMismatchError as exc:
             got = str(exc)
         assert got == expected

@@ -1,33 +1,47 @@
 """Differential suite: the analysis layer built from atom events and blocks
 against the per-event, per-proposition and per-member references in
 ``denseref``: set approximations and probability bounds, the rendered joint
-state-space, the awareness verdict, ``formula_texts`` and the
-common-language checks, on generated
-translations of up to six models per side and hand-built member sets."""
+state-space, the awareness verdict, ``formula_texts``, the
+common-language checks, the mask arrays of the lattice-wide results and
+Proposition 2, on generated translations of up to six models per side,
+altered joint state-spaces and hand-built member sets."""
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import denseref
+from conftest import CORPUS
 from crosslang import (
     Algebra,
     CharacterizationMismatchError,
     ContradictionError,
+    CrosslangError,
+    InconsistentInputError,
+    JointStateSpace,
     LanguageSpec,
     Prop,
     SemanticTranslation,
+    approximable_set,
     check_consistency,
     classify_awareness,
+    common_language,
+    fixed_points,
+    implication_from_translation,
     joint_space_from_translation,
+    load_corpus,
+    perfect_translations,
     probability_bounds,
     translation_from_atom_outers,
+    verify_prop2,
 )
 from crosslang.commonality import _check_common, _is_block_embedding
 from crosslang.randgen import (
     cell_algebra,
+    mutate_one_value,
     random_consistent_translation,
     random_formula,
     random_star_prop,
@@ -225,3 +239,144 @@ def test_state_lists_across_blocks():
         ev = rng.integers(0, 2**n_states, size=3 * _STATE_LIST_BLOCK + 7, dtype=np.int64)
         expected = [[s for s in range(n_states) if v >> s & 1] for v in ev.tolist()]
         assert _state_lists(ev, n_states) == expected
+
+
+# --- results as mask arrays, and Proposition 2 ----------------------------------
+
+
+def _outcome_of(fn, *args):
+    """A result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except CrosslangError as exc:
+        return type(exc), str(exc)
+
+
+def _frozen_masks(masks):
+    """An ascending read-only int64 array as a list; fails on any other form."""
+    assert masks.dtype == np.int64 and not masks.flags.writeable
+    assert (np.diff(masks) > 0).all()
+    return masks.tolist()
+
+
+def _sorted_masks(props):
+    return sorted(p.mask for p in props)
+
+
+def assert_results_match_references(t):
+    """Perfect sets, fixed points, approximable sets and the common language
+    as arrays equal the set-built references, errors included."""
+    for side in (1, 2):
+        for fast, ref in ((perfect_translations, denseref.perfect_set),
+                          (fixed_points, denseref.fixed_point_set)):
+            got, expected = _outcome_of(fast, t, side), _outcome_of(ref, t, side)
+            if isinstance(expected, set):
+                assert _frozen_masks(got) == _sorted_masks(expected)
+            else:
+                assert got == expected
+        for direction in ("1>2", "2>1"):
+            assert (_frozen_masks(approximable_set(t, direction))
+                    == _sorted_masks(denseref.approximable_props(t, direction)))
+        expected = _outcome_of(denseref.common_members, t, side)
+        common = _outcome_of(common_language, t, side)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert common == expected
+            continue
+        members, partner = expected
+        assert _frozen_masks(common.masks) == [m.mask for m in members]
+        assert common.partners.dtype == np.int64 and not common.partners.flags.writeable
+        assert common.partners.tolist() == [partner[m].mask for m in members]
+        assert (common.bottom, common.top) == (members[0], members[-1])
+
+
+@st.composite
+def coarsenings(draw):
+    """The left cells as blocks of a random partition of the right cells:
+    each left cell's outer image is its block and each right cell's the
+    cell whose block holds it, so most propositions translate exactly."""
+    m1 = draw(st.integers(1, 5))
+    block_of = draw(st.lists(st.integers(0, m1 - 1), min_size=m1, max_size=6))
+    block_of[:m1] = range(m1)           # no empty block
+    block_of = draw(st.permutations(block_of))
+    a1 = cell_algebra("left", m1, "a")
+    a2 = cell_algebra("right", len(block_of), "b")
+    t = translation_from_atom_outers(
+        a1, a2,
+        {atom: Prop(a2, sum(1 << j for j, b in enumerate(block_of) if 1 << b == atom.mask))
+         for atom in a1.atoms()},
+        {atom: Prop(a1, 1 << block_of[atom.mask.bit_length() - 1]) for atom in a2.atoms()},
+    )
+    assert check_consistency(t).passed
+    return t
+
+
+@st.composite
+def spaces(draw):
+    """A consistent translation with its joint state-space, or with that
+    space's states changed: one side's atoms permuted, a state dropped whose
+    atoms other states keep, or a state added."""
+    t = draw(st.one_of(consistent(), coarsenings()))
+    a1, a2 = t.algebra1, t.algebra2
+    states = list(joint_space_from_translation(t).states)
+    kind = draw(st.sampled_from(["exact", "permuted", "permuted", "drop", "add", "add"]))
+    if kind == "permuted":
+        side = draw(st.sampled_from([0, 1]))
+        perm = draw(st.permutations(range((a1, a2)[side].model_count)))
+        states = [tuple(perm[a] if k == side and a is not None else a
+                        for k, a in enumerate(s)) for s in states]
+    elif kind == "drop":
+        droppable = [i for i, s in enumerate(states)
+                     if all(a is None or sum(o[k] == a for o in states) > 1
+                            for k, a in enumerate(s))]
+        if droppable:
+            del states[draw(st.sampled_from(droppable))]
+    elif kind == "add" and len(states) < 63:
+        pair = (draw(st.one_of(st.none(), st.integers(0, a1.model_count - 1))),
+                draw(st.one_of(st.none(), st.integers(0, a2.model_count - 1))))
+        assume(pair != (None, None))
+        states.insert(draw(st.integers(0, len(states))), pair)
+    return t, JointStateSpace(a1, a2, states)
+
+
+@FUZZ
+@given(st.one_of(consistent(), coarsenings()), st.integers(0, 2**32 - 1))
+def test_result_arrays_match_set_references(t, seed):
+    assert_results_match_references(t)
+    assert_results_match_references(mutate_one_value(random.Random(seed), t))
+    meets = implication_from_translation(t).principal_meets
+    assert meets is not None
+    for got, direction in zip(meets, ("1>2", "2>1")):
+        assert np.array_equal(got, t.array(direction, "outer"))
+
+
+@FUZZ
+@given(spaces())
+def test_verify_prop2_matches_dense_rows(case):
+    t, space = case
+    assert verify_prop2(t, space).to_dict() == denseref.verify_prop2(t, space).to_dict()
+
+
+def test_result_arrays_and_verify_prop2_on_corpora():
+    """Every corpus, with its joint state-space and with one side's first two
+    atoms swapped in it."""
+    failed = 0
+    for path in sorted(CORPUS.iterdir()):
+        t = load_corpus(path).require_translation()
+        assert_results_match_references(t)
+        if not t.is_consistent():
+            lone = ([(i, None) for i in range(t.algebra1.model_count)]
+                    + [(None, j) for j in range(t.algebra2.model_count)])
+            space = JointStateSpace(t.algebra1, t.algebra2, lone)
+            with pytest.raises(InconsistentInputError):
+                verify_prop2(t, space)
+            continue
+        space = joint_space_from_translation(t)
+        for side in (0, 1):
+            swapped = [tuple({0: 1, 1: 0}.get(a, a) if k == side else a
+                             for k, a in enumerate(s)) for s in space.states]
+            for states in (space.states, swapped):
+                probe = JointStateSpace(t.algebra1, t.algebra2, states)
+                report = verify_prop2(t, probe)
+                assert report.to_dict() == denseref.verify_prop2(t, probe).to_dict()
+                failed += not report.passed
+    assert failed   # a swap was caught

@@ -21,6 +21,7 @@ from crosslang import (
 )
 from crosslang.randgen import cell_algebra, random_consistent_translation
 from crosslang.semantics import _is_order_embedding
+from crosslang.translation import _ideal_violation, _monotone_violation, with_star
 
 # consistent translations come from rejection sampling, whose time depends on
 # host load; the data itself is fixed by derandomize
@@ -104,7 +105,7 @@ def test_translation_checkers_match_references(t):
 def test_perfect_translations_match_dense_set_b(t):
     for side in (1, 2):
         dense = np.flatnonzero(denseref.perfect_set_b(t, side))
-        assert sorted(p.mask for p in perfect_translations(t, side)) == dense.tolist()
+        assert perfect_translations(t, side).tolist() == dense.tolist()
 
 
 class Revalued:
@@ -167,3 +168,22 @@ def test_order_embedding_decision_matches_pairwise_scan(case):
     _, space = case
     fast = all(_is_order_embedding(space.event_array(side)) for side in (1, 2))
     assert fast == (denseref.order_embedding_witness(space) is None)
+
+
+def test_monotone_and_down_set_witnesses_at_sixteen_models():
+    """The identity operator on 16 cells with its value at 0xC000 changed:
+    the first failing row is 0x8000, or 0xC000 when the value is the star,
+    past 2^31 pairs of a row-major scan; the witness is read off that row
+    alone."""
+    src = cell_algebra("left", 16, "a")
+    vals = with_star(np.arange(1 << 16, dtype=np.int64))
+
+    def masks(pair):
+        return tuple(x.mask for x in pair)
+
+    vals[0xC000] = 0x4000
+    assert masks(_monotone_violation(src, vals)) == (0x8000, 0xC000)
+    assert _ideal_violation(src, vals) is None
+    vals[0xC000] = -1
+    assert masks(_monotone_violation(src, vals)) == (0xC000, 0xC001)
+    assert masks(_ideal_violation(src, vals)) == (0xC000, 0xC001)

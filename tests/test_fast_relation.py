@@ -2,8 +2,9 @@
 the lazily built dense rows and the cover-sweep cross reduction against the
 matrix-product references in ``denseref`` and the scalar verdicts in
 ``scalarref``, on generated seed sets and relations of up to four models per
-side; then the memory these paths need at 10 and 12 models, and a 16 x 16
-relation that never builds its dense rows."""
+side; then the memory these paths need at 10 and 12 models, a 16 x 16
+relation that never builds its dense rows, and equality of relations
+against a comparison of dense rows."""
 
 import tracemalloc
 
@@ -19,14 +20,17 @@ import crosslang.implication as implication
 from crosslang import (
     AlgebraTooLargeError,
     CrossImplication,
+    JointStateSpace,
     Prop,
     check_implication_axioms,
     close,
     cross_dot,
     format_language,
     implication_from_translation,
+    joint_space_from_translation,
     load_corpus,
     translation_from_implication,
+    verify_prop2,
 )
 from crosslang.corpus import parse_implication_seeds
 from crosslang.hasse import _reduced_cross
@@ -287,3 +291,104 @@ def test_sixteen_cell_identity_relation_never_builds_dense_rows(tmp_path, monkey
     monkeypatch.undo()
     with pytest.raises(AlgebraTooLargeError):
         r.rows12
+
+
+def test_verify_prop2_and_equality_answer_at_fourteen_cells(tmp_path, monkeypatch):
+    """On the 14 x 14 identity pair, whose dense rows (2^28 pairs a
+    direction) are refused, Proposition 2 is checked and relations compare
+    from their meets."""
+    t = load_corpus(write_cell_corpus(tmp_path, 14, star=False)).translation
+
+    def refuse(images):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(implication._Images, "dense_rows", refuse)
+    space = joint_space_from_translation(t)
+    assert verify_prop2(t, space).passed
+    swapped = [(a, {0: 1, 1: 0}.get(b, b)) for a, b in space.states]
+    report = verify_prop2(t, JointStateSpace(t.algebra1, t.algebra2, swapped))
+    # the first model's proposition no longer lies inside its twin's event
+    assert [tuple(x.mask for x in w)
+            for w in report.check("implication-matches-containment").witnesses] \
+        == [(1, 1)]
+    r = implication_from_translation(t)
+    assert r == implication_from_translation(t)
+    fwd, back = r.images
+    # the first model's proposition also implies the contradiction
+    bigger = CrossImplication(r.algebra1, r.algebra2, (np.append(fwd.xs, 1),
+                                                       np.append(fwd.ts, 0)),
+                              (back.xs, back.ts))
+    assert bigger.principal_meets is not None and r != bigger
+
+
+# --- equality ---------------------------------------------------------------------
+
+
+@st.composite
+def relation_pairs(draw):
+    """Two relations on one pair of algebras, each a closure of seeds or raw
+    cross seeds: the second is the first rebuilt from its dense rows, an
+    independent draw, or the first with one more seed."""
+    a1, a2 = draw(algebra_pair())
+    kinds = st.sampled_from([(a1, a2), (a2, a1), (a1, a2), (a2, a1), (a1, a1), (a2, a2)])
+
+    def seeds():
+        return [(_value(src, draw(st.integers(-1, src.full_mask))),
+                 _value(dst, draw(st.integers(-1, dst.full_mask))))
+                for src, dst in draw(st.lists(kinds, max_size=8))]
+
+    def relation():
+        if draw(st.booleans()):
+            return close(seeds(), a1, a2)
+        return CrossImplication(a1, a2, draw(seed_arrays(a1, a2)), draw(seed_arrays(a2, a1)))
+
+    first = relation()
+    how = draw(st.sampled_from(["rebuilt", "other", "one-more"]))
+    if how == "rebuilt":
+        second = CrossImplication(a1, a2, _seeds_of(first.rows12), _seeds_of(first.rows21),
+                                  first.extra1, first.extra2)
+    elif how == "other":
+        second = relation()
+    else:
+        (xs, ts), back = (first.images[0].xs, first.images[0].ts), first.images[1]
+        x, y = draw(st.integers(-1, a1.full_mask)), draw(st.integers(-1, a2.full_mask))
+        second = CrossImplication(a1, a2, (np.append(xs, x), np.append(ts, y)),
+                                  (back.xs, back.ts), first.extra1, first.extra2)
+    return first, second
+
+
+@FUZZ
+@given(relation_pairs())
+def test_equality_matches_dense_rows(pair):
+    r, s = pair
+    assert (r == s) == denseref.relations_equal(r, s)
+    assert (s == r) == denseref.relations_equal(s, r)
+    assert r == r and not r == r.algebra1
+
+
+def test_equality_on_cover_and_narrowed_seed_files(tmp_path):
+    """The 6 x 6 cover seeds and three edits of them: ``a0`` narrowed to
+    ``false`` or moved to ``b1`` (both close with extras), or its seed
+    dropped.  Some rows of the last two are not principal.  Each relation
+    equals its rebuild from dense rows and no other one, as a comparison of
+    dense rows says."""
+    d = write_cover_pair(tmp_path, 6)
+    c = load_corpus(d)
+    cover = (d / "cover.imp").read_text()
+    line = "imp: lang1.a0 => lang2.b0\n"
+    texts = [cover, (d / "narrowed.imp").read_text(),
+             cover.replace(line, "imp: lang1.a0 => lang2.b1\n", 1),
+             cover.replace(line, "", 1)]
+    relations = []
+    for text in texts:
+        r = close(parse_implication_seeds(text, c.algebra1, c.algebra2),
+                  c.algebra1, c.algebra2)
+        rebuilt = CrossImplication(r.algebra1, r.algebra2, _seeds_of(r.rows12),
+                                   _seeds_of(r.rows21), r.extra1, r.extra2)
+        assert r == rebuilt and denseref.relations_equal(r, rebuilt)
+        relations.append(r)
+    assert [r.principal_meets is None for r in relations] == [False, False, True, True]
+    assert [bool(r.extra1) for r in relations] == [False, True, True, False]
+    for r in relations:
+        for s in relations:
+            assert (r == s) == (r is s) == denseref.relations_equal(r, s)
