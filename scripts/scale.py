@@ -6,8 +6,11 @@ with its ``translation.tr``, which ``check-translation`` checks and
 ``translate`` reads to translate ``a0 | a1``; uniform weights; a cover-seed
 file in which every proposition of either side implies its twin; and a
 narrowed copy of it in which ``a0`` implies ``false`` (so the closure
-forces within-language pairs and takes the dense fallback).  It runs each
-of ``COMMANDS`` on that pair, one fresh
+forces within-language pairs and takes the dense fallback).  For each size
+n in ``FREE_SIZES`` it writes the pair of n-atom languages without beliefs
+of ``crosslang.randgen.write_free_corpus`` (2**n models each) with its
+one-line translation and seed files.  It runs each of ``COMMANDS`` on every
+pair (the narrowed seed file only on cell pairs), one fresh
 ``python -m crosslang`` process each, under a wall-clock cap of ``CAP_S``
 seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
 would exhaust the host's memory fails with MemoryError instead).  Each row
@@ -41,9 +44,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from crosslang.randgen import write_cell_corpus  # noqa: E402
+from crosslang.randgen import write_cell_corpus, write_free_corpus  # noqa: E402
 
 SIZES = (8, 10, 12, 14, 16)
+FREE_SIZES = (17, 20)
 COMMANDS = ("check-translation", "translate", "joint", "common", "classify", "bounds",
             "check-implication", "check-implication-narrowed", "export-dot-cross",
             "export-dot-full")
@@ -51,6 +55,8 @@ CAP_S = 60.0
 MEM_CAP_MB = 3072
 SEED_FILES = {"check-implication": "cover.imp",
               "check-implication-narrowed": "narrowed.imp"}
+FREE_SEED_FILES = {"check-implication": "seed.imp"}
+FREE_COMMANDS = tuple(c for c in COMMANDS if c != "check-implication-narrowed")
 NARROWED = ("imp: lang1.a0 => lang2.b0\n", "imp: lang1.a0 => lang2.false\n")
 
 
@@ -71,7 +77,14 @@ def write_pair(path: Path, m: int) -> None:
     (path / SEED_FILES["check-implication-narrowed"]).write_text(cover.replace(*NARROWED, 1))
 
 
-def argv(command: str, corpus: Path) -> list[str]:
+def write_free(path: Path, n: int) -> None:
+    """The n-atom pair without beliefs and a weights file, which the
+    commands refuse the pair before reading."""
+    write_free_corpus(path, n)
+    (path / "weights.json").write_text("[1.0]\n")
+
+
+def argv(command: str, corpus: Path, seed_files: dict) -> list[str]:
     if command == "bounds":
         return ["bounds", str(corpus), str(corpus / "weights.json"), "a0 | a1",
                 "--lang", "1", "--format", "json"]
@@ -80,9 +93,9 @@ def argv(command: str, corpus: Path) -> list[str]:
                 str(corpus / "translation.tr"), "--mode", "translation", "--format", "json"]
     if command == "translate":
         return ["translate", str(corpus), "1>2", "inner", "a0 | a1", "--format", "json"]
-    if command in SEED_FILES:
+    if command in seed_files:
         return ["check", str(corpus / "lang1.lang"), str(corpus / "lang2.lang"),
-                str(corpus / SEED_FILES[command]), "--mode", "implication",
+                str(corpus / seed_files[command]), "--mode", "implication",
                 "--format", "json"]
     if command.startswith("export-dot"):
         return ["export-dot", str(corpus), "--what", "cross",
@@ -138,17 +151,21 @@ def main(argv_in=None) -> int:
                PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1")
     rows = []
     with tempfile.TemporaryDirectory(prefix="crosslang-scale-") as tmp:
-        for m in SIZES:
-            corpus = Path(tmp) / f"cells{m}"
+        pairs = ([("cells", m, write_pair, COMMANDS, SEED_FILES) for m in SIZES]
+                 + [("free", n, write_free, FREE_COMMANDS, FREE_SEED_FILES)
+                    for n in FREE_SIZES])
+        for kind, m, write, commands, seed_files in pairs:
+            corpus = Path(tmp) / f"{kind}{m}"
             corpus.mkdir()
-            write_pair(corpus, m)
-            for command in COMMANDS:
-                row = {"command": command, "m": m,
-                       **run([sys.executable, "-m", "crosslang", *argv(command, corpus)], env)}
+            write(corpus, m)
+            for command in commands:
+                cmd = [sys.executable, "-m", "crosslang", *argv(command, corpus, seed_files)]
+                row = {"command": command, "pair": kind, "m": m, **run(cmd, env)}
                 rows.append(row)
                 print(json.dumps(row), flush=True)
     Path(args.output).write_text(json.dumps({
-        "pair": "identity cell pair, m x m",
+        "pair": "cells: identity cell pair, m x m models; "
+                "free: m atoms without beliefs a side, 2**m models",
         "cap_s": CAP_S,
         "mem_cap_mb": MEM_CAP_MB,
         "python": platform.python_version(),

@@ -8,7 +8,6 @@ derives common languages, awareness comparisons and probability bounds.
 
 from .algebra import (
     Algebra,
-    Model,
     Prop,
     Star,
     StarProp,

@@ -50,39 +50,6 @@ DEFAULT_ATOM_CAP = 20
 ENUMERABLE_MODEL_LIMIT = 16
 
 
-class Model:
-    """One truth assignment, identified by its index into the assignment grid."""
-
-    __slots__ = ("spec", "key")
-
-    def __init__(self, spec: LanguageSpec, key: int):
-        self.spec = spec
-        self.key = key
-
-    def value(self, atom: str) -> int:
-        j = self.spec.elementary.index(atom)
-        return (self.key >> (len(self.spec.elementary) - 1 - j)) & 1
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        n = len(self.spec.elementary)
-        return tuple((self.key >> (n - 1 - j)) & 1 for j in range(n))
-
-    def __repr__(self):
-        bits = "".join(str(v) for v in self.values)
-        return f"Model({bits})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Model)
-            and self.key == other.key
-            and self.spec.name == other.spec.name
-        )
-
-    def __hash__(self):
-        return hash((self.spec.name, self.key))
-
-
 def _atom_column(bit: int, n: int) -> int:
     """Truth column of one elementary proposition over all 2**n assignments."""
     block = ((1 << (1 << bit)) - 1) << (1 << bit)
@@ -118,8 +85,10 @@ def _evaluate(formula: Formula, columns: dict[str, int], full: int) -> int:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def enumerate_models(spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> list[Model]:
-    """All assignments satisfying every belief, in lexicographic atom order."""
+def enumerate_models(spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> np.ndarray:
+    """The keys of all assignments satisfying every belief, ascending, as a
+    read-only int64 array.  Bit n-1-j of a key is the value of atom j, so
+    ascending keys are the lexicographic order in declared atom order."""
     n = len(spec.elementary)
     if n > max_atoms:
         raise AtomCapError(
@@ -134,12 +103,10 @@ def enumerate_models(spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> l
         surviving &= _evaluate(belief, columns, full)
         if surviving == 0:
             raise ContradictionError(f"beliefs of {spec.name!r} admit no model")
-    keys = []
-    while surviving:
-        low = surviving & -surviving
-        keys.append(low.bit_length() - 1)
-        surviving ^= low
-    return [Model(spec, key) for key in keys]
+    # key k survives where bit k of ``surviving`` is set
+    raw = surviving.to_bytes(((1 << n) + 7) // 8, "little")
+    return masks_where(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                     bitorder="little"))
 
 
 class Prop:
@@ -253,23 +220,26 @@ def implies(x: StarProp, y: StarProp) -> bool:
 
 
 class Algebra:
-    """The algebra of one language, ordered by implication, plus its star."""
+    """The algebra of one language, ordered by implication, plus its star.
 
-    def __init__(self, spec: LanguageSpec, models: list[Model]):
-        if not models:
+    ``keys`` are the assignment keys of its models, ascending, as
+    ``enumerate_models`` returns them; model i is bit i of every mask."""
+
+    def __init__(self, spec: LanguageSpec, keys: np.ndarray):
+        if not len(keys):
             raise ContradictionError(f"{spec.name!r} has no models")
         self.spec = spec
         self.name = spec.name
-        self.models = list(models)
-        self.full_mask = (1 << len(models)) - 1
+        self.keys = keys
+        self.full_mask = (1 << len(keys)) - 1
         self.star = Star(self)
+        # bit i of an atom's column is its value in model i
         n = len(spec.elementary)
-        self._columns = {}
-        for j, atom in enumerate(spec.elementary):
-            col = 0
-            for i, model in enumerate(models):
-                col |= ((model.key >> (n - 1 - j)) & 1) << i
-            self._columns[atom] = col
+        self._columns = {
+            atom: int.from_bytes(np.packbits((keys >> (n - 1 - j)) & 1 == 1,
+                                             bitorder="little").tobytes(), "little")
+            for j, atom in enumerate(spec.elementary)
+        }
         self._atom_labels = None
 
     @classmethod
@@ -280,7 +250,7 @@ class Algebra:
 
     @property
     def model_count(self) -> int:
-        return len(self.models)
+        return len(self.keys)
 
     def prop(self, mask: int) -> Prop:
         return Prop(self, mask)
@@ -294,7 +264,7 @@ class Algebra:
         return Prop(self, 0)
 
     def atoms(self) -> list[Prop]:
-        return [Prop(self, 1 << i) for i in range(len(self.models))]
+        return [Prop(self, 1 << i) for i in range(self.model_count)]
 
     def require_enumerable(self) -> None:
         """Refuse lattice-wide work (2**model_count propositions) on big algebras."""
@@ -349,14 +319,14 @@ class Algebra:
                 by_mask.setdefault(col, name)
             labels = []
             n = len(self.spec.elementary)
-            for i, model in enumerate(self.models):
+            for i, key in enumerate(self.keys.tolist()):
                 mask = 1 << i
                 if mask in by_mask:
                     labels.append(by_mask[mask])
                 else:
                     lits = []
                     for j, atom in enumerate(self.spec.elementary):
-                        val = (model.key >> (n - 1 - j)) & 1
+                        val = (key >> (n - 1 - j)) & 1
                         lits.append(atom if val else "!" + atom)
                     labels.append(" & ".join(lits))
             self._atom_labels = labels

@@ -95,16 +95,14 @@ def _oracle_section_for(t) -> tuple[dict, bool]:
     if not t.is_consistent():
         section["status"] = "skipped: translation fails its axioms"
         return section, agree
+    budget = OracleBudget()
     try:
-        for direction in ("1>2", "2>1"):
-            section[f"adjoint:{direction}"] = (
-                bool((brute_adjoint(t, direction) == t.array(direction, "inner")).all())
-            )
-        r = implication_from_translation(t)
         # the brute force refuses over-budget algebras before any work
-        brute = sorted(
-            sorted(repr(x) for x in s) for s in brute_states(r, OracleBudget())
-        )
+        for direction in ("1>2", "2>1"):
+            section[f"adjoint:{direction}"] = bool(
+                (brute_adjoint(t, direction, budget) == t.array(direction, "inner")).all())
+        r = implication_from_translation(t)
+        brute = sorted(sorted(repr(x) for x in s) for s in brute_states(r, budget))
         space = joint_space_from_translation(t)
         fast = sorted(
             (sorted(repr(x) for x in state_set_of(r, pair)) for pair in space.states)

@@ -52,6 +52,8 @@ class CrossImplication:
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
                  seeds12: tuple, seeds21: tuple,
                  extra1: frozenset = frozenset(), extra2: frozenset = frozenset()):
+        algebra1.require_enumerable()   # before allocating 2**model_count images
+        algebra2.require_enumerable()
         if algebra1.name == algebra2.name:
             raise CrossAlgebraError(
                 "the two languages of a relation need distinct names"

@@ -33,6 +33,14 @@ class OracleBudget:
                 f"oracle exceeded its {self.time_limit}s time budget"
             )
 
+    def check_atoms(self, *algebras: Algebra):
+        for algebra in algebras:
+            if algebra.model_count > self.max_atoms:
+                raise BudgetExceededError(
+                    f"{algebra.name!r} has {algebra.model_count} atoms, above the "
+                    f"oracle budget of {self.max_atoms}"
+                )
+
     def check_work(self, estimate: int, what: str):
         if estimate > self.max_subsets:
             raise BudgetExceededError(
@@ -96,12 +104,7 @@ def brute_states(r: CrossImplication, budget: OracleBudget | None = None,
     proposition at all (only the two stars) are not states.
     """
     budget = budget or OracleBudget()
-    for algebra in (r.algebra1, r.algebra2):
-        if algebra.model_count > budget.max_atoms:
-            raise BudgetExceededError(
-                f"{algebra.name!r} has {algebra.model_count} atoms, above the "
-                f"oracle budget of {budget.max_atoms}"
-            )
+    budget.check_atoms(r.algebra1, r.algebra2)
     elements = _lattice_elements(r)
     n = len(elements)
     if method == "auto":
@@ -206,10 +209,14 @@ def state_set_of(r: CrossImplication, pair: tuple[int | None, int | None]) -> fr
     )
 
 
-def brute_adjoint(t: Translation, direction: str) -> np.ndarray:
+def brute_adjoint(t: Translation, direction: str,
+                  budget: OracleBudget | None = None) -> np.ndarray:
     """Recompute an inner operator from the opposite outer by scanning every
     candidate: the image of each proposition is the join of all propositions
     whose outer image implies it.  Same layout as ``Translation.array``."""
+    budget = budget or OracleBudget()
+    budget.check_atoms(t.algebra1, t.algebra2)
+    started = time.monotonic()
     back = "2>1" if direction == "1>2" else "1>2"
     src, dst = t.endpoints(direction)
     outer_back = t.array(back, "outer")
@@ -217,6 +224,7 @@ def brute_adjoint(t: Translation, direction: str) -> np.ndarray:
     eta = np.arange(nd, dtype=np.int64)
     result = np.empty(src.full_mask + 1, dtype=np.int64)
     for lam in range(src.full_mask + 1):
+        budget.check_time(started)
         qualifies = (outer_back[:nd] & ~np.int64(lam)) == 0
         result[lam] = np.bitwise_or.reduce(np.where(qualifies, eta, np.int64(0)))
     return with_star(result)

@@ -43,6 +43,20 @@ def write_cell_corpus(path: Path, n_cells: int, star: bool) -> Path:
     return path
 
 
+def write_free_corpus(path: Path, n_atoms: int) -> Path:
+    """Write into the directory ``path`` two languages of n atoms without
+    beliefs (a0, a1, … and b0, b1, …; 2**n models each), a translation whose
+    one line sends the model with every atom true to its twin, and the
+    one-line seed file ``seed.imp``."""
+    for i, prefix in ((1, "a"), (2, "b")):
+        spec = LanguageSpec(f"lang{i}", tuple(f"{prefix}{k}" for k in range(n_atoms)), ())
+        (path / f"lang{i}.lang").write_text(format_language(spec))
+    every = {prefix: " & ".join(f"{prefix}{k}" for k in range(n_atoms)) for prefix in "ab"}
+    (path / "translation.tr").write_text(f"outer 1>2: {every['a']} => {every['b']}\n")
+    (path / "seed.imp").write_text("imp: lang1.a0 => lang2.b0\n")
+    return path
+
+
 _CELL_CACHE: dict[tuple, Algebra] = {}
 
 

@@ -128,14 +128,14 @@ def translation_from_atom_outers(
     join of all source propositions whose outer image implies the argument,
     which over the atoms collapses to a single sweep.
     """
+    a1.require_enumerable()   # before listing the atoms and 2**model_count slots
+    a2.require_enumerable()
     for algebra, given in ((a1, outer_on_atoms12), (a2, outer_on_atoms21)):
         missing = set(algebra.atoms()) - set(given)
         if missing:
             raise CrosslangError(
                 f"missing outer image for atom of {algebra.name!r}"
             )
-    a1.require_enumerable()   # before allocating 2**model_count entries
-    a2.require_enumerable()
 
     imgs12 = [a2.slot(outer_on_atoms12[atom]) for atom in a1.atoms()]
     imgs21 = [a1.slot(outer_on_atoms21[atom]) for atom in a2.atoms()]

@@ -2,6 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import modelref
 
 from crosslang import (
     Algebra,
@@ -17,7 +21,9 @@ from crosslang import (
     parse_language,
 )
 from crosslang.algebra import atom_unions, bit_pairs, cover_pairs, sweep
-from crosslang.randgen import random_formula
+from crosslang.errors import AlgebraTooLargeError
+from crosslang.language import LanguageSpec
+from crosslang.randgen import make_cell_spec, random_formula
 
 
 def algebra(text):
@@ -41,7 +47,48 @@ def test_atom_cap_enforced():
 
 def test_model_order_is_lexicographic():
     a = algebra("language A\natoms: p q")
-    assert [m.values for m in a.models] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert a.keys.tolist() == [0, 1, 2, 3]
+
+
+@st.composite
+def _specs(draw):
+    """A language of 1-6 atoms whose beliefs are random formulas, sometimes
+    with the cell beliefs (exactly one atom true) among them, so that atoms
+    are labelled by name as well as by literals."""
+    n = draw(st.integers(1, 6))
+    atoms = tuple(f"a{j}" for j in range(n))
+    spec = LanguageSpec("A", atoms, ())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    beliefs = tuple(random_formula(rng, spec, depth=3)
+                    for _ in range(draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        beliefs += make_cell_spec("A", list(atoms)).beliefs
+    return LanguageSpec("A", atoms, beliefs)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ContradictionError, AlgebraTooLargeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_specs())
+def test_models_match_reference(spec):
+    """Keys, model count, atom columns and every proposition's text as
+    before models were held as an array of keys."""
+    keys = _outcome(lambda: modelref.enumerate_models(spec))
+    got = _outcome(lambda: Algebra.from_spec(spec))
+    if not isinstance(keys, list):
+        assert got == keys
+        return
+    assert got.keys.tolist() == keys
+    assert got.keys.dtype == np.int64 and not got.keys.flags.writeable
+    assert got.model_count == len(keys)
+    assert got._columns == modelref.columns(spec, keys)
+    assert _outcome(got.formula_texts) == _outcome(
+        lambda: got.require_enumerable() or modelref.formula_texts(spec, keys))
 
 
 def test_platypus_language_has_three_models(platypus):

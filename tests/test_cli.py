@@ -13,7 +13,7 @@ from conftest import CORPUS, write_cover_pair
 from crosslang import check_consistency, common_language, load_corpus
 from crosslang.cli import main
 from crosslang.oracle import OracleBudget
-from crosslang.randgen import write_cell_corpus
+from crosslang.randgen import write_cell_corpus, write_free_corpus
 from crosslang.translation import galois_pair_holds
 
 
@@ -23,6 +23,15 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def run_main(*args):
+    """``main`` in process, with its exit code and output as ``run_cli``
+    gives them; an exception propagates as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def assert_clean_usage_error(res):
@@ -277,6 +286,27 @@ def test_oracle_budget_refuses_before_the_state_sets(monkeypatch):
     assert json.loads(out.getvalue())["oracle"]["status"].startswith("budget exceeded")
 
 
+def test_oracle_budget_refuses_before_the_adjoint_scan(monkeypatch):
+    """The adjoint scan checks the time budget at every step when it runs,
+    and an over-budget oracle answers without taking one."""
+    steps = []
+    monkeypatch.setattr(OracleBudget, "check_time", lambda self, started: steps.append(1))
+    res = run_main("translate", str(CORPUS / "platypus"), "1>2", "inner", "platypus",
+                   "--oracle", "--format", "json")
+    assert res.returncode == 0 and steps
+
+    def no_scan(self, started):
+        raise AssertionError("adjoint scan entered")
+
+    monkeypatch.setattr(OracleBudget, "check_time", no_scan)
+    monkeypatch.setattr(cli, "OracleBudget", lambda: OracleBudget(max_atoms=1))
+    res = run_main("translate", str(CORPUS / "oil-prices"), "1>2", "inner", "usd_80_90",
+                   "--oracle", "--format", "json")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["oracle"] == {
+        "status": "budget exceeded: 'dollars' has 12 atoms, above the oracle budget of 1"}
+
+
 def test_check_oracle_skips_on_inconsistent_translation():
     base = CORPUS / "adjunction-violation"
     res = run_cli("check", str(base / "lang1.lang"), str(base / "lang2.lang"),
@@ -284,6 +314,46 @@ def test_check_oracle_skips_on_inconsistent_translation():
     assert res.returncode == 1
     payload = json.loads(res.stdout)
     assert payload["oracle"]["status"].startswith("skipped")
+
+
+@pytest.fixture(scope="module")
+def free20(tmp_path_factory):
+    d = write_free_corpus(tmp_path_factory.mktemp("free20"), 20)
+    (d / "weights.json").write_text("[1.0]\n")
+    return d
+
+
+@pytest.mark.parametrize("command", [
+    "check-translation", "translate", "joint", "common", "classify", "bounds",
+    "check-implication", "export-dot-cross", "export-dot-full"])
+def test_every_command_refuses_twenty_free_atoms(free20, command):
+    """2**20 models per language pass the atom cap and are refused by the
+    model cap, with one error line."""
+    d = free20
+    args = {
+        "check-translation": ["check", str(d / "lang1.lang"), str(d / "lang2.lang"),
+                              str(d / "translation.tr")],
+        "translate": ["translate", str(d), "1>2", "inner", "a0 | a1"],
+        "bounds": ["bounds", str(d), str(d / "weights.json"), "a0 | a1", "--lang", "1"],
+        "check-implication": ["check", str(d / "lang1.lang"), str(d / "lang2.lang"),
+                              str(d / "seed.imp"), "--mode", "implication"],
+        "export-dot-cross": ["export-dot", str(d)],
+        "export-dot-full": ["export-dot", str(d), "--full"],
+    }.get(command, [command, str(d)])
+    res = run_main(*args)
+    assert_clean_usage_error(res)
+    assert "1048576 models" in res.stderr
+
+
+@pytest.mark.parametrize("n_atoms", [5, 6])
+def test_relation_refuses_free_atoms_before_its_images(tmp_path, n_atoms):
+    """32 and 64 models are refused before the 2**model_count image vectors
+    of the relation are allocated."""
+    d = write_free_corpus(tmp_path, n_atoms)
+    res = run_main("check", str(d / "lang1.lang"), str(d / "lang2.lang"),
+                   str(d / "seed.imp"), "--mode", "implication")
+    assert_clean_usage_error(res)
+    assert f"{1 << n_atoms} models" in res.stderr
 
 
 def test_check_above_sixteen_models_exits_two(tmp_path):
