@@ -15,15 +15,17 @@ pair (the narrowed seed file only on cell pairs), one fresh
 seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
 would exhaust the host's memory fails with MemoryError instead).  Each row
 records the wall time, the peak RSS of that child process, the bytes it
-printed and its exit code, or ``"timeout"`` when the cap killed it, plus
-the last line of its stderr as ``error`` when there is one.  The sweep never
+printed with the first 16 hex digits of their sha256, and its exit code, or
+``"timeout"`` when the cap killed it, plus the last line of its stderr as
+``error`` when there is one.  The sweep never
 skips a row.
 
     python3 scripts/scale.py                       # writes BENCH_scale.json
     python3 scripts/scale.py --src ../other-checkout/src --output other.json
 
 ``--src`` picks the crosslang source tree the commands run from, so that
-two versions can be compared on the same pairs.  The steady benchmark under
+two versions can be compared on the same pairs: equal ``stdout_sha256``
+digests show byte-identical output, not just equal byte counts.  The steady benchmark under
 ``bench/`` keeps its inputs and bounds fixed; this sweep is for the size
 frontier and is not part of it.
 """
@@ -31,6 +33,7 @@ frontier and is not part of it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -108,12 +111,13 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def run(cmd: list[str], env: dict) -> dict:
+def run(cmd: list[str], env: dict, cwd: Path) -> dict:
     """One child process: wall time, its own peak RSS (from ``wait4``), the
-    bytes it printed, its exit code or ``timeout``, and its last stderr line."""
+    bytes it printed and their digest, its exit code or ``timeout``, and its
+    last stderr line."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
-        child = subprocess.Popen(cmd, stdout=out, stderr=err, env=env,
+        child = subprocess.Popen(cmd, stdout=out, stderr=err, env=env, cwd=cwd,
                                  preexec_fn=_cap_memory)
         deadline = started + CAP_S
         while True:
@@ -129,11 +133,15 @@ def run(cmd: list[str], env: dict) -> dict:
             time.sleep(0.01)
         wall = time.perf_counter() - started
         child.returncode = code   # reaped here; keeps Popen from waiting again
+        size = out.tell()
+        out.seek(0)
+        digest = hashlib.file_digest(out, "sha256").hexdigest()[:16]
         err.seek(0)
         stderr = err.read().decode("utf-8", "replace").strip().splitlines()
         row = {"wall_s": round(wall, 3),
                "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-               "output_bytes": out.tell(),
+               "output_bytes": size,
+               "stdout_sha256": digest,
                "exit": code}
         if stderr:
             row["error"] = stderr[-1][:200]
@@ -150,17 +158,20 @@ def main(argv_in=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1")
     rows = []
-    with tempfile.TemporaryDirectory(prefix="crosslang-scale-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="crosslang-scale-") as tmp_name:
+        tmp = Path(tmp_name)
         pairs = ([("cells", m, write_pair, COMMANDS, SEED_FILES) for m in SIZES]
                  + [("free", n, write_free, FREE_COMMANDS, FREE_SEED_FILES)
                     for n in FREE_SIZES])
         for kind, m, write, commands, seed_files in pairs:
-            corpus = Path(tmp) / f"{kind}{m}"
-            corpus.mkdir()
-            write(corpus, m)
+            # the commands name the pair relative to the scratch directory, so
+            # that the input paths in their reports are the same on every run
+            corpus = Path(f"{kind}{m}")
+            (tmp / corpus).mkdir()
+            write(tmp / corpus, m)
             for command in commands:
                 cmd = [sys.executable, "-m", "crosslang", *argv(command, corpus, seed_files)]
-                row = {"command": command, "pair": kind, "m": m, **run(cmd, env)}
+                row = {"command": command, "pair": kind, "m": m, **run(cmd, env, tmp)}
                 rows.append(row)
                 print(json.dumps(row), flush=True)
     Path(args.output).write_text(json.dumps({

@@ -44,6 +44,7 @@ from .hasse import algebra_dot, cross_dot
 from .implication import implication_from_translation, translation_from_implication
 from .language import parse_formula
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
+from .reports import dumps
 from .semantics import joint_space_from_translation, probability_bounds
 from .translation import check_consistency
 
@@ -59,7 +60,7 @@ def _digest(path: Path) -> dict:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = dumps(payload) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if args.output:

@@ -8,26 +8,46 @@ from .algebra import Algebra, cover_pairs
 from .implication import CrossImplication
 
 
-def _node_id(side: int, mask: int) -> str:
-    return f"n{side}_{mask}"
+_STYLE = "color=forestgreen, style=bold"
+_BLOCK = 1 << 16  # lines joined into one string at a time
 
 
-def _hasse_lines(algebra: Algebra, side: int) -> list[str]:
-    ids = [_node_id(side, mask) for mask in range(algebra.full_mask + 1)]
-    lines = [f'  {node} [label="{label}"];'
+def _ids(side: int, count: int) -> list[str]:
+    return [f"n{side}_{mask}" for mask in range(count)]
+
+
+def _lines(heads: list[str], tails: list[str], src: np.ndarray,
+           dst: np.ndarray) -> list[str]:
+    """The lines ``heads[src[k]] + tails[dst[k]]``, joined a block of lines
+    to a string: a full diagram has millions of arrows, and no string per
+    line is ever made."""
+    blocks = []
+    for lo in range(0, len(src), _BLOCK):
+        block_src, block_dst = src[lo:lo + _BLOCK].tolist(), dst[lo:lo + _BLOCK].tolist()
+        parts = [""] * (2 * len(block_src))
+        parts[0::2] = map(heads.__getitem__, block_src)
+        parts[1::2] = map(tails.__getitem__, block_dst)
+        blocks.append("".join(parts))
+    return blocks
+
+
+def _cluster(algebra: Algebra, ids: list[str], indent: str) -> str:
+    """The node and cover-edge lines of one algebra's Hasse diagram, each
+    starting with ``indent``, as one string; ``ids`` names the nodes by
+    mask."""
+    nodes = [f'{indent}{node} [label="{label}"];\n'
              for node, label in zip(ids, algebra.formula_texts())]
-    lines.extend(f"  {node} -> {ids[mask | 1 << i]};"
-                 for mask, node in enumerate(ids)
-                 for i in range(algebra.model_count) if not mask >> i & 1)
-    return lines
+    # covers by source mask, then by the bit added
+    src, bit = np.nonzero((np.arange(len(ids))[:, None] >> np.arange(algebra.model_count)
+                           & 1) == 0)
+    return "".join(nodes + _lines([f"{indent}{node} -> " for node in ids],
+                                  [f"{node};\n" for node in ids], src, src | 1 << bit))
 
 
 def algebra_dot(algebra: Algebra, side: int = 1) -> str:
     """The cover (Hasse) diagram of one algebra."""
-    lines = [f'digraph "{algebra.name}" {{', "  rankdir=BT;"]
-    lines.extend(_hasse_lines(algebra, side))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return (f'digraph "{algebra.name}" {{\n  rankdir=BT;\n'
+            + _cluster(algebra, _ids(side, algebra.full_mask + 1), "  ") + "}\n")
 
 
 def _reduced_cross(rows: np.ndarray) -> np.ndarray:
@@ -76,26 +96,22 @@ def _has(rel: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return rel[src, dst] if rel.ndim == 2 else rel[src] == dst
 
 
-def _arrow_lines(fwd: np.ndarray, back: np.ndarray) -> list[str]:
+def _cross_arrows(fwd: np.ndarray, back: np.ndarray, ids1: list[str],
+                  ids2: list[str]) -> list[str]:
     """The cross arrows of both directions, mutually implied pairs once and
-    double-headed, one arrow at a time: a full diagram has millions."""
+    double-headed, as blocks of lines."""
     fwd_src, fwd_dst = _arrows(fwd)
     back_src, back_dst = _arrows(back)
     alone = ~_has(fwd, back_dst, back_src)
-    style = 'color=forestgreen, style=bold'
-    lines = []
-    for x, y, mutual in zip(map(int, fwd_src), map(int, fwd_dst),
-                            _has(back, fwd_dst, fwd_src)):
-        if mutual:
-            lines.append(
-                f"  {_node_id(1, x)} -> {_node_id(2, y)} "
-                f"[{style}, dir=both];"
-            )
-        else:
-            lines.append(f"  {_node_id(1, x)} -> {_node_id(2, y)} [{style}];")
-    for y, x in zip(map(int, back_src[alone]), map(int, back_dst[alone])):
-        lines.append(f"  {_node_id(2, y)} -> {_node_id(1, x)} [{style}];")
-    return lines
+    # a mutual arrow's target is looked up past the plain ones
+    to2 = ([f"{node} [{_STYLE}];\n" for node in ids2]
+           + [f"{node} [{_STYLE}, dir=both];\n" for node in ids2])
+    mutual = _has(back, fwd_dst, fwd_src)
+    return (_lines([f"  {node} -> " for node in ids1], to2,
+                   fwd_src, fwd_dst + len(ids2) * mutual)
+            + _lines([f"  {node} -> " for node in ids2],
+                     [f"{node} [{_STYLE}];\n" for node in ids1],
+                     back_src[alone], back_dst[alone]))
 
 
 def cross_dot(r: CrossImplication, full: bool = False) -> str:
@@ -108,13 +124,11 @@ def cross_dot(r: CrossImplication, full: bool = False) -> str:
         fwd, back = r.rows12[:-1, :-1], r.rows21[:-1, :-1]
     else:
         fwd, back = _reduced_cross(r.rows12), _reduced_cross(r.rows21)
-    lines = ['digraph cross {', "  rankdir=BT;"]
-    lines.append(f'  subgraph cluster_1 {{ label="{a1.name}";')
-    lines.extend("  " + l for l in _hasse_lines(a1, 1))
-    lines.append("  }")
-    lines.append(f'  subgraph cluster_2 {{ label="{a2.name}";')
-    lines.extend("  " + l for l in _hasse_lines(a2, 2))
-    lines.append("  }")
-    lines.extend(_arrow_lines(fwd, back))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ids1, ids2 = _ids(1, a1.full_mask + 1), _ids(2, a2.full_mask + 1)
+    return "".join([
+        "digraph cross {\n  rankdir=BT;\n",
+        f'  subgraph cluster_1 {{ label="{a1.name}";\n', _cluster(a1, ids1, "    "), "  }\n",
+        f'  subgraph cluster_2 {{ label="{a2.name}";\n', _cluster(a2, ids2, "    "), "  }\n",
+        *_cross_arrows(fwd, back, ids1, ids2),
+        "}\n",
+    ])

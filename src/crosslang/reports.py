@@ -1,8 +1,14 @@
-"""Pass/fail reports produced by the axiom checkers."""
+"""Pass/fail reports produced by the axiom checkers, and the JSON text of
+every report the command line writes."""
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,3 +76,151 @@ class AxiomReport:
                     line += f"  [{c.detail}]"
             lines.append(line)
         return lines
+
+
+# --- JSON text ------------------------------------------------------------------
+
+_INF = float("inf")
+_INT_ONLY = {int}
+_STATE_GROUP = 12  # state bits rendered by one table lookup
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in time
+    proportional to the text.  With ``indent`` set, ``json`` runs its
+    pure-Python encoder; here strings go through its C escaper, lists of
+    ints are joined at once and a ``Valuation`` renders from its event
+    array."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key as ``json`` writes it: other scalars become strings."""
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote(_float(k))
+    if k is True or k is False or k is None:
+        return _quote({True: "true", False: "false", None: "null"}[k])
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append the text of ``o``, whose line starts with ``nl`` (a newline and
+    that line's indent); the checks run in ``json``'s order, so ``bool``
+    never takes the int path."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if type(o[0]) is int and set(map(type, o)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if type(v) is str:
+                out.append(sep + _key(k) + ": " + _quote(v))
+            else:
+                out.append(sep + _key(k) + ": ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, Valuation):
+        out.append(o.json_text(nl))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+class Valuation(Mapping):
+    """A valuation table: each proposition's label, mapped to the ascending
+    list of the states in its event, over an int array of state masks
+    indexed like the labels.  It holds no list per event: ``dumps`` renders
+    it from the array, and a lookup builds the one list asked for."""
+
+    def __init__(self, labels: list[str], events: np.ndarray, state_count: int):
+        self._labels = labels
+        self._events = events
+        self._state_count = state_count
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __getitem__(self, label: str) -> list[int]:
+        event = int(self._events[self._index[label]])
+        return [s for s in range(self._state_count) if event >> s & 1]
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self._labels)}
+
+    def json_text(self, nl: str) -> str:
+        """The table as ``dumps`` writes it on a line starting with ``nl``:
+        each event's state lines come from one lookup per group of state
+        bits in the pre-joined lines of that group."""
+        labels = self._labels
+        if not labels:
+            return "{}"
+        key_nl = nl + "  "
+        columns = []
+        for lo in range(0, self._state_count, _STATE_GROUP):
+            table = _state_lines(lo, min(lo + _STATE_GROUP, self._state_count), key_nl + "  ")
+            groups = (self._events >> lo) & (len(table) - 1)
+            columns.append(list(map(table.__getitem__, groups.tolist())))
+        close = key_nl + "]"
+        rows = ["[" + body[1:] + close if body else "[]"
+                for body in map("".join, zip(*columns))]
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        return ("{" + key_nl
+                + ("," + key_nl).join([_quote(labels[i]) + ": " + rows[i] for i in order])
+                + nl + "}")
+
+
+def _state_lines(lo: int, hi: int, nl: str) -> list[str]:
+    """At index v, the lines ``,<nl><s>`` of the states ``lo + b`` for the
+    bits b set in v, ascending; built by doubling, one state at a time."""
+    table = [""]
+    for s in range(lo, hi):
+        line = f",{nl}{s}"
+        table += [t + line for t in table]
+    return table

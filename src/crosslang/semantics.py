@@ -18,7 +18,7 @@ from .errors import (
     InvalidWeightsError,
 )
 from .implication import CrossImplication, translation_from_implication
-from .reports import AxiomCheck, AxiomReport
+from .reports import AxiomCheck, AxiomReport, Valuation
 from .translation import Translation, first_violation
 
 
@@ -89,6 +89,8 @@ class JointStateSpace:
         return len({tuple(a >> s & 1 for a in atoms) for s in range(self.state_count)})
 
     def to_dict(self) -> dict:
+        """The space as the ``joint`` report: its states by atom labels and
+        one ``Valuation`` table per algebra."""
         a1, a2 = self.algebra1, self.algebra2
         texts = {1: a1.formula_texts(), 2: a2.formula_texts()}
         states = [
@@ -96,35 +98,15 @@ class JointStateSpace:
              "atom2": None if b is None else texts[2][1 << b]}
             for a, b in self.states
         ]
-        def table(side):
-            return dict(zip(texts[side], _state_lists(self._ev[side], self.state_count)))
         return {
             "schema_version": 1,
             "language1": a1.name,
             "language2": a2.name,
             "states": states,
-            "valuation1": table(1),
-            "valuation2": table(2),
+            "valuation1": Valuation(texts[1], self._ev[1], self.state_count),
+            "valuation2": Valuation(texts[2], self._ev[2], self.state_count),
             "minimal": True,
         }
-
-
-_STATE_LIST_BLOCK = 4096
-
-
-def _state_lists(ev: np.ndarray, n_states: int) -> list[list[int]]:
-    """The states of every event, ascending.  Built a block of events at a
-    time, so that the bit matrix and the index arrays stay small."""
-    lists = []
-    for lo in range(0, len(ev), _STATE_LIST_BLOCK):
-        block = ev[lo:lo + _STATE_LIST_BLOCK]
-        bits = np.unpackbits(block.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        rows, cols = np.nonzero(bits[:, :n_states])
-        cuts = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-        cols = cols.tolist()
-        lists.extend(cols[a:b] for a, b in zip(cuts, cuts[1:]))
-    return lists
 
 
 def build_joint_state_space(r: CrossImplication) -> JointStateSpace:

@@ -33,11 +33,11 @@ from crosslang import (
     perfect_translations,
 )
 from crosslang.algebra import Algebra
-from crosslang.hasse import _hasse_lines
 from crosslang.implication import _SLOW_CLOSE_LIMIT, implication_from_translation
 from crosslang.reports import AxiomCheck, AxiomReport
 from crosslang.semantics import JointStateSpace, _is_order_embedding, sigma_approximation
 from crosslang.translation import Translation, first_violation, with_star
+from dotref import _hasse_lines
 
 _CHUNK = 512
 

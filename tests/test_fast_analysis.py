@@ -6,6 +6,7 @@ common-language checks, the mask arrays of the lattice-wide results and
 Proposition 2, on generated translations of up to six models per side,
 altered joint state-spaces and hand-built member sets."""
 
+import json
 import random
 
 import numpy as np
@@ -46,7 +47,7 @@ from crosslang.randgen import (
     random_formula,
     random_star_prop,
 )
-from crosslang.semantics import _STATE_LIST_BLOCK, _state_lists
+from crosslang.reports import Valuation, dumps
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -231,14 +232,19 @@ def test_probability_bounds_need_no_approximation_table(monkeypatch):
         assert 0 <= lo <= hi <= 1
 
 
-def test_state_lists_across_blocks():
-    """The rendered state lists of events beyond one block of events, for a
-    few states and for the full 63."""
+def test_valuation_state_lists_across_groups():
+    """The state lists of a valuation table, read per label and rendered,
+    for a few states and for the full 63 (six groups of state bits), over
+    more events than one group's lookup table holds."""
     rng = np.random.default_rng(3)
     for n_states in (5, 63):
-        ev = rng.integers(0, 2**n_states, size=3 * _STATE_LIST_BLOCK + 7, dtype=np.int64)
-        expected = [[s for s in range(n_states) if v >> s & 1] for v in ev.tolist()]
-        assert _state_lists(ev, n_states) == expected
+        ev = rng.integers(0, 2**n_states, size=3 * 4096 + 7, dtype=np.int64)
+        labels = [f"e{k}" for k in range(len(ev))]
+        expected = {label: [s for s in range(n_states) if v >> s & 1]
+                    for label, v in zip(labels, ev.tolist())}
+        table = Valuation(labels, ev, n_states)
+        assert {label: table[label] for label in table} == expected
+        assert dumps({"t": table}) == json.dumps({"t": expected}, indent=2, sort_keys=True)
 
 
 # --- results as mask arrays, and Proposition 2 ----------------------------------

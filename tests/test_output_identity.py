@@ -1,0 +1,134 @@
+"""Every report the command line writes, byte for byte against the reference
+writers: JSON reports against the same run with ``json.dumps(indent=2,
+sort_keys=True)`` put in place of ``cli.dumps``, on stdout and through
+``--output``, and DOT diagrams against the writers kept in ``dotref``."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+import crosslang.cli as cli
+import dotref
+from conftest import CORPUS
+from crosslang import joint_space_from_translation, load_corpus
+from crosslang.errors import CrosslangError
+from crosslang.language import format_language
+from crosslang.randgen import make_cell_spec
+
+CORPORA = ("adjunction-violation", "fixed-point-gap", "nested-grids", "oil-prices",
+           "platypus")
+NESTED = "nested-8-12"
+
+
+def reference_dumps(obj) -> str:
+    # a valuation table is a mapping, which json.dumps reads through dict()
+    return json.dumps(obj, indent=2, sort_keys=True, default=dict)
+
+
+def _formula(prefix, cells):
+    return " | ".join(f"{prefix}{k}" for k in sorted(cells)) or "false"
+
+
+def write_nested_pair(path):
+    """An 8-cell partition (language 1) against a 12-cell refinement of it,
+    with its translation, uniform weights over its 12 states and a seed file
+    of the atoms' outer images."""
+    for i, (prefix, n) in enumerate((("a", 8), ("b", 12)), start=1):
+        spec = make_cell_spec(f"lang{i}", [f"{prefix}{k}" for k in range(n)])
+        (path / f"lang{i}.lang").write_text(format_language(spec))
+    parent = [j * 8 // 12 for j in range(12)]
+    children = {i: [j for j in range(12) if parent[j] == i] for i in range(8)}
+    lines = [f"outer 1>2: a{i} => {_formula('b', children[i])}" for i in range(8)]
+    lines += [f"outer 2>1: b{j} => a{parent[j]}" for j in range(12)]
+    (path / "translation.tr").write_text("\n".join(lines) + "\n")
+    seeds = [f"imp: lang1.a{i} => lang2.{_formula('b', children[i])}" for i in range(8)]
+    seeds += [f"imp: lang2.b{j} => lang1.a{parent[j]}" for j in range(12)]
+    (path / "implication.imp").write_text("\n".join(seeds) + "\n")
+    (path / "weights.json").write_text(json.dumps([1 / 12] * 12) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Each corpus by name, with a weights file for ``bounds`` when its
+    translation admits a joint state-space."""
+    paths = {name: CORPUS / name for name in CORPORA}
+    paths[NESTED] = write_nested_pair(tmp_path_factory.mktemp(NESTED))
+    weights = {}
+    for name, path in paths.items():
+        for candidate in ("uniform.prob.json", "weights.json"):
+            if (path / candidate).exists():
+                weights[name] = path / candidate
+        if name not in weights:
+            try:
+                n = joint_space_from_translation(load_corpus(path).translation).state_count
+            except CrosslangError:
+                continue
+            weights[name] = tmp_path_factory.mktemp(name) / "weights.json"
+            weights[name].write_text(json.dumps([1 / n] * n) + "\n")
+    return paths, weights
+
+
+def run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def json_commands(path, weights):
+    lang1, lang2 = str(path / "lang1.lang"), str(path / "lang2.lang")
+    commands = [["check", lang1, lang2, str(path / "translation.tr")],
+                ["check", lang1, lang2, str(path / "translation.tr"), "--oracle"]]
+    if (path / "implication.imp").exists():
+        commands.append(["check", lang1, lang2, str(path / "implication.imp"),
+                         "--mode", "implication"])
+    commands += [["translate", str(path), "1>2", "inner", "true"],
+                 ["translate", str(path), "2>1", "outer", "false", "--oracle"],
+                 ["joint", str(path)], ["joint", str(path), "--oracle"],
+                 ["common", str(path)], ["classify", str(path)]]
+    if weights is not None:
+        commands.append(["bounds", str(path), str(weights), "true", "--lang", "1"])
+    return commands
+
+
+@pytest.mark.parametrize("name", CORPORA + (NESTED,))
+def test_json_reports_match_the_reference_writer(name, corpora, tmp_path, monkeypatch):
+    paths, weights = corpora
+    seen = set()
+    for command in json_commands(paths[name], weights.get(name)):
+        for extra in ([], ["--output", str(tmp_path / "report.json")]):
+            argv = command + ["--format", "json"] + extra
+            runs = []
+            for writer in (cli.dumps, reference_dumps):
+                monkeypatch.setattr(cli, "dumps", writer)
+                (tmp_path / "report.json").unlink(missing_ok=True)
+                code, out, err = run(argv)
+                written = ((tmp_path / "report.json").read_bytes()
+                           if (tmp_path / "report.json").exists() else None)
+                runs.append((code, out, err, written))
+            monkeypatch.undo()
+            assert runs[0] == runs[1], argv
+            seen.add(runs[0][0])
+            if extra:
+                assert runs[0][1] == "" and (runs[0][3] is not None or runs[0][0] != 0)
+    assert 0 in seen or name == "adjunction-violation"
+
+
+@pytest.mark.parametrize("name", CORPORA + (NESTED,))
+def test_dot_diagrams_match_the_reference_writers(name, corpora):
+    path = corpora[0][name]
+    corpus = load_corpus(path)
+    code, out, err = run(["export-dot", str(path), "--what", "algebra1"])
+    assert (code, out, err) == (0, dotref.algebra_dot(corpus.algebra1, 1), "")
+    for full in (False, True):
+        code, out, err = run(["export-dot", str(path), "--what", "cross",
+                              *(["--full"] if full else [])])
+        try:
+            expected = dotref.cross_dot(corpus.require_relation(), full=full)
+        except CrosslangError:
+            assert code != 0 and out == ""
+            continue
+        assert (code, out, err) == (0, expected, "")
