@@ -232,7 +232,6 @@ class Algebra:
         self.name = spec.name
         self.keys = keys
         self.full_mask = (1 << len(keys)) - 1
-        self.star = Star(self)
         # bit i of an atom's column is its value in model i
         n = len(spec.elementary)
         self._columns = {
@@ -241,6 +240,7 @@ class Algebra:
             for j, atom in enumerate(spec.elementary)
         }
         self._atom_labels = None
+        self._texts = None
 
     @classmethod
     def from_spec(cls, spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> "Algebra":
@@ -262,6 +262,12 @@ class Algebra:
     @property
     def bottom(self) -> Prop:
         return Prop(self, 0)
+
+    @property
+    def star(self) -> Star:
+        # made on each use: an algebra holding its star would be a reference
+        # cycle, freed only by the cyclic collector
+        return Star(self)
 
     def atoms(self) -> list[Prop]:
         return [Prop(self, 1 << i) for i in range(self.model_count)]
@@ -344,15 +350,18 @@ class Algebra:
         labels = self._labels()
         return " | ".join(labels[i] for i in range(self.model_count) if x.mask >> i & 1)
 
-    def formula_texts(self) -> list[str]:
+    def formula_texts(self) -> tuple[str, ...]:
         """``formula_text`` of every proposition, indexed by mask: the masks
-        with atom i set are those below it with label i appended."""
+        with atom i set are those below it with label i appended.  Built
+        once per algebra."""
         self.require_enumerable()
-        texts = ["false"]
-        for label in self._labels():
-            texts += [label] + [t + " | " + label for t in texts[1:]]
-        texts[-1] = "true"
-        return texts
+        if self._texts is None:
+            texts = ["false"]
+            for label in self._labels():
+                texts += [label] + [t + " | " + label for t in texts[1:]]
+            texts[-1] = "true"
+            self._texts = tuple(texts)
+        return self._texts
 
     def __repr__(self):
         return f"Algebra({self.name!r}, {self.model_count} models)"

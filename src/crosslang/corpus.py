@@ -28,7 +28,7 @@ from .implication import (
     implication_from_translation,
     translation_from_implication,
 )
-from .language import parse_formula, parse_language
+from .language import _NAME, _UNION_RE, parse_formula, parse_language
 from .translation import Translation, translation_from_atom_outers
 
 LANG1_FILE = "lang1.lang"
@@ -36,11 +36,8 @@ LANG2_FILE = "lang2.lang"
 TRANSLATION_FILE = "translation.tr"
 IMPLICATION_FILE = "implication.imp"
 
-# the endpoint grammar read without the parser, and the seed lines made of it
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_UNION = rf"{_NAME}(?:\s*\|\s*{_NAME})*"
-_UNION_RE = re.compile(_UNION)
-_ENDPOINT = rf"({_NAME})\.\s*(\*|{_UNION})\s*"
+# the seed lines made of the direct grammar's endpoints
+_ENDPOINT = rf"({_NAME})\.\s*(\*|{_UNION_RE.pattern})\s*"
 _SEED_RE = re.compile(rf"imp:\s*{_ENDPOINT}=>\s*{_ENDPOINT}")
 # reserved words cannot be atoms; ``true`` is all ones, cut to the full mask
 _CONSTANTS = {"false": 0, "true": -1}

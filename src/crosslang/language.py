@@ -17,10 +17,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DuplicateAtomError, ParseError, UndeclaredAtomError
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the direct grammar, read without the parser: names, unions of names (the
+# endpoints of corpus files) and negated conjunctions of names (beliefs)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+IDENT_RE = re.compile(_NAME)
+_UNION_RE = re.compile(rf"{_NAME}(?:\s*\|\s*{_NAME})*")
+_BELIEF_RE = re.compile(
+    rf"({_UNION_RE.pattern})|!\s*\(\s*({_NAME}(?:\s*&\s*{_NAME})*)\s*\)")
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -272,6 +279,20 @@ def parse_formula(text: str, spec: LanguageSpec | None = None, line: int = 1) ->
     return _FormulaParser(text, line, declared).parse()
 
 
+def _read_belief(text: str, atoms: dict[str, Atom], probe: LanguageSpec,
+                 line: int) -> Formula:
+    """One belief: a union of declared names, or the negation of their
+    conjunction, is built directly, left-associated as the parser builds it,
+    from the shared ``atoms``; any other text goes to ``parse_formula``."""
+    m = _BELIEF_RE.fullmatch(text)
+    if m is not None:
+        names = IDENT_RE.findall(m[1] or m[2])
+        if all(name in atoms for name in names):
+            nodes = [atoms[name] for name in names]
+            return reduce(Or, nodes) if m[1] else Not(reduce(And, nodes))
+    return parse_formula(text, probe, line)
+
+
 def parse_language(text: str) -> LanguageSpec:
     """Parse a language specification document."""
     name = None
@@ -281,7 +302,8 @@ def parse_language(text: str) -> LanguageSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("language"):
+        keyword = IDENT_RE.match(line)
+        if keyword is not None and keyword[0] == "language":
             if name is not None:
                 raise ParseError("duplicate 'language' line", lineno, 1)
             rest = line[len("language"):].strip()
@@ -309,7 +331,8 @@ def parse_language(text: str) -> LanguageSpec:
     if elementary is None or not elementary:
         raise ParseError("missing 'atoms:' line")
     probe = LanguageSpec(name, elementary, ())
-    beliefs = tuple(parse_formula(text, probe, line) for text, line in belief_lines)
+    atoms = {atom: Atom(atom) for atom in elementary}
+    beliefs = tuple(_read_belief(text, atoms, probe, line) for text, line in belief_lines)
     return LanguageSpec(name, elementary, beliefs)
 
 

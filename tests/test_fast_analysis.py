@@ -124,7 +124,7 @@ def algebras(draw):
 @given(algebras())
 def test_formula_texts_match_formula_text(algebra):
     expected = [algebra.formula_text(Prop(algebra, m)) for m in range(algebra.full_mask + 1)]
-    assert algebra.formula_texts() == expected
+    assert list(algebra.formula_texts()) == expected
 
 
 def test_formula_texts_of_conjunction_labels():

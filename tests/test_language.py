@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parserref
@@ -16,7 +16,17 @@ from crosslang import (
     parse_formula,
     parse_language,
 )
-from crosslang.language import And, Arrow, Atom, FalseLit, Not, Or, TrueLit
+from crosslang.language import (
+    And,
+    Arrow,
+    Atom,
+    FalseLit,
+    LanguageSpec,
+    Not,
+    Or,
+    TrueLit,
+    _read_belief,
+)
 from crosslang.randgen import random_formula
 
 
@@ -124,6 +134,13 @@ def test_oil_language_roundtrip(oil):
     assert parse_language(format_language(spec)) == spec
 
 
+def test_language_keyword_is_a_whole_word():
+    with pytest.raises(ParseError) as exc:
+        parse_language("languagefoo\natoms: p")
+    assert exc.value.line == 1
+    assert parse_language("language\tfoo\natoms: p").name == "foo"
+
+
 def test_reserved_words_cannot_be_atoms():
     with pytest.raises(ParseError):
         parse_language("language A\natoms: p true")
@@ -150,3 +167,49 @@ def test_scanner_matches_reference_parser(fragments, with_spec, line):
     spec = parse_language("language A\natoms: p q") if with_spec else None
     assert (_outcome(parse_formula, text, spec, line)
             == _outcome(parserref.parse_formula, text, spec, line))
+
+
+# --- beliefs read without the parser ----------------------------------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_BELIEF_NAMES = st.sampled_from(["p", "q", "r", "p", "q", "u", "true"])
+
+
+@st.composite
+def belief_lines(draw):
+    """Unions and negated conjunctions of names with varied spacing, some with
+    an undeclared name or ``true``, a dropped parenthesis or trailing text."""
+    names = draw(st.lists(_BELIEF_NAMES, min_size=1, max_size=4))
+    sp = lambda: draw(_SPACE)  # noqa: E731
+    if draw(st.booleans()):
+        text = (sp() + "|" + sp()).join(names)
+    else:
+        body = (sp() + "&" + sp()).join(names)
+        text = "!" + sp() + "(" + sp() + body + sp() + ")"
+    edit = draw(st.sampled_from(["", "", "", "drop", " | r", " r", ")", " &", "$"]))
+    if edit == "drop":
+        cut = draw(st.integers(0, len(text) - 1))
+        return text[:cut] + text[cut + 1:]
+    return text + edit
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(belief_lines(), st.integers(1, 9))
+@example("!(p&q)", 4)
+@example("! ( p & q )", 4)
+@example("true | p", 4)
+@example("!(p)", 4)
+@example("!(p & u)", 4)
+@example("!(p & q) | r", 4)
+@example("!(p & q))", 4)
+def test_belief_reader_matches_parser(text, line):
+    """Same trees, or the same error type, message, line and column."""
+    probe = LanguageSpec("A", ("p", "q", "r"), ())
+    atoms = {name: Atom(name) for name in probe.elementary}
+    read = _outcome(lambda t, s, n: _read_belief(t, atoms, s, n), text, probe, line)
+    assert read == _outcome(parse_formula, text, probe, line)
+    if isinstance(read, tuple):  # an error
+        return
+    spec = parse_language(f"language A\natoms: p q r\nbelieve: {text}\n")
+    assert spec.beliefs == (read,)
+    assert parse_language(format_language(spec)) == spec

@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridmath
+import scalarref
 from crosslang import (
     AlgebraTooLargeError,
     CrossAlgebraError,
@@ -12,6 +15,7 @@ from crosslang import (
     Star,
     approximable_set,
     check_approximation,
+    check_consistency,
     check_derived_properties,
     check_galois,
     check_restricted_duality,
@@ -26,7 +30,10 @@ from crosslang.randgen import (
     random_consistent_translation,
 )
 from crosslang.translation import (
+    _OPERATORS,
+    Translation,
     approximation_holds,
+    atom_axioms_hold,
     galois_pair_holds,
     restricted_duality_holds,
 )
@@ -360,3 +367,81 @@ def test_approximable_ideal_witness_is_the_first_down_set_violation():
                        identity.array("2>1", "inner"), identity.array("2>1", "outer"))
     check = check_derived_properties(t).check("approximable-ideal:outer:1>2")
     assert check.witnesses == ((Prop(a1, 512), Prop(a1, 516)),)
+
+
+# --- the axioms decided on atom images -------------------------------------------
+
+
+def _exhaustive(t):
+    return check_galois(t).merged(check_approximation(t)).merged(check_restricted_duality(t))
+
+
+def _from_arrays(t):
+    """The same operators through the array constructor, without atom images."""
+    return Translation(t.algebra1, t.algebra2, *(t.array(d, m) for d, m in _OPERATORS))
+
+
+@st.composite
+def atom_images(draw):
+    """Atom outer images of two cell languages of 1 to 5 cells: read off a
+    random relation (b in img(a) iff a in img(b)) or drawn freely, then some
+    of them set to the star or to the empty image."""
+    m1, m2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rel = [[draw(st.booleans()) for _ in range(m2)] for _ in range(m1)]
+        imgs12 = [sum(1 << j for j in range(m2) if rel[i][j]) for i in range(m1)]
+        imgs21 = [sum(1 << i for i in range(m1) if rel[i][j]) for j in range(m2)]
+    else:
+        imgs12 = draw(st.lists(st.integers(0, (1 << m2) - 1), min_size=m1, max_size=m1))
+        imgs21 = draw(st.lists(st.integers(0, (1 << m1) - 1), min_size=m2, max_size=m2))
+    edit = st.sampled_from([None] * 6 + [-1, 0])
+    imgs12 = [v if e is None else e for v, e in zip(imgs12, draw(st.lists(
+        edit, min_size=m1, max_size=m1)))]
+    imgs21 = [v if e is None else e for v, e in zip(imgs21, draw(st.lists(
+        edit, min_size=m2, max_size=m2)))]
+    return imgs12, imgs21
+
+
+def _derived(imgs12, imgs21):
+    a1, a2 = cell_algebra("left", len(imgs12), "a"), cell_algebra("right", len(imgs21), "b")
+    return translation_from_atom_outers(
+        a1, a2, {atom: a2.element(v) for atom, v in zip(a1.atoms(), imgs12)},
+        {atom: a1.element(v) for atom, v in zip(a2.atoms(), imgs21)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(atom_images())
+def test_atom_decision_matches_exhaustive_and_scalar_checkers(images):
+    t = _derived(*images)
+    whole = _from_arrays(t)
+    exhaustive = _exhaustive(whole)
+    assert atom_axioms_hold(t) == exhaustive.passed
+    assert all(scalarref.translation_verdicts(whole).values()) == exhaustive.passed
+    assert not atom_axioms_hold(whole)
+    assert check_consistency(t).to_dict() == exhaustive.to_dict()
+    assert check_consistency(whole).to_dict() == exhaustive.to_dict()
+
+
+def test_failing_derived_translation_reports_the_exhaustive_witnesses(twin_pair):
+    a, b = twin_pair
+    x, y, z = a.atoms()
+    # x goes to y's twin, y to nothing, and back again the identity: duality
+    # fails at x, approximation at the twin of x
+    t = translation_from_atom_outers(
+        a, b, {x: Prop(b, y.mask), y: b.bottom, z: Prop(b, z.mask)},
+        {atom: Prop(a, atom.mask) for atom in b.atoms()})
+    report = check_consistency(t)
+    assert not atom_axioms_hold(t) and not report.passed
+    assert report.to_dict() == _exhaustive(_from_arrays(t)).to_dict()
+    failed = [c for c in report.checks if not c.passed]
+    assert {c.name for c in failed} >= {"approximation:1>2", "restricted-duality:1>2"}
+    assert all(c.witnesses for c in failed)
+
+
+def test_replace_drops_the_atom_images(twin_pair):
+    t = identity_translation(twin_pair)
+    a, b = twin_pair
+    assert atom_axioms_hold(t)
+    same = t.replace("1>2", "inner", a.top, b.top)
+    assert same == t and not atom_axioms_hold(same)
+    assert check_consistency(same).to_dict() == check_consistency(t).to_dict()
