@@ -268,11 +268,13 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_common(parser, default_format: str):
-    parser.add_argument("--format", choices=["json", "text"], default=default_format)
+def _add_common(parser, default_format: str | None):
     parser.add_argument("--output", help="write output to this file instead of stdout")
     parser.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP,
                         help="cap on elementary propositions per language")
+    if default_format is None:
+        return
+    parser.add_argument("--format", choices=["json", "text"], default=default_format)
     parser.add_argument("--oracle", action="store_true",
                         help="cross-validate against the brute-force oracle")
     parser.add_argument("--timing", action="store_true",
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="cross")
     p.add_argument("--full", action="store_true",
                    help="emit the full closure instead of the reduction")
-    _add_common(p, "text")
+    _add_common(p, None)
     p.set_defaults(func=cmd_export_dot)
     return parser
 

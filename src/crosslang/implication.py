@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra, Prop, Star, StarProp, implies, sweep
 from .errors import AlgebraTooLargeError, CrossAlgebraError, InconsistentInputError
 from .reports import AxiomCheck, AxiomReport
-from .translation import Translation, with_star
+from .translation import Translation
 
 # the dense fallback of ``close`` runs up to this many propositions in
 # total, which admits a 10 x 10 pair
@@ -523,14 +523,23 @@ def implication_from_translation(t: Translation) -> CrossImplication:
 
 
 def translation_from_implication(r: CrossImplication) -> Translation:
-    """Read the four operators off the relation: the inner image is the join
-    of everything below, the outer image the meet of everything above, with
-    an empty meet standing for the star."""
+    """The translation whose outer image of each atom is the meet of
+    everything the atom reaches, an empty meet standing for the star.
+
+    Read off the relation, the inner image of λ is the join of everything
+    below it and the outer image the meet of everything above it.  The
+    relation passes its axioms, so that translation passes its own, and it
+    is fixed by its atom images.  Outer is a left adjoint, so it preserves
+    joins, star included: its approximable set is a down-set closed under
+    joins, the principal down-set of the atoms with a concrete image, and
+    outer(λ) is the join of its atoms' images.  By the adjunction
+    η ≤ inner(λ) iff outer_back(η) ≤ λ, so inner(λ) is the join of the
+    target atoms whose outer image lies under λ, which is how
+    ``Translation`` derives it."""
     if not r.passes_axioms():
         raise InconsistentInputError(
             "relation fails its axioms; no consistent translation exists"
         )
     fwd, back = r.images
-    return Translation(r.algebra1, r.algebra2,
-                       with_star(back.prop_join()[:-1]), with_star(fwd.meet[:-1]),
-                       with_star(fwd.prop_join()[:-1]), with_star(back.meet[:-1]))
+    atoms = [np.int64(1) << np.arange(a.model_count) for a in (r.algebra1, r.algebra2)]
+    return Translation(r.algebra1, r.algebra2, fwd.meet[atoms[0]], back.meet[atoms[1]])

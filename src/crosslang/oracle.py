@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import Algebra, Prop, StarProp
 from .errors import BudgetExceededError
 from .implication import CrossImplication
-from .translation import Translation, with_star
+from .translation import Translation
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def brute_adjoint(t: Translation, direction: str,
         budget.check_time(started)
         qualifies = (outer_back[:nd] & ~np.int64(lam)) == 0
         result[lam] = np.bitwise_or.reduce(np.where(qualifies, eta, np.int64(0)))
-    return with_star(result)
+    return np.append(result, np.int64(-1))
 
 
 def brute_ultrafilter_extension(r: CrossImplication, side: int,

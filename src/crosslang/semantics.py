@@ -33,7 +33,6 @@ class JointStateSpace:
         self.algebra1 = algebra1
         self.algebra2 = algebra2
         self.states = list(states)
-        self._sem = None
         self._ev = {}
         self._atoms = {}
         for side, algebra in ((1, algebra1), (2, algebra2)):
@@ -204,9 +203,7 @@ class SemanticTranslation:
 
 def sigma_approximation(space: JointStateSpace) -> SemanticTranslation:
     """The canonical set-level translation induced by the two event fields."""
-    if space._sem is None:
-        space._sem = SemanticTranslation(space)
-    return space._sem
+    return SemanticTranslation(space)
 
 
 def _is_order_embedding(ev: np.ndarray) -> bool:

@@ -1,9 +1,9 @@
-"""Four-operator translations between two algebras and their axiom checks.
+"""Translations between two algebras and their axiom checks.
 
-A translation stores four total operators on the star-augmented lattices:
-the inner and outer operators in each direction.  Each one is a read-only
-int64 array of values over the source's slots, in the layout that the
-``algebra`` module describes.
+A translation is held as the outer images of the atoms in each direction
+plus an ordered table of overrides.  Its four total operators, inner and
+outer in each direction, are read-only int64 arrays of values over the
+source's slots (the ``algebra`` module's layout), built on first use.
 """
 
 from __future__ import annotations
@@ -13,60 +13,50 @@ import numpy as np
 from .algebra import (
     Algebra,
     Prop,
-    Star,
     StarProp,
     atom_unions,
-    implies,
     masks_where,
-    meet,
-    negate,
     sweep,
 )
-from .errors import CrossAlgebraError, CrosslangError
+from .errors import CrossAlgebraError, CrosslangError, ParseError
 from .reports import AxiomCheck, AxiomReport
 
-# constructor order of the four operators
+# the order of the four operators
 _OPERATORS = (("1>2", "inner"), ("1>2", "outer"), ("2>1", "inner"), ("2>1", "outer"))
 
 
 class Translation:
-    """Inner/outer operator pairs in both directions between two algebras.
-
-    Each operator is given as an int64 array of values over the source's
-    slots; it is validated, copied and stored read-only.
-    """
+    """Inner/outer operator pairs in both directions between two algebras,
+    held as the outer image of each source atom (-1 for the star), which
+    are validated and copied, plus overrides ``(direction, mode, x, y)``
+    that set the entry of source value ``x`` to ``y`` in order, so the last
+    one of an entry wins; ``replace`` checks the override it adds."""
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
-                 inner12, outer12, inner21, outer21):
+                 images12, images21, overrides=()):
         if algebra1.name == algebra2.name:
             raise CrossAlgebraError(
                 "the two languages of a translation need distinct names"
             )
+        algebra1.require_enumerable()   # the arrays have 2**model_count slots
+        algebra2.require_enumerable()
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        self._operators = {}
-        self._consistency = None
-        # the atom outer images (an int64 array of values per direction) when
-        # the operators were derived from them; None for operators given whole
-        self._atom_images = None
-        for (direction, mode), vals in zip(_OPERATORS, (inner12, outer12, inner21, outer21)):
+        self._images = {}
+        for direction, images in (("1>2", images12), ("2>1", images21)):
             src, dst = self.endpoints(direction)
-            src.require_enumerable()
-            vals = np.array(vals)
-            if vals.dtype != np.int64:
-                raise CrosslangError(f"{mode} {direction} map must be an int64 array")
-            if vals.shape != (src.full_mask + 2,):
+            images = np.array(images)
+            if images.dtype != np.int64 or images.shape != (src.model_count,):
                 raise CrosslangError(
-                    f"{mode} {direction} map is not total on the source lattice"
-                )
-            if vals[-1] != -1:
-                raise CrosslangError(f"{mode} {direction} map must send * to *")
-            if ((vals < -1) | (vals > dst.full_mask)).any():
+                    f"outer {direction} map needs one int64 value per atom of {src.name!r}")
+            if ((images < -1) | (images > dst.full_mask)).any():
                 raise CrossAlgebraError(
-                    f"{mode} {direction} map has a value outside {dst.name!r}"
-                )
-            vals.flags.writeable = False
-            self._operators[(direction, mode)] = vals
+                    f"outer {direction} map has a value outside {dst.name!r}")
+            images.flags.writeable = False
+            self._images[direction] = images
+        self.overrides = tuple(overrides)
+        self._arrays = {}
+        self._consistency = None
 
     def endpoints(self, direction: str) -> tuple[Algebra, Algebra]:
         if direction == "1>2":
@@ -78,28 +68,52 @@ class Translation:
     def apply(self, direction: str, mode: str, x: StarProp) -> StarProp:
         """The image of one argument; an outer image of star means undefined."""
         src, dst = self.endpoints(direction)
-        return dst.element(int(self._operators[(direction, mode)][src.slot(x)]))
+        return dst.element(int(self.array(direction, mode)[src.slot(x)]))
 
     def array(self, direction: str, mode: str) -> np.ndarray:
-        """The operator's values over the source's slots."""
-        return self._operators[(direction, mode)]
+        """The operator's values over the source's slots, built on first use:
+        outer as unions of atom images, inner as the adjoint of the opposite
+        outer (each target atom's bit at its image, one subset sweep), then
+        the overrides."""
+        vals = self._arrays.get((direction, mode))
+        if vals is None:
+            src, _ = self.endpoints(direction)
+            if mode == "outer":
+                vals = atom_unions(self._images[direction])
+            elif mode == "inner":
+                back = self._images["2>1" if direction == "1>2" else "1>2"]
+                defined = np.flatnonzero(back != -1)
+                vals = np.zeros(src.full_mask + 1, dtype=np.int64)
+                np.bitwise_or.at(vals, back[defined], np.int64(1) << defined)
+                sweep(vals, np.bitwise_or, up=False)
+            else:
+                raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
+            vals = np.append(vals, np.int64(-1))
+            for d, m, x, y in self.overrides:
+                if (d, m) == (direction, mode):
+                    vals[x] = y
+            vals.flags.writeable = False
+            self._arrays[(direction, mode)] = vals
+        return vals
 
     def replace(self, direction: str, mode: str, x: StarProp, y: StarProp) -> "Translation":
-        """A copy with one operator entry changed (used to inject violations)."""
+        """A copy with one more override, the entry of ``x`` set to ``y``
+        (used to inject violations)."""
         src, dst = self.endpoints(direction)
-        operators = dict(self._operators)
-        vals = operators[(direction, mode)].copy()
-        vals[src.slot(x)] = dst.slot(y)
-        operators[(direction, mode)] = vals
-        return Translation(self.algebra1, self.algebra2,
-                           *(operators[key] for key in _OPERATORS))
+        if mode not in ("inner", "outer"):
+            raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
+        override = (direction, mode, src.slot(x), dst.slot(y))
+        if override[2] == -1 and override[3] != -1:
+            raise CrosslangError(f"{mode} {direction} map must send * to *")
+        return Translation(self.algebra1, self.algebra2, self._images["1>2"],
+                           self._images["2>1"], self.overrides + (override,))
 
     def __eq__(self, other):
         return (
             isinstance(other, Translation)
             and self.algebra1.name == other.algebra1.name
             and self.algebra2.name == other.algebra2.name
-            and all(np.array_equal(self._operators[key], other._operators[key])
+            and all(np.array_equal(self.array(*key), other.array(*key))
                     for key in _OPERATORS)
         )
 
@@ -112,80 +126,28 @@ class Translation:
         return self._consistency
 
 
-def with_star(vals: np.ndarray) -> np.ndarray:
-    """Append the star slot, which every operator sends to the star."""
-    return np.append(vals, np.int64(-1))
-
-
 def translation_from_atom_outers(
     a1: Algebra,
     a2: Algebra,
     outer_on_atoms12: dict[Prop, StarProp],
     outer_on_atoms21: dict[Prop, StarProp],
 ) -> Translation:
-    """Extend outer maps from atom images by joins and derive the inner
-    maps as their adjoints.
+    """The translation of the outer images of atoms, given as elements.
 
-    The outer image of a proposition is the join of its atoms' images, so
-    the extension preserves joins; the matching inner operator is then the
-    join of all source propositions whose outer image implies the argument,
-    which over the atoms collapses to a single sweep.
-    """
-    a1.require_enumerable()   # before listing the atoms and 2**model_count slots
+    Every atom needs an image: a missing one leaves the outer operator
+    undefined on it, which makes the input unusable (a ``ParseError``
+    naming the first such atom and its language)."""
+    a1.require_enumerable()   # before listing the atoms
     a2.require_enumerable()
-    for algebra, given in ((a1, outer_on_atoms12), (a2, outer_on_atoms21)):
-        missing = set(algebra.atoms()) - set(given)
+    images = []
+    for src, dst, given in ((a1, a2, outer_on_atoms12), (a2, a1, outer_on_atoms21)):
+        missing = [atom for atom in src.atoms() if atom not in given]
         if missing:
-            raise CrosslangError(
-                f"missing outer image for atom of {algebra.name!r}"
-            )
-
-    imgs12 = [a2.slot(outer_on_atoms12[atom]) for atom in a1.atoms()]
-    imgs21 = [a1.slot(outer_on_atoms21[atom]) for atom in a2.atoms()]
-
-    def adjoint_inner(src: Algebra, dst_atom_imgs):
-        # join over target atoms whose own outer image implies the argument:
-        # each atom's bit at its image, then one subset sweep
-        out = np.zeros(src.full_mask + 1, dtype=np.int64)
-        for j, img in enumerate(dst_atom_imgs):
-            if img != -1:
-                out[img] |= 1 << j
-        sweep(out, np.bitwise_or, up=False)
-        return with_star(out)
-
-    t = Translation(
-        a1, a2,
-        adjoint_inner(a1, imgs21), with_star(atom_unions(imgs12)),
-        adjoint_inner(a2, imgs12), with_star(atom_unions(imgs21)),
-    )
-    t._atom_images = {"1>2": np.array(imgs12, dtype=np.int64),
-                      "2>1": np.array(imgs21, dtype=np.int64)}
-    return t
-
-
-# --- scalar predicates (reference semantics for witnesses) --------------------
-
-
-def galois_pair_holds(t: Translation, direction: str, lam: StarProp, eta: StarProp) -> bool:
-    """The adjunction biconditional at one pair; ``lam`` is in the source of
-    ``direction``, ``eta`` in its target."""
-    back = "2>1" if direction == "1>2" else "1>2"
-    lhs = implies(eta, t.apply(direction, "inner", lam))
-    rhs = implies(t.apply(back, "outer", eta), lam)
-    return lhs == rhs
-
-
-def approximation_holds(t: Translation, direction: str, lam: StarProp) -> bool:
-    return implies(t.apply(direction, "inner", lam), t.apply(direction, "outer", lam))
-
-
-def restricted_duality_holds(t: Translation, direction: str, lam: Prop) -> bool:
-    src, _ = t.endpoints(direction)
-    outer = t.apply(direction, "outer", lam)
-    if isinstance(outer, Star):
-        return True
-    expected = meet(negate(outer), t.apply(direction, "inner", src.top))
-    return t.apply(direction, "inner", negate(lam)) == expected
+            raise ParseError(f"missing outer image for atom "
+                             f"{src.formula_text(missing[0])!r} of {src.name!r}")
+        images.append(np.array([dst.slot(given[atom]) for atom in src.atoms()],
+                               dtype=np.int64))
+    return Translation(a1, a2, *images)
 
 
 # --- lattice sweeps and the first-witness scan ---------------------------------
@@ -312,7 +274,7 @@ def check_restricted_duality(t: Translation) -> AxiomReport:
 
 def atom_axioms_hold(t: Translation) -> bool:
     """Whether all three axioms hold, decided in O(m1·m2) on the atom images
-    of a translation derived from them (``translation_from_atom_outers``).
+    of a translation without overrides.
 
     Write img(a) for the outer image of an atom a, D for the atoms whose
     image is concrete, and take direction 1>2 (2>1 is the mirror image).
@@ -336,11 +298,11 @@ def atom_axioms_hold(t: Translation) -> bool:
       that is iff a ∈ img(b) ⟺ b ∈ img(a) for all a, b in D.  The condition
       is symmetric, so it decides both directions at once.
 
-    Translations without atom images (built from arrays, or by ``replace``)
-    give False, as does any failing condition."""
-    imgs = t._atom_images
-    if imgs is None:
+    A translation with overrides gives False, as does any failing
+    condition."""
+    if t.overrides:
         return False
+    imgs = t._images
     defined = {d: np.flatnonzero(v != -1) for d, v in imgs.items()}
     for direction, back in (("1>2", "2>1"), ("2>1", "1>2")):
         b = defined[back]

@@ -36,7 +36,7 @@ from crosslang.algebra import Algebra
 from crosslang.implication import _SLOW_CLOSE_LIMIT, implication_from_translation
 from crosslang.reports import AxiomCheck, AxiomReport
 from crosslang.semantics import JointStateSpace, _is_order_embedding, sigma_approximation
-from crosslang.translation import Translation, first_violation, with_star
+from crosslang.translation import _OPERATORS, Translation, first_violation
 from dotref import _hasse_lines
 
 _CHUNK = 512
@@ -926,17 +926,49 @@ def _meets(rows: np.ndarray, m_dst: int) -> np.ndarray:
     return out
 
 
+def translation_from_arrays(a1, a2, inner12, outer12, inner21, outer21) -> Translation:
+    """A translation with arbitrary operators, given as four arrays over the
+    source slots: the atom images are read off the outer arrays at the atom
+    slots, and every other entry that differs from the derived operators
+    becomes an override, operator by operator, slots ascending (a star slot
+    as the value -1).  The four arrays it builds must equal the given ones."""
+    given = dict(zip(_OPERATORS, (inner12, outer12, inner21, outer21)))
+    images = [np.asarray(given[(direction, "outer")])[1 << np.arange(src.model_count)]
+              for direction, src in (("1>2", a1), ("2>1", a2))]
+    derived = Translation(a1, a2, *images)
+    overrides = []
+    for (direction, mode), vals in given.items():
+        n = derived.endpoints(direction)[0].full_mask + 1
+        for slot in np.flatnonzero(vals != derived.array(direction, mode)):
+            overrides.append((direction, mode, int(slot) if slot < n else -1,
+                              int(vals[slot])))
+    t = Translation(a1, a2, *images, overrides)
+    assert all(np.array_equal(t.array(*key), vals) for key, vals in given.items())
+    return t
+
+
+def translation_from_images(r) -> Translation:
+    """The four operators read off the relation's image vectors: the inner
+    image is the join of everything below, the outer image the meet of
+    everything above, with an empty meet standing for the star."""
+    fwd, back = r.images
+    return translation_from_arrays(
+        r.algebra1, r.algebra2,
+        np.append(back.prop_join()[:-1], -1), np.append(fwd.meet[:-1], -1),
+        np.append(fwd.prop_join()[:-1], -1), np.append(back.meet[:-1], -1))
+
+
 def translation_from_rows(r) -> Translation:
     """The four operators read off dense rows: the inner image is the join
     of everything below, the outer image the meet of everything above."""
     a1, a2 = r.algebra1, r.algebra2
 
     def operators(dst: Algebra, fwd: np.ndarray, back: np.ndarray):
-        return (with_star(_joins(back, dst.model_count)[:-1]),
-                with_star(_meets(fwd, dst.model_count)[:-1]))
+        return (np.append(_joins(back, dst.model_count)[:-1], -1),
+                np.append(_meets(fwd, dst.model_count)[:-1], -1))
 
-    return Translation(a1, a2, *operators(a2, r.rows12, r.rows21),
-                       *operators(a1, r.rows21, r.rows12))
+    return translation_from_arrays(a1, a2, *operators(a2, r.rows12, r.rows21),
+                                   *operators(a1, r.rows21, r.rows12))
 
 
 def cross_dot(r, full: bool = False) -> str:

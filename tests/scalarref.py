@@ -38,6 +38,28 @@ def restricted_duality_ok(t, direction):
     return True
 
 
+def galois_pair_holds(t, direction, lam, eta):
+    """The adjunction biconditional at one pair; ``lam`` is in the source of
+    ``direction``, ``eta`` in its target."""
+    back = "2>1" if direction == "1>2" else "1>2"
+    lhs = implies(eta, t.apply(direction, "inner", lam))
+    rhs = implies(t.apply(back, "outer", eta), lam)
+    return lhs == rhs
+
+
+def approximation_holds(t, direction, lam):
+    return implies(t.apply(direction, "inner", lam), t.apply(direction, "outer", lam))
+
+
+def restricted_duality_holds(t, direction, lam):
+    src, _ = t.endpoints(direction)
+    outer = t.apply(direction, "outer", lam)
+    if isinstance(outer, Star):
+        return True
+    expected = meet(negate(outer), t.apply(direction, "inner", src.top))
+    return t.apply(direction, "inner", negate(lam)) == expected
+
+
 def extensibility_ok(r, side):
     algebra = r.algebra1 if side == 1 else r.algebra2
     for x in algebra.star_lattice():

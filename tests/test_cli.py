@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ import tracemalloc
 
 import pytest
 
+import scalarref
+
 import crosslang.cli as cli
 import crosslang.commonality as commonality
 from conftest import CORPUS, write_cover_pair
@@ -14,7 +17,6 @@ from crosslang import check_consistency, common_language, load_corpus
 from crosslang.cli import main
 from crosslang.oracle import OracleBudget
 from crosslang.randgen import write_cell_corpus, write_free_corpus
-from crosslang.translation import galois_pair_holds
 
 
 def run_cli(*args):
@@ -248,6 +250,29 @@ def test_translate_inconsistent_corpus_exits_one():
     assert "axioms" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_missing_outer_image_exits_two(tmp_path, command):
+    """A translation file without an atom's outer line is incomplete input:
+    one error line names the atom and its language."""
+    for name in ("lang1.lang", "lang2.lang", "translation.tr"):
+        text = (CORPUS / "platypus" / name).read_text()
+        (tmp_path / name).write_text(text.replace("outer 1>2: platypus => *\n", ""))
+    argv = {"check": ["check", *(str(tmp_path / name) for name in
+                                 ("lang1.lang", "lang2.lang", "translation.tr"))],
+            "translate": ["translate", str(tmp_path), "1>2", "outer", "platypus"]}[command]
+    res = run_main(*argv)
+    assert_clean_usage_error(res)
+    assert res.stderr == "error: missing outer image for atom 'platypus' of 'aware'\n"
+
+
+def test_export_dot_takes_no_report_options(capsys):
+    for flag in ("--oracle", "--timing", "--format"):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", str(CORPUS / "platypus"), flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_max_atoms_cap_exits_two():
     res = run_cli("joint", str(CORPUS / "oil-prices"), "--max-atoms", "5")
     assert res.returncode == 2
@@ -383,7 +408,7 @@ def test_check_translation_at_sixteen_models(tmp_path):
     lam = t.algebra1.denote_text("a0 | a3")
     lam_text, eta_text = galois["witnesses"][0]
     assert lam_text == t.algebra1.formula_text(lam)
-    assert not galois_pair_holds(t, "1>2", lam, t.algebra2.denote_text(eta_text))
+    assert not scalarref.galois_pair_holds(t, "1>2", lam, t.algebra2.denote_text(eta_text))
 
 
 def test_check_consistency_at_fourteen_models_stays_small(tmp_path):
@@ -433,6 +458,24 @@ def test_joint_above_63_states_exits_two(tmp_path):
     res = run_cli("joint", str(d))
     assert_clean_usage_error(res)
     assert "80 states" in res.stderr
+
+
+def test_bounds_leaves_no_reference_cycles():
+    """One in-process ``bounds`` frees everything it built by reference
+    counting: the cyclic collector finds nothing of it."""
+    platypus = CORPUS / "platypus"
+    argv = ["bounds", str(platypus), str(platypus / "uniform.prob.json"), "mammal",
+            "--lang", "2"]
+    assert run_main(*argv).returncode == 0      # imports and the parser first
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_main(*argv).returncode == 0
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_bounds_invalid_weights_exit_two(tmp_path):

@@ -10,7 +10,6 @@ import denseref
 import scalarref
 from crosslang import (
     Prop,
-    Translation,
     check_consistency,
     check_derived_properties,
     check_galois,
@@ -21,7 +20,7 @@ from crosslang import (
 )
 from crosslang.randgen import cell_algebra, random_consistent_translation
 from crosslang.semantics import _is_order_embedding
-from crosslang.translation import _ideal_violation, _monotone_violation, with_star
+from crosslang.translation import _ideal_violation, _monotone_violation
 
 # consistent translations come from rejection sampling, whose time depends on
 # host load; the data itself is fixed by derandomize
@@ -68,9 +67,10 @@ def mutant(draw, base):
 
 @st.composite
 def arbitrary(draw):
-    """Operator arrays drawn freely; on some operators the star is kept
-    outside the union of two principal down-sets, which makes the
-    approximable set a down-set that may miss a join."""
+    """Operator arrays drawn freely, held as atom images plus overrides; on
+    some operators the star is kept outside the union of two principal
+    down-sets, which makes the approximable set a down-set that may miss a
+    join."""
     a1, a2 = draw(algebra_pair())
     arrays = []
     for src, dst in ((a1, a2), (a1, a2), (a2, a1), (a2, a1)):
@@ -83,7 +83,7 @@ def arbitrary(draw):
             inside = ((x & ~u) == 0) | ((x & ~v) == 0)
             vals = np.where(inside, np.where(vals == -1, 0, vals), -1)
         arrays.append(np.append(vals, -1))
-    return Translation(a1, a2, *arrays)
+    return denseref.translation_from_arrays(a1, a2, *arrays)
 
 
 translations = st.one_of(atom_derived(), consistent(), arbitrary(),
@@ -176,7 +176,7 @@ def test_monotone_and_down_set_witnesses_at_sixteen_models():
     past 2^31 pairs of a row-major scan; the witness is read off that row
     alone."""
     src = cell_algebra("left", 16, "a")
-    vals = with_star(np.arange(1 << 16, dtype=np.int64))
+    vals = np.append(np.arange(1 << 16, dtype=np.int64), -1)
 
     def masks(pair):
         return tuple(x.mask for x in pair)

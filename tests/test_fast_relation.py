@@ -167,8 +167,9 @@ def closed_relations(draw):
 @given(closed_relations())
 def test_cover_reduction_matches_strict_order_products(r):
     """Also: reports, pair counts, ``holds``, DOT text and read-back
-    translations from the images equal those the dense references give on
-    the same rows."""
+    translations equal those the dense references give on the same rows; a
+    translation built from the atom images equals the four operators read
+    off the relation's image vectors and off its dense rows."""
     m1, m2 = r.algebra1.model_count, r.algebra2.model_count
     for rows, m_src, m_dst in ((r.rows12, m1, m2), (r.rows21, m2, m1)):
         assert np.array_equal(_reduced_cross(rows),
@@ -183,7 +184,8 @@ def test_cover_reduction_matches_strict_order_products(r):
     for full in (False, True):
         assert cross_dot(r, full) == denseref.cross_dot(dense, full)
     if report.passed:
-        assert translation_from_implication(r) == denseref.translation_from_rows(dense)
+        assert (translation_from_implication(r) == denseref.translation_from_images(r)
+                == denseref.translation_from_rows(dense))
 
 
 # --- memory ------------------------------------------------------------------

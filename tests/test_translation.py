@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import denseref
 import gridmath
 import scalarref
 from crosslang import (
@@ -29,14 +30,8 @@ from crosslang.randgen import (
     random_atom_outer_translation,
     random_consistent_translation,
 )
-from crosslang.translation import (
-    _OPERATORS,
-    Translation,
-    approximation_holds,
-    atom_axioms_hold,
-    galois_pair_holds,
-    restricted_duality_holds,
-)
+from crosslang.translation import Translation, atom_axioms_hold
+from scalarref import approximation_holds, galois_pair_holds, restricted_duality_holds
 
 
 def identity_translation(twin_pair):
@@ -279,31 +274,33 @@ def test_construction_always_satisfies_galois():
 
 
 def test_translation_requires_total_star_preserving_maps(twin_pair):
+    """One int64 image per atom, each in the target or the star; an
+    override keeps the star's image the star and takes elements of the
+    translation's own algebras."""
     a, b = twin_pair
     t = identity_translation(twin_pair)
-    rest = [t.array("1>2", "outer"), t.array("2>1", "inner"), t.array("2>1", "outer")]
-    partial = t.array("1>2", "inner")[:-1]
-    with pytest.raises(CrosslangError):
-        type(t)(a, b, partial, *rest)
-    broken_star = t.array("1>2", "inner").copy()
-    broken_star[-1] = b.top.mask
-    with pytest.raises(CrosslangError):
-        type(t)(a, b, broken_star, *rest)
+    images = np.array([1, 2, 4], dtype=np.int64)
+    with pytest.raises(CrosslangError, match="one int64 value per atom"):
+        Translation(a, b, images[:-1], images)
+    with pytest.raises(CrosslangError, match="one int64 value per atom"):
+        Translation(a, b, images.astype(float), images)
     for bad_value in (b.full_mask + 1, -2):
-        outside = t.array("1>2", "inner").copy()
+        outside = images.copy()
         outside[1] = bad_value
         with pytest.raises(CrossAlgebraError):
-            type(t)(a, b, outside, *rest)
-    with pytest.raises(CrosslangError):
-        type(t)(a, b, t.array("1>2", "inner").astype(float), *rest)
+            Translation(a, b, outside, images)
+    assert Translation(a, b, images, images) == t
+    with pytest.raises(CrosslangError, match=r"inner 1>2 map must send \* to \*"):
+        t.replace("1>2", "inner", a.star, b.top)
+    with pytest.raises(CrossAlgebraError):
+        t.replace("1>2", "inner", b.top, b.top)
 
 
 def test_operators_are_read_only_copies(twin_pair):
     a, b = twin_pair
     t = identity_translation(twin_pair)
-    given = t.array("1>2", "inner").copy()
-    rest = [t.array("1>2", "outer"), t.array("2>1", "inner"), t.array("2>1", "outer")]
-    u = type(t)(a, b, given, *rest)
+    given = np.array([1, 2, 4], dtype=np.int64)
+    u = Translation(a, b, given, given)
     given[1] = 0
     assert u == t
     for direction in ("1>2", "2>1"):
@@ -314,7 +311,19 @@ def test_operators_are_read_only_copies(twin_pair):
         u.array("1>2", "inner")[1] = 0
     v = u.replace("1>2", "inner", a.atoms()[0], b.bottom)
     assert v != u and v.apply("1>2", "inner", a.atoms()[0]) == b.bottom
-    assert u == t
+    assert u == t and not u.overrides
+
+
+def test_later_overrides_win_and_restoring_ones_change_nothing(twin_pair):
+    a, b = twin_pair
+    t = identity_translation(twin_pair)
+    x = a.atoms()[0]
+    twice = t.replace("1>2", "outer", x, b.top).replace("1>2", "outer", x, b.bottom)
+    assert twice.apply("1>2", "outer", x) == b.bottom
+    assert twice == t.replace("1>2", "outer", x, b.bottom)
+    restored = t.replace("2>1", "inner", b.top, a.star).replace("2>1", "inner", b.top, a.top)
+    assert restored == t and len(restored.overrides) == 2
+    assert restored == t.replace("1>2", "inner", x, t.apply("1>2", "inner", x))
 
 
 def test_more_than_sixteen_models_is_refused():
@@ -363,8 +372,9 @@ def test_approximable_ideal_witness_is_the_first_down_set_violation():
     )
     outer = np.full(a1.full_mask + 2, -1, dtype=np.int64)
     outer[[0, 1, 2, 4, 516]] = 0
-    t = type(identity)(a1, a2, identity.array("1>2", "inner"), outer,
-                       identity.array("2>1", "inner"), identity.array("2>1", "outer"))
+    t = denseref.translation_from_arrays(
+        a1, a2, identity.array("1>2", "inner"), outer,
+        identity.array("2>1", "inner"), identity.array("2>1", "outer"))
     check = check_derived_properties(t).check("approximable-ideal:outer:1>2")
     assert check.witnesses == ((Prop(a1, 512), Prop(a1, 516)),)
 
@@ -374,11 +384,6 @@ def test_approximable_ideal_witness_is_the_first_down_set_violation():
 
 def _exhaustive(t):
     return check_galois(t).merged(check_approximation(t)).merged(check_restricted_duality(t))
-
-
-def _from_arrays(t):
-    """The same operators through the array constructor, without atom images."""
-    return Translation(t.algebra1, t.algebra2, *(t.array(d, m) for d, m in _OPERATORS))
 
 
 @st.composite
@@ -413,13 +418,14 @@ def _derived(imgs12, imgs21):
 @given(atom_images())
 def test_atom_decision_matches_exhaustive_and_scalar_checkers(images):
     t = _derived(*images)
-    whole = _from_arrays(t)
-    exhaustive = _exhaustive(whole)
+    exhaustive = _exhaustive(t)
     assert atom_axioms_hold(t) == exhaustive.passed
-    assert all(scalarref.translation_verdicts(whole).values()) == exhaustive.passed
-    assert not atom_axioms_hold(whole)
+    assert all(scalarref.translation_verdicts(t).values()) == exhaustive.passed
     assert check_consistency(t).to_dict() == exhaustive.to_dict()
-    assert check_consistency(whole).to_dict() == exhaustive.to_dict()
+    # an override that changes nothing sends the check to the exhaustive path
+    same = t.replace("1>2", "outer", t.algebra1.bottom, t.algebra2.bottom)
+    assert not atom_axioms_hold(same)
+    assert check_consistency(same).to_dict() == exhaustive.to_dict()
 
 
 def test_failing_derived_translation_reports_the_exhaustive_witnesses(twin_pair):
@@ -432,13 +438,13 @@ def test_failing_derived_translation_reports_the_exhaustive_witnesses(twin_pair)
         {atom: Prop(a, atom.mask) for atom in b.atoms()})
     report = check_consistency(t)
     assert not atom_axioms_hold(t) and not report.passed
-    assert report.to_dict() == _exhaustive(_from_arrays(t)).to_dict()
+    assert report.to_dict() == _exhaustive(t).to_dict()
     failed = [c for c in report.checks if not c.passed]
     assert {c.name for c in failed} >= {"approximation:1>2", "restricted-duality:1>2"}
     assert all(c.witnesses for c in failed)
 
 
-def test_replace_drops_the_atom_images(twin_pair):
+def test_translation_with_overrides_goes_to_the_exhaustive_checkers(twin_pair):
     t = identity_translation(twin_pair)
     a, b = twin_pair
     assert atom_axioms_hold(t)
