@@ -45,6 +45,7 @@ from .errors import (
     DuplicateAtomError,
     InconsistentInputError,
     InvalidWeightsError,
+    LanguageNameClashError,
     ParseError,
     StarNegationError,
     UndeclaredAtomError,

@@ -38,6 +38,7 @@ from .errors import (
     CrosslangError,
     DegenerateCommonLanguageError,
     InvalidWeightsError,
+    LanguageNameClashError,
     ParseError,
 )
 from .hasse import algebra_dot, cross_dot
@@ -352,7 +353,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError, AtomCapError,
-            AlgebraTooLargeError, ContradictionError, InvalidWeightsError) as exc:
+            AlgebraTooLargeError, ContradictionError, InvalidWeightsError,
+            LanguageNameClashError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except CrosslangError as exc:

@@ -3,32 +3,49 @@
 A corpus directory holds ``lang1.lang`` and ``lang2.lang`` plus at least one
 of ``translation.tr`` (atom-level outer maps, optionally with explicit
 ``override`` lines) and ``implication.imp`` (seed pairs for the closure).
+The two languages must have distinct names: seeds name their language.
 
-Every endpoint of either file goes through one reader, ``_parse_value``.
-It reads the common grammar directly: ``*`` is the star, and a union
-``name | name | ...`` of declared elementary names, ``true`` and ``false``
-is the OR of their model columns.  Any other text, an undeclared name
-included, goes to ``parse_formula``, so that errors keep their type,
-message, line and column.  Seeds travel as values, not elements: each
-endpoint is a (side, value) pair, side 1 or 2 and value a mask, -1 for the
-star, which is what ``implication.close_values`` takes.
+Every endpoint of a translation file goes through one reader,
+``_parse_value``.  It reads the common grammar directly: ``*`` is the star,
+and a union ``name | name | ...`` of declared elementary names, ``true``
+and ``false`` is the OR of their model columns.  Any other text, an
+undeclared name included, goes to ``parse_formula``, so that errors keep
+their type, message, line and column.
+
+A seed file is read in blocks of whole lines of about 64 KB, one regular
+expression call to a block.  A block whose every line is a seed line with
+endpoints in that common grammar, a blank line or a comment, that has no
+line boundary but newlines, and whose language and endpoint names are all
+known, is read whole: each distinct endpoint once, its names mapped to
+their columns in bulk and ORed with numpy.  Any other block (a formula
+endpoint, a malformed line, an undeclared name, a CRLF file) is read line
+by line through ``_parse_value``, from its first line number on; as only
+such a block can fail, the first error in the file is the one raised.
+Seeds travel as two (n, 2) arrays, the side (1 or 2) and the value (a mask,
+-1 for the star) of each endpoint, which is what
+``implication.close_values`` takes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import DEFAULT_ATOM_CAP, Algebra
-from .errors import ParseError
+from .errors import LanguageNameClashError, ParseError
 from .implication import (
     CrossImplication,
     close_values,
     implication_from_translation,
     translation_from_implication,
+    value_dtype,
 )
-from .language import _NAME, _UNION_RE, parse_formula, parse_language
+from .language import _UNION_RE, IDENT_RE, parse_formula, parse_language
 from .translation import Translation, translation_from_atom_outers
 
 LANG1_FILE = "lang1.lang"
@@ -36,15 +53,28 @@ LANG2_FILE = "lang2.lang"
 TRANSLATION_FILE = "translation.tr"
 IMPLICATION_FILE = "implication.imp"
 
-# the seed lines made of the direct grammar's endpoints
-_ENDPOINT = rf"({_NAME})\.\s*(\*|{_UNION_RE.pattern})\s*"
-_SEED_RE = re.compile(rf"imp:\s*{_ENDPOINT}=>\s*{_ENDPOINT}")
 # reserved words cannot be atoms; ``true`` is all ones, cut to the full mask
 _CONSTANTS = {"false": 0, "true": -1}
 
+# a seed file is read in blocks of whole lines of about this many
+# characters: many lines to each regular-expression call, while the strings
+# of one block stay small
+_BLOCK_CHARS = 1 << 16
+# one line of a block read whole: a seed line whose endpoints are ``*`` or
+# words joined by bars (each word must then be a name of its side), a blank
+# line or a comment; blanks are " " and "\t" only, and the line ends at
+# "\n", the other line boundaries of ``str.splitlines`` being kept out of
+# comments, so that a block has as many lines as newlines
+_BLANK = r"[ \t]*"
+_ENDPOINT = rf"(\w+)\.{_BLANK}(\*|[\w \t|]*\w){_BLANK}"
+_LINE_RE = re.compile(
+    rf"^{_BLANK}(?:imp:{_BLANK}{_ENDPOINT}=>{_BLANK}{_ENDPOINT})?"
+    r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+def _content_lines(lines, start: int = 1):
+    """(line number, text) of each line with content, its comment cut."""
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -85,7 +115,7 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     atom_outers = {"1>2": {}, "2>1": {}}
     overrides = []
     sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(text.splitlines()):
         parts = line.split(":", 1)
         if len(parts) != 2:
             raise ParseError("expected 'outer <dir>: <formula> => <formula|*>'",
@@ -122,9 +152,9 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
 
 
 def _seed_keys(line: str, lineno: int, languages: dict):
-    """The (language, formula text) endpoints of a seed line outside the
-    direct grammar.  A generator, so that each endpoint is read before the
-    next one is checked: the error reported is the first along the line."""
+    """The (language, formula text) endpoints of a seed line.  A generator,
+    so that each endpoint is read before the next one is checked: the error
+    reported is the first along the line."""
     if not line.startswith("imp:"):
         raise ParseError("expected 'imp: <lang>.<formula> => <lang>.<formula>'",
                          lineno, 1)
@@ -142,15 +172,87 @@ def _seed_keys(line: str, lineno: int, languages: dict):
         yield lang_name, formula.strip()
 
 
-def _scan_seeds(text: str, a1: Algebra, a2: Algebra) -> list:
-    """The seeds of ``imp: <lang>.<formula> => <lang>.<formula>`` lines as
-    ((side, value), (side, value)) pairs, in file order.
+def _blocks(text: str):
+    """The text in blocks of whole lines of about ``_BLOCK_CHARS``
+    characters, each cut after a newline; the last one gains a newline when
+    it lacks one, which adds no line with content."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        yield block if block.endswith("\n") else block + "\n"
+        start = end
 
-    A line of the direct grammar is split by one regular expression; any
-    other line is checked piece by piece.  Each distinct endpoint is read
-    once; only successes are remembered, so a malformed endpoint fails with
-    the line it appears on."""
+
+def _union_values(unions: list, lookup: dict):
+    """The values of endpoint texts that are a ``*`` or a union of names of
+    ``lookup``, as an int64 array; None if a name is missing.  Each name is
+    looked up once, and the columns of each union are ORed by ``reduceat``."""
+    names = list(map(str.strip, "|".join(unions).split("|")))
+    try:
+        columns = np.fromiter(map(lookup.__getitem__, names), np.int64, len(names))
+    except KeyError:
+        return None
+    counts = np.fromiter(map(str.count, unions, repeat("|")), np.int64, len(unions))
+    return np.bitwise_or.reduceat(columns, np.cumsum(counts + 1) - counts - 1)
+
+
+def _direct_block(block: str, sides_of: dict, lookups: dict):
+    """The (sides, values) seed arrays of a block whose every line is a
+    ``_LINE_RE`` line and whose every language and endpoint name is known;
+    None for any other block.  ``sides_of`` gives the side of each language
+    name, ``lookups`` the values of the names of each side.  Each distinct
+    endpoint of a side is read once."""
+    rows = _LINE_RE.findall(block)
+    if len(rows) != block.count("\n"):
+        return None
+    rows = list(filter(itemgetter(0), rows))        # drop blank and comment lines
+    langs1, texts1, langs2, texts2 = zip(*rows) if rows else ((),) * 4
+    langs, texts = langs1 + langs2, texts1 + texts2
+    try:
+        sides = np.fromiter(map(sides_of.__getitem__, langs), np.int64, len(langs))
+    except KeyError:
+        return None                                 # an unknown language
+    values = np.zeros(len(langs), np.int64)
+    for side, lookup in lookups.items():
+        mine = sides == side
+        chosen = list(compress(texts, mine.tolist()))
+        if not chosen:
+            continue
+        distinct = dict.fromkeys(chosen)
+        masks = _union_values(list(distinct), lookup)
+        if masks is None:
+            return None                             # undeclared: the parser reports it
+        if len(distinct) < len(chosen):             # spread repeated endpoints
+            index = dict(zip(distinct, range(len(distinct))))
+            masks = masks[np.fromiter(map(index.__getitem__, chosen), np.int64,
+                                      len(chosen))]
+        values[mine] = masks
+    return sides.reshape(2, -1).T, values.reshape(2, -1).T
+
+
+def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
+    """The seeds of ``imp: <lang>.<formula> => <lang>.<formula>`` lines as
+    two arrays of shape (n, 2), in file order: the side of each endpoint,
+    1 or 2, and its value, a mask or -1 for the star.
+
+    The text is read a block of lines at a time (``_direct_block``).  A
+    block it refuses is read line by line, each endpoint through
+    ``_parse_value``, starting at the block's first line number.  Each
+    distinct endpoint of those lines is read once; only successes are
+    remembered, so a malformed endpoint fails with the line it appears on,
+    and as a refused block is the only kind that can fail, the first error
+    in the file is the one raised."""
     languages = {a1.name: (1, a1), a2.name: (2, a2)}
+    dtype = value_dtype(a1, a2)
+    sides_of = {name: side for name, (side, _) in languages.items()}
+    # the value of each name that a union can spell: the declared names, and
+    # ``true`` and ``false`` cut to the full mask; and of ``*``, the star
+    lookups = {side: {"true": a.full_mask, "false": 0,
+                      **{atom: column for atom, column in a._columns.items()
+                         if IDENT_RE.fullmatch(atom)},
+                      "*": -1}
+               for side, a in ((1, a1), (2, a2))} if dtype is np.int64 else None
     endpoints = {}
 
     def endpoint(key, lineno):
@@ -160,16 +262,22 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra) -> list:
             found = endpoints[key] = (side, _parse_value(key[1], algebra, lineno))
         return found
 
-    seeds = []
-    for lineno, line in _content_lines(text):
-        m = _SEED_RE.fullmatch(line)
-        if m is not None and m[1] in languages and m[3] in languages:
-            seeds.append((endpoint((m[1], m[2]), lineno),
-                          endpoint((m[3], m[4]), lineno)))
+    sides, values = [np.empty((0, 2), np.int64)], [np.empty((0, 2), dtype)]
+    lineno = 1
+    for block in _blocks(text):
+        direct = _direct_block(block, sides_of, lookups) if lookups else None
+        if direct is not None:
+            lineno += block.count("\n")
         else:
-            seeds.append(tuple([endpoint(key, lineno)
-                                for key in _seed_keys(line, lineno, languages)]))
-    return seeds
+            lines = block.splitlines()
+            seeds = np.array([[endpoint(key, n) for key in _seed_keys(line, n, languages)]
+                              for n, line in _content_lines(lines, lineno)],
+                             dtype=object).reshape(-1, 2, 2)
+            lineno += len(lines)
+            direct = seeds[..., 0].astype(np.int64), seeds[..., 1].astype(dtype)
+        sides.append(direct[0])
+        values.append(direct[1])
+    return np.concatenate(sides), np.concatenate(values)
 
 
 def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
@@ -180,15 +288,16 @@ def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):
     ``true`` and ``false``) are read without the parser; any other text goes
     to ``parse_formula``.  The seeds are scanned as values, -1 for the star,
     and each value is read back as a proposition or the star of its side."""
-    algebras = {1: a1, 2: a2}
-    return [tuple(algebras[side].element(value) for side, value in seed)
-            for seed in _scan_seeds(text, a1, a2)]
+    algebras = (None, a1, a2)
+    sides, values = _scan_seeds(text, a1, a2)
+    return [(algebras[s1].element(v1), algebras[s2].element(v2))
+            for (s1, s2), (v1, v2) in zip(sides.tolist(), values.tolist())]
 
 
 def parse_implication_file(text: str, a1: Algebra, a2: Algebra) -> CrossImplication:
     """The closed relation of a seed file; its seeds go to the closure as
-    values, without an element per endpoint."""
-    return close_values(_scan_seeds(text, a1, a2), a1, a2)
+    arrays, without an element per endpoint."""
+    return close_values(*_scan_seeds(text, a1, a2), a1, a2)
 
 
 @dataclass
@@ -216,8 +325,13 @@ class Corpus:
 
 def load_algebras(path1: str | Path, path2: str | Path,
                   max_atoms: int = DEFAULT_ATOM_CAP) -> tuple[Algebra, Algebra]:
-    """The algebras of two language files, both parsed before either is built."""
+    """The algebras of two language files, both parsed before either is built.
+    Seeds name their language, so the two names must differ."""
     specs = [parse_language(Path(p).read_text(encoding="utf-8")) for p in (path1, path2)]
+    if specs[0].name == specs[1].name:
+        raise LanguageNameClashError(
+            f"both language files declare the language {specs[0].name!r}; "
+            "the two languages of a pair need distinct names")
     return tuple(Algebra.from_spec(spec, max_atoms) for spec in specs)
 
 

@@ -24,6 +24,10 @@ class DuplicateAtomError(ParseError):
     """The same elementary proposition is declared twice."""
 
 
+class LanguageNameClashError(CrosslangError):
+    """The two language files of a pair declare the same language name."""
+
+
 class ContradictionError(CrosslangError):
     """The belief set admits no truth assignment at all."""
 

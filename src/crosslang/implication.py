@@ -284,28 +284,39 @@ def _within_matrix(algebra: Algebra) -> np.ndarray:
     return (slots[:, None] & ~slots[None, :]) == 0
 
 
+def value_dtype(a1: Algebra, a2: Algebra):
+    """The dtype of a seed value array: int64 while every mask fits in it
+    (at most 63 models a side), else object, for algebras that
+    ``CrossImplication`` refuses as too large anyway."""
+    return np.int64 if max(a1.model_count, a2.model_count) < 64 else object
+
+
 def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     """Least relation containing the seeds, both within-language orders and
     the bound pairs, closed under transitivity.
 
     The seeds are pairs of elements of the two algebras.  They travel on as
-    values: each endpoint becomes a (side, value) pair, side 1 or 2 and value
-    its mask, -1 for the star, and ``close_values`` closes those.  Seed files
-    go to ``close_values`` directly, without an element per endpoint."""
+    arrays: the side of each endpoint, 1 or 2, and its value, a mask or -1
+    for the star, which ``close_values`` closes.  Seed files go to
+    ``close_values`` directly, without an element per endpoint."""
     sides = {a1.name: 1, a2.name: 2}
-    values = []
+    side_rows, value_rows = [], []
     for x, y in seeds:
         try:
-            sx, sy = sides[x.algebra.name], sides[y.algebra.name]
+            side_rows.append((sides[x.algebra.name], sides[y.algebra.name]))
         except KeyError:
             raise CrossAlgebraError("seed endpoint outside the two languages")
-        values.append(((sx, x.algebra.slot(x)), (sy, y.algebra.slot(y))))
-    return close_values(values, a1, a2)
+        value_rows.append((x.algebra.slot(x), y.algebra.slot(y)))
+    return close_values(np.array(side_rows, dtype=np.int64).reshape(-1, 2),
+                        np.array(value_rows, dtype=value_dtype(a1, a2)).reshape(-1, 2),
+                        a1, a2)
 
 
-def close_values(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
-    """``close`` on seeds given as values: each endpoint is a (side, value)
-    pair, side 1 for ``a1`` or 2 for ``a2`` and value a mask, -1 for the star.
+def close_values(sides: np.ndarray, values: np.ndarray,
+                 a1: Algebra, a2: Algebra) -> CrossImplication:
+    """``close`` on seeds given as arrays of shape (n, 2), in seed order:
+    ``sides`` holds the side of each endpoint, 1 for ``a1`` or 2 for ``a2``,
+    and ``values`` its mask, -1 for the star.
 
     Same-language seeds that the order does not already validate, and any
     within-language pairs the closure forces, are kept aside so the
@@ -316,19 +327,17 @@ def close_values(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     source order (``_bounce_free``); otherwise a dense Warshall closure over
     the union takes over.
     """
-    cross = {1: ([], []), 2: ([], [])}
-    extra_seeds = {1: set(), 2: set()}
-    star_index = {1: a1.full_mask + 1, 2: a2.full_mask + 1}
-    for (sx, x), (sy, y) in seeds:
-        if sx != sy:
-            xs, ts = cross[sx]
-            xs.append(x)
-            ts.append(y)
-        elif x & ~y:
-            # outside the star-lattice order, kept by slot index
-            extra_seeds[sx].add((star_index[sx] if x == -1 else x, y))
-    r = CrossImplication(a1, a2, cross[1], cross[2])
-    if _bounce_free(r.images) and not extra_seeds[1] and not extra_seeds[2]:
+    src, dst = sides[:, 0], sides[:, 1]
+    cross = [values[(src == s) & (dst != s)].T for s in (1, 2)]
+    # same-language seeds outside the star-lattice order, by slot index; a
+    # star target is above everything, so no target here is the star
+    outside = []
+    for s, algebra in ((1, a1), (2, a2)):
+        x, y = values[(src == s) & (dst == s)].T
+        x, y = x[(x & ~y) != 0], y[(x & ~y) != 0]
+        outside.append((np.where(x == -1, algebra.full_mask + 1, x), y))
+    r = CrossImplication(a1, a2, *cross)
+    if _bounce_free(r.images) and not any(len(x) for x, _ in outside):
         return r
 
     # the closure escapes the within-language orders: fall back to a full
@@ -346,10 +355,8 @@ def close_values(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     u[n1:, n1:] = w2
     u[:n1, n1:] = r.rows12
     u[n1:, :n1] = r.rows21
-    for i, j in extra_seeds[1]:
-        u[i, j] = True
-    for i, j in extra_seeds[2]:
-        u[n1 + i, n1 + j] = True
+    u[outside[0]] = True
+    u[n1 + outside[1][0], n1 + outside[1][1]] = True
     while True:
         new = u | _bool_matmul(u, u)
         if np.array_equal(new, u):

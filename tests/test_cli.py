@@ -265,6 +265,27 @@ def test_missing_outer_image_exits_two(tmp_path, command):
     assert res.stderr == "error: missing outer image for atom 'platypus' of 'aware'\n"
 
 
+@pytest.mark.parametrize("command", ["check-translation", "check-implication", "translate"])
+def test_equal_language_names_exit_two(tmp_path, command):
+    """Two language files that declare the same name are refused before the
+    pair file is read: one error line names the name.  Read on, language 1's
+    atom ``p`` would be undeclared in the second language of that name."""
+    (tmp_path / "lang1.lang").write_text("language first\natoms: p q\n")
+    (tmp_path / "lang2.lang").write_text("language first\natoms: x y\n")
+    (tmp_path / "translation.tr").write_text("outer 1>2: p => x\nouter 1>2: q => y\n"
+                                             "outer 2>1: x => p\nouter 2>1: y => q\n")
+    (tmp_path / "implication.imp").write_text("imp: first.p => first.x\n")
+    langs = [str(tmp_path / "lang1.lang"), str(tmp_path / "lang2.lang")]
+    argv = {"check-translation": ["check", *langs, str(tmp_path / "translation.tr")],
+            "check-implication": ["check", *langs, str(tmp_path / "implication.imp"),
+                                  "--mode", "implication"],
+            "translate": ["translate", str(tmp_path), "1>2", "outer", "p"]}[command]
+    res = run_main(*argv)
+    assert_clean_usage_error(res)
+    assert res.stderr == ("error: both language files declare the language 'first'; "
+                          "the two languages of a pair need distinct names\n")
+
+
 def test_export_dot_takes_no_report_options(capsys):
     for flag in ("--oracle", "--timing", "--format"):
         with pytest.raises(SystemExit) as exc:

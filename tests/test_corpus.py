@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import crosslang.cli as cli
 import seedref
-from crosslang import Algebra, ParseError, Star, close, parse_language
+from crosslang import Algebra, LanguageSpec, ParseError, Star, close, parse_language
 from crosslang.corpus import (
+    _BLOCK_CHARS,
     load_algebras,
     load_corpus,
     parse_implication_file,
@@ -159,7 +160,7 @@ _SEED_FRAGMENTS = _FRAGMENTS + ["zz", "first", "second", "third", "imp:", ".", "
                                 "*", "#", "\t"]
 _DECLARED = {"first": ["p", "q"], "second": ["x1", "_y"], "third": ["p"]}
 _fragment_text = st.lists(st.sampled_from(_SEED_FRAGMENTS), max_size=8).map("".join)
-_space = st.sampled_from(["", " ", "  ", "\t"])
+_space = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
 
 
 def _endpoint(lang):
@@ -177,8 +178,14 @@ _seed_line = st.builds(
     "imp:{}{}=>{}{}{}".format, _space, _lang.flatmap(_endpoint), _space,
     _lang.flatmap(_endpoint), st.sampled_from(["", " ", " # note", "#"]),
 )
-_seed_text = st.lists(st.one_of(_seed_line, _seed_line, _seed_line, _fragment_text),
-                      max_size=4).map("\n".join)
+# blank and comment-only lines; line ends of every kind ``str.splitlines``
+# knows, mostly "\n", and none at all, which joins two lines
+_other_line = st.sampled_from(["", "  ", "# note", "\t# imp: first.p => second.x1"])
+_line_end = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\x85", "\u2028", ""])
+_seed_text = st.lists(
+    st.tuples(st.one_of(_seed_line, _seed_line, _seed_line, _fragment_text, _other_line),
+              _line_end),
+    max_size=4).map(lambda lines: "".join(map("".join, lines)))
 
 
 def _seed_outcome(parse, text, a1, a2):
@@ -199,6 +206,21 @@ def test_seed_reader_matches_reference(text):
     assert _seed_outcome(parse_implication_seeds, text, a1, a2) == expected
     if isinstance(expected, list):
         assert parse_implication_file(text, a1, a2) == close(expected, a1, a2)
+
+
+@pytest.mark.parametrize("text", [
+    *(f"# note{end}imp: first.p => second.x1\n"
+      for end in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+    "imp: first.p q => second.x1\n",        # two names without a bar, not ``pq``
+    "imp: first.p | 1p => second.x1\n",     # declared, but no formula spells it
+])
+def test_seed_reader_matches_reference_on_edge_lines(text):
+    """Every line boundary of ``str.splitlines`` ends a comment, and a name
+    is read only as the formula grammar spells it."""
+    a1 = Algebra.from_spec(LanguageSpec("first", ("p", "q", "pq", "1p"), ()))
+    a2 = _seed_algebras()[1]
+    expected = _seed_outcome(seedref.parse_implication_seeds, text, a1, a2)
+    assert _seed_outcome(parse_implication_seeds, text, a1, a2) == expected
 
 
 def test_translation_file_reads_unions_like_the_parser():
@@ -255,10 +277,44 @@ def seed_files(tmp_path_factory):
         cases[name] = (d / "first.lang", d / "second.lang", d / f"{name}.imp")
     for imp in sorted(CORPUS.glob("*/implication.imp")):
         cases[imp.parent.name] = (imp.parent / "lang1.lang", imp.parent / "lang2.lang", imp)
+    # files of several blocks, made from the 10 x 10 cover file
+    lang1, lang2, cover = cases["cover10"]
+    lines = cover.read_text().splitlines(keepends=True)
+    assert len(cover.read_text()) > 2 * _BLOCK_CHARS
+    d = cover.parent
+    errors = list(lines)
+    middle = len(lines) // 2
+    errors[middle] = "imp: lang1.a0 & !a1 => lang2.b0 | b1   # a formula\n"
+    errors.insert(middle, "# a comment over two lines:\x85# the second\n")
+    errors[-3] = "imp: lang1.a1 => lang2.b1 | zz\n"
+    (d / "block-errors.imp").write_text("".join(errors))
+    (d / "block-stars.imp").write_text("".join(lines) + _BLOCK_STARS)
+    (d / "block-crlf.imp").write_bytes("".join(lines).replace("\n", "\r\n").encode())
+    for name in ("block-errors", "block-stars", "block-crlf"):
+        cases[name] = (lang1, lang2, d / f"{name}.imp")
+    # the small same-language file over and over: repeated endpoints, and
+    # same-language seeds outside the order, in every block
+    small = cases["same-language"]
+    repeats = small[2].read_text() * (3 * _BLOCK_CHARS // len(small[2].read_text()))
+    (small[2].parent / "block-repeats.imp").write_text(repeats)
+    cases["block-repeats"] = (small[0], small[1], small[2].parent / "block-repeats.imp")
     return cases
 
 
+# star seeds and same-language seeds inside the order, after the cover seeds
+# of 10 x 10 cells; seeds outside the order take the dense closure, which
+# the small "block-repeats" file tries instead
+_BLOCK_STARS = """\
+imp: lang1.a0 => lang2.*
+imp: lang2.* => lang1.*
+imp: lang1.false => lang2.false
+imp: lang2.b0 => lang1.true   # a comment
+imp: lang1.a0 => lang1.a0 | a1
+imp: lang2.b0 => lang2.b0 | b1 | b2
+"""
+
 SEED_CASES = ["cover6", "cover10", "narrowed6", "narrowed10", "stars", "same-language",
+              "block-errors", "block-stars", "block-crlf", "block-repeats",
               *sorted(p.parent.name for p in CORPUS.glob("*/implication.imp"))]
 
 
@@ -276,10 +332,16 @@ def _check_implication(files):
 
 @pytest.mark.parametrize("case", SEED_CASES)
 def test_seed_file_gives_the_reference_relation(seed_files, case):
+    """The relation, or the error type, message, line and column; read
+    without newline translation, so that "\\r\\n" reaches the reader."""
     lang1, lang2, imp = seed_files[case]
     a1, a2 = load_algebras(lang1, lang2)
-    text = imp.read_text()
-    r, ref = parse_implication_file(text, a1, a2), _reference_file(text, a1, a2)
+    text = imp.read_bytes().decode()
+    r = _seed_outcome(parse_implication_file, text, a1, a2)
+    ref = _seed_outcome(_reference_file, text, a1, a2)
+    if isinstance(ref, tuple):
+        assert r == ref
+        return
     for images, ref_images in zip(r.images, ref.images):
         for field in ("xs", "ts", "meet", "low", "join", "high"):
             assert np.array_equal(getattr(images, field), getattr(ref_images, field))
@@ -292,6 +354,22 @@ def test_check_implication_prints_the_reference_bytes(seed_files, case, monkeypa
     got = _check_implication(files)
     monkeypatch.setattr(cli, "parse_implication_file", _reference_file)
     assert got == _check_implication(files)
+
+
+def test_block_files_read_as_the_reference_says(seed_files):
+    """The multi-block cases are what they claim: the first error is the
+    undeclared name near the end, after a formula endpoint that reads; and a
+    CRLF file gives the relation of its LF twin."""
+    lang1, lang2, imp = seed_files["block-errors"]
+    a1, a2 = load_algebras(lang1, lang2)
+    lines = imp.read_text().splitlines()
+    with pytest.raises(ParseError) as err:
+        parse_implication_file(imp.read_text(), a1, a2)
+    assert (type(err.value).__name__, err.value.line) == ("UndeclaredAtomError", len(lines) - 2)
+    crlf = seed_files["block-crlf"][2].read_bytes().decode()
+    assert "\r\n" in crlf
+    assert parse_implication_file(crlf, a1, a2) == parse_implication_file(
+        seed_files["cover10"][2].read_text(), a1, a2)
 
 
 def test_narrowed_sixteen_by_sixteen_seed_file_is_refused(tmp_path):
