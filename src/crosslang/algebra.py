@@ -85,14 +85,14 @@ def _evaluate(formula: Formula, columns: dict[str, int], full: int) -> int:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def enumerate_models(spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> np.ndarray:
+def enumerate_models(spec: LanguageSpec) -> np.ndarray:
     """The keys of all assignments satisfying every belief, ascending, as a
     read-only int64 array.  Bit n-1-j of a key is the value of atom j, so
     ascending keys are the lexicographic order in declared atom order."""
     n = len(spec.elementary)
-    if n > max_atoms:
+    if n > DEFAULT_ATOM_CAP:
         raise AtomCapError(
-            f"{spec.name!r} declares {n} atoms, above the cap of {max_atoms}"
+            f"{spec.name!r} declares {n} atoms, above the cap of {DEFAULT_ATOM_CAP}"
         )
     full = (1 << (1 << n)) - 1
     columns = {
@@ -243,8 +243,8 @@ class Algebra:
         self._texts = None
 
     @classmethod
-    def from_spec(cls, spec: LanguageSpec, max_atoms: int = DEFAULT_ATOM_CAP) -> "Algebra":
-        return cls(spec, enumerate_models(spec, max_atoms))
+    def from_spec(cls, spec: LanguageSpec) -> "Algebra":
+        return cls(spec, enumerate_models(spec))
 
     # --- basic elements ---
 

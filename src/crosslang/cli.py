@@ -18,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-from .algebra import DEFAULT_ATOM_CAP
 from .corpus import (
     IMPLICATION_FILE,
     LANG1_FILE,
@@ -131,7 +130,7 @@ def _attach_oracle(args, payload, t) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    a1, a2 = load_algebras(args.lang1, args.lang2, args.max_atoms)
+    a1, a2 = load_algebras(args.lang1, args.lang2)
     pair_text = Path(args.pair_file).read_text(encoding="utf-8")
     if args.mode == "translation":
         t = parse_translation_file(pair_text, a1, a2)
@@ -157,7 +156,7 @@ def cmd_check(args) -> int:
 
 def cmd_translate(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     if not t.is_consistent():
         sys.stderr.write("translation fails its axioms\n")
@@ -180,7 +179,7 @@ def cmd_translate(args) -> int:
 
 def cmd_joint(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
     payload = _base_report("joint", _corpus_inputs(corpus.path), started, args)
@@ -196,7 +195,7 @@ def cmd_joint(args) -> int:
 
 def cmd_common(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     try:
         common = common_language(t)
@@ -217,7 +216,7 @@ def cmd_common(args) -> int:
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
     verdict = classify_awareness(t, space)
@@ -232,7 +231,7 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
     weights = json.loads(Path(args.probabilities).read_text(encoding="utf-8"))
@@ -255,7 +254,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_export_dot(args) -> int:
     started = time.perf_counter()
-    corpus = load_corpus(args.corpus, args.max_atoms)
+    corpus = load_corpus(args.corpus)
     if args.what == "algebra1":
         dot = algebra_dot(corpus.algebra1, 1)
     elif args.what == "algebra2":
@@ -271,8 +270,6 @@ def cmd_export_dot(args) -> int:
 
 def _add_common(parser, default_format: str | None):
     parser.add_argument("--output", help="write output to this file instead of stdout")
-    parser.add_argument("--max-atoms", type=int, default=DEFAULT_ATOM_CAP,
-                        help="cap on elementary propositions per language")
     if default_format is None:
         return
     parser.add_argument("--format", choices=["json", "text"], default=default_format)

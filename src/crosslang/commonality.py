@@ -98,20 +98,20 @@ class CommonLanguage:
         }
 
 
-def common_language(t: Translation, host_side: int = 1) -> CommonLanguage:
-    """Assemble the common language from the perfect set.
+def common_language(t: Translation) -> CommonLanguage:
+    """Assemble the common language from the perfect set of language 1,
+    its host.
 
     Verifies the closure laws (meets, relative complements, distinct top and
     bottom) and that the partner bijection preserves implication both ways.
     """
-    fwd, _ = _direction(host_side)
-    src, dst = t.endpoints(fwd)
-    masks = perfect_translations(t, host_side)
+    src, dst = t.algebra1, t.algebra2
+    masks = perfect_translations(t, 1)
     if len(masks) < 2:
         raise DegenerateCommonLanguageError(
             "only the contradiction translates exactly"
         )
-    partners = t.array(fwd, "outer")[masks]
+    partners = t.array("1>2", "outer")[masks]
     partners.flags.writeable = False
     _check_common(masks, partners, src.full_mask)
     return CommonLanguage(src, dst, masks, partners)
@@ -206,10 +206,8 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
         ev = space.event_array(side)
         n = len(ev)
         injective = bool((np.diff(np.sort(ev)) != 0).all())
-        report.checks.append(
-            AxiomCheck(f"embedding-injective:{side}", injective,
-                       () if injective else ((algebra.bottom,),))
-        )
+        report.checks.append(AxiomCheck(f"embedding-injective:{side}",
+                                        None if injective else (algebra.bottom,)))
         witness = None
         if not _is_atom_homomorphism(ev):
             masks = np.arange(n, dtype=np.int64)
@@ -220,13 +218,10 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
                 | (ev[(full ^ x) & y] != (ev[y] & ~ev[x])),
             )
             witness = (Prop(algebra, i), Prop(algebra, j))
-        report.checks.append(
-            AxiomCheck(f"embedding-homomorphism:{side}", witness is None,
-                       () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(f"embedding-homomorphism:{side}", witness))
 
     try:
-        common = common_language(t, host_side=1)
+        common = common_language(t)
     except DegenerateCommonLanguageError:
         return report
     masks, partners = common.masks, common.partners
@@ -249,14 +244,8 @@ def joint_embeddings(t: Translation, space: JointStateSpace) -> AxiomReport:
         i = bad[0]
         legs_witness = ((Prop(a1, int(masks[i])),) if legs["1>2"][i]
                         else (Prop(a2, int(partners[i])),))
-    report.checks.append(
-        AxiomCheck("common-diagram-commutes", diagram_witness is None,
-                   () if diagram_witness is None else (diagram_witness,))
-    )
-    report.checks.append(
-        AxiomCheck("translation-legs-agree", legs_witness is None,
-                   () if legs_witness is None else (legs_witness,))
-    )
+    report.checks.append(AxiomCheck("common-diagram-commutes", diagram_witness))
+    report.checks.append(AxiomCheck("translation-legs-agree", legs_witness))
     return report
 
 

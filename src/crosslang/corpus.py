@@ -36,14 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DEFAULT_ATOM_CAP, Algebra
+from .algebra import Algebra
 from .errors import LanguageNameClashError, ParseError
 from .implication import (
     CrossImplication,
     close_values,
     implication_from_translation,
     translation_from_implication,
-    value_dtype,
 )
 from .language import _UNION_RE, IDENT_RE, parse_formula, parse_language
 from .translation import Translation, translation_from_atom_outers
@@ -243,8 +242,9 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
     remembered, so a malformed endpoint fails with the line it appears on,
     and as a refused block is the only kind that can fail, the first error
     in the file is the one raised."""
+    a1.require_enumerable()   # before reading masks into int64 arrays
+    a2.require_enumerable()
     languages = {a1.name: (1, a1), a2.name: (2, a2)}
-    dtype = value_dtype(a1, a2)
     sides_of = {name: side for name, (side, _) in languages.items()}
     # the value of each name that a union can spell: the declared names, and
     # ``true`` and ``false`` cut to the full mask; and of ``*``, the star
@@ -252,7 +252,7 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
                       **{atom: column for atom, column in a._columns.items()
                          if IDENT_RE.fullmatch(atom)},
                       "*": -1}
-               for side, a in ((1, a1), (2, a2))} if dtype is np.int64 else None
+               for side, a in ((1, a1), (2, a2))}
     endpoints = {}
 
     def endpoint(key, lineno):
@@ -262,19 +262,19 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
             found = endpoints[key] = (side, _parse_value(key[1], algebra, lineno))
         return found
 
-    sides, values = [np.empty((0, 2), np.int64)], [np.empty((0, 2), dtype)]
+    sides, values = [np.empty((0, 2), np.int64)], [np.empty((0, 2), np.int64)]
     lineno = 1
     for block in _blocks(text):
-        direct = _direct_block(block, sides_of, lookups) if lookups else None
+        direct = _direct_block(block, sides_of, lookups)
         if direct is not None:
             lineno += block.count("\n")
         else:
             lines = block.splitlines()
             seeds = np.array([[endpoint(key, n) for key in _seed_keys(line, n, languages)]
                               for n, line in _content_lines(lines, lineno)],
-                             dtype=object).reshape(-1, 2, 2)
+                             dtype=np.int64).reshape(-1, 2, 2)
             lineno += len(lines)
-            direct = seeds[..., 0].astype(np.int64), seeds[..., 1].astype(dtype)
+            direct = seeds[..., 0], seeds[..., 1]
         sides.append(direct[0])
         values.append(direct[1])
     return np.concatenate(sides), np.concatenate(values)
@@ -323,8 +323,7 @@ class Corpus:
         return implication_from_translation(self.require_translation())
 
 
-def load_algebras(path1: str | Path, path2: str | Path,
-                  max_atoms: int = DEFAULT_ATOM_CAP) -> tuple[Algebra, Algebra]:
+def load_algebras(path1: str | Path, path2: str | Path) -> tuple[Algebra, Algebra]:
     """The algebras of two language files, both parsed before either is built.
     Seeds name their language, so the two names must differ."""
     specs = [parse_language(Path(p).read_text(encoding="utf-8")) for p in (path1, path2)]
@@ -332,12 +331,12 @@ def load_algebras(path1: str | Path, path2: str | Path,
         raise LanguageNameClashError(
             f"both language files declare the language {specs[0].name!r}; "
             "the two languages of a pair need distinct names")
-    return tuple(Algebra.from_spec(spec, max_atoms) for spec in specs)
+    return tuple(Algebra.from_spec(spec) for spec in specs)
 
 
-def load_corpus(path: str | Path, max_atoms: int = DEFAULT_ATOM_CAP) -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
-    a1, a2 = load_algebras(path / LANG1_FILE, path / LANG2_FILE, max_atoms)
+    a1, a2 = load_algebras(path / LANG1_FILE, path / LANG2_FILE)
     translation = None
     relation = None
     tr_path = path / TRANSLATION_FILE

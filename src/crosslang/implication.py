@@ -120,9 +120,6 @@ class CrossImplication:
             return isinstance(y, Star) or bool(meet != -1 and meet & ~y.mask == 0)
         return bool(self._dense()[sx - 1][self._idx(x), self._idx(y)])
 
-    def equivalent(self, x: StarProp, y: StarProp) -> bool:
-        return self.holds(x, y) and self.holds(y, x)
-
     def cross_pair_count(self) -> int:
         meets = self.principal_meets
         if meets is None:
@@ -257,6 +254,10 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
     then the least η between them; None if there is none.  ``meets`` is the
     meet image of ``rows_b``."""
     masks = src.slots()
+    # the pairs of ``extra`` by source, so that a row finds its own in one
+    # binary search
+    excused = np.array(list(extra), dtype=np.int64).reshape(-1, 2)
+    excused = excused[np.argsort(excused[:, 0])]
     # only a λ with a bit that the meet of some η it reaches lacks (for the
     # star: some η reaching a proposition) leaves the order; such a row is
     # skipped only when ``extra`` excuses every pair it leaves the order with
@@ -267,9 +268,8 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
     suspects[-1] |= rows_a[-1].any(where=meets != -1)
     for lam in np.flatnonzero(suspects):
         outside = rows_b[rows_a[lam]].any(axis=0) & ((masks[lam] & ~masks) != 0)
-        for i, j in extra:
-            if i == lam:
-                outside[j] = False
+        lo, hi = np.searchsorted(excused[:, 0], (lam, lam + 1))
+        outside[excused[lo:hi, 1]] = False
         if outside.any():
             mu = int(outside.argmax())
             return int(lam), int((rows_a[lam] & rows_b[:, mu]).argmax()), mu
@@ -284,13 +284,6 @@ def _within_matrix(algebra: Algebra) -> np.ndarray:
     return (slots[:, None] & ~slots[None, :]) == 0
 
 
-def value_dtype(a1: Algebra, a2: Algebra):
-    """The dtype of a seed value array: int64 while every mask fits in it
-    (at most 63 models a side), else object, for algebras that
-    ``CrossImplication`` refuses as too large anyway."""
-    return np.int64 if max(a1.model_count, a2.model_count) < 64 else object
-
-
 def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     """Least relation containing the seeds, both within-language orders and
     the bound pairs, closed under transitivity.
@@ -299,6 +292,8 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
     arrays: the side of each endpoint, 1 or 2, and its value, a mask or -1
     for the star, which ``close_values`` closes.  Seed files go to
     ``close_values`` directly, without an element per endpoint."""
+    a1.require_enumerable()   # before reading masks into int64 arrays
+    a2.require_enumerable()
     sides = {a1.name: 1, a2.name: 2}
     side_rows, value_rows = [], []
     for x, y in seeds:
@@ -308,7 +303,7 @@ def close(seeds, a1: Algebra, a2: Algebra) -> CrossImplication:
             raise CrossAlgebraError("seed endpoint outside the two languages")
         value_rows.append((x.algebra.slot(x), y.algebra.slot(y)))
     return close_values(np.array(side_rows, dtype=np.int64).reshape(-1, 2),
-                        np.array(value_rows, dtype=value_dtype(a1, a2)).reshape(-1, 2),
+                        np.array(value_rows, dtype=np.int64).reshape(-1, 2),
                         a1, a2)
 
 
@@ -397,36 +392,27 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     # extensibility: the relation restricted to one language is that
     # language's own implication -- any stored extra pair is a violation
     for side, algebra, extra in ((1, a1, r.extra1), (2, a2, r.extra2)):
+        witness = None
         if extra:
             i, j = min(extra)
-            witness = ((algebra.element(i), algebra.element(j)),)
-            report.checks.append(AxiomCheck(f"extensibility:{side}", False, witness))
-        else:
-            report.checks.append(AxiomCheck(f"extensibility:{side}", True))
+            witness = (algebra.element(i), algebra.element(j))
+        report.checks.append(AxiomCheck(f"extensibility:{side}", witness))
 
-    trans_witness = None if _bounce_free(images) else _transitivity_witness(r)
-    report.checks.append(
-        AxiomCheck("transitivity", trans_witness is None,
-                   () if trans_witness is None else (trans_witness,))
-    )
+    report.checks.append(AxiomCheck(
+        "transitivity", None if _bounce_free(images) else _transitivity_witness(r)))
 
     # bound consistency: contradictions and stars align, and the star
     # reaches nothing below the other star
     bound_ok = bool(images[0].meet[-1] == -1 and images[1].meet[-1] == -1)
     report.checks.append(
-        AxiomCheck("bound-consistency", bound_ok,
-                   () if bound_ok else ((a1.bottom, a2.bottom),))
-    )
+        AxiomCheck("bound-consistency", None if bound_ok else (a1.bottom, a2.bottom)))
 
     # connective consistency: for each source proposition the set of targets
     # it reaches is closed under meets (equivalently contains its total
     # meet), and the set of sources reaching it is closed under joins
     for tag, fwd, back, src, dst in (("1>2", 0, 1, a1, a2), ("2>1", 1, 0, a2, a1)):
-        witness = _connective_witness(images[fwd], images[back], src, dst)
-        report.checks.append(
-            AxiomCheck(f"connective-consistency:{tag}", witness is None,
-                       () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(f"connective-consistency:{tag}",
+                                        _connective_witness(images[fwd], images[back], src, dst)))
 
     # negation consistency: when a proposition reaches the other tautology,
     # anything implying its negation is in turn negated by it
@@ -436,10 +422,9 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
             hit = _negation_witness(meets[fwd], meets[back], dst.model_count)
         else:
             hit = _dense_negation_witness(r._dense()[fwd], r._dense()[back], src, dst)
-        report.checks.append(
-            AxiomCheck(f"negation-consistency:{tag}", hit is None,
-                       () if hit is None else ((Prop(src, hit[0]), Prop(dst, hit[1])),))
-        )
+        report.checks.append(AxiomCheck(
+            f"negation-consistency:{tag}",
+            None if hit is None else (Prop(src, hit[0]), Prop(dst, hit[1]))))
     return report
 
 

@@ -13,16 +13,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AxiomCheck:
-    """Outcome of one named condition, with the first violating tuple if any."""
+    """Outcome of one named condition: it fails exactly when it has a
+    witness, the first violating tuple of elements."""
 
     name: str
-    passed: bool
-    witnesses: tuple = ()
+    witness: tuple | None = None
     detail: str = ""
 
-    def __post_init__(self):
-        if not self.passed and not self.witnesses:
-            raise ValueError(f"failing check {self.name!r} must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass
@@ -52,9 +52,8 @@ class AxiomReport:
                 {
                     "name": c.name,
                     "passed": c.passed,
-                    "witnesses": [
-                        [x.algebra.formula_text(x) for x in witness]
-                        for witness in c.witnesses
+                    "witnesses": [] if c.passed else [
+                        [x.algebra.formula_text(x) for x in c.witness]
                     ],
                     "detail": c.detail,
                 }
@@ -69,7 +68,7 @@ class AxiomReport:
             line = f"{status} {c.name}"
             if not c.passed:
                 rendered = ", ".join(
-                    x.algebra.formula_text(x) for x in c.witnesses[0]
+                    x.algebra.formula_text(x) for x in c.witness
                 )
                 line += f"  witness: ({rendered})"
                 if c.detail:

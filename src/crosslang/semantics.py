@@ -265,10 +265,7 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
                 lambda x, y: ((x & ~y) == 0) != ((ev[x] & ~ev[y]) == 0),
             )
             witness = (Prop(space.algebra(side), i), Prop(space.algebra(side), j))
-    report.checks.append(
-        AxiomCheck("implication-matches-containment", witness is None,
-                   () if witness is None else (witness,))
-    )
+    report.checks.append(AxiomCheck("implication-matches-containment", witness))
 
     for name, conjugate in (
         ("semantic-from-syntactic", True),
@@ -288,9 +285,7 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
                     bad = _pulled_back(space, frm, sem_vals) != t_vals
                 if witness is None and bad.any():
                     witness = (Prop(space.algebra(frm), int(bad.argmax())),)
-        report.checks.append(
-            AxiomCheck(name, witness is None, () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(name, witness))
     return report
 
 

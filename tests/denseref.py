@@ -86,9 +86,9 @@ def check_galois(t):
                 _element(src, i if i < ns - 1 else -1),
                 _element(dst, j if j < nd - 1 else -1),
             )
-            report.checks.append(AxiomCheck(f"galois:{direction}", False, (witness,)))
+            report.checks.append(AxiomCheck(f"galois:{direction}", witness))
         else:
-            report.checks.append(AxiomCheck(f"galois:{direction}", True))
+            report.checks.append(AxiomCheck(f"galois:{direction}"))
     return report
 
 
@@ -166,36 +166,23 @@ def check_derived_properties(t):
             tag = f"{mode}:{direction}"
             extreme = vals[0] == 0 and vals[-1] == -1
             report.checks.append(
-                AxiomCheck(
-                    f"extreme:{tag}", bool(extreme),
-                    () if extreme else ((src.bottom, src.star),),
-                )
+                AxiomCheck(f"extreme:{tag}", None if extreme else (src.bottom, src.star))
             )
             if mode == "inner":
                 starry = np.flatnonzero(vals[:-1] == -1)
                 if starry.size:
                     report.checks.append(
-                        AxiomCheck(f"concrete:{tag}", False,
-                                   ((Prop(src, int(starry[0])),),))
+                        AxiomCheck(f"concrete:{tag}", (Prop(src, int(starry[0])),))
                     )
                 else:
-                    report.checks.append(AxiomCheck(f"concrete:{tag}", True))
+                    report.checks.append(AxiomCheck(f"concrete:{tag}"))
             bad = _monotone_violation(src, vals)
-            report.checks.append(
-                AxiomCheck(f"monotone:{tag}", bad is None,
-                           () if bad is None else (bad,))
-            )
+            report.checks.append(AxiomCheck(f"monotone:{tag}", bad))
             kind = "meet" if mode == "inner" else "join"
             bad = _pairwise_violation(src, vals, kind)
-            report.checks.append(
-                AxiomCheck(f"preserves-{kind}:{tag}", bad is None,
-                           () if bad is None else (bad,))
-            )
+            report.checks.append(AxiomCheck(f"preserves-{kind}:{tag}", bad))
             bad = _ideal_violation(src, vals)
-            report.checks.append(
-                AxiomCheck(f"approximable-ideal:{tag}", bad is None,
-                           () if bad is None else (bad,))
-            )
+            report.checks.append(AxiomCheck(f"approximable-ideal:{tag}", bad))
     return report
 
 
@@ -233,8 +220,7 @@ def joint_embeddings(t, space):
         n = len(ev)
         injective = len(set(int(v) for v in ev)) == n
         report.checks.append(
-            AxiomCheck(f"embedding-injective:{side}", injective,
-                       () if injective else ((algebra.bottom,),))
+            AxiomCheck(f"embedding-injective:{side}", None if injective else (algebra.bottom,))
         )
         masks = np.arange(n, dtype=np.int64)
         witness = None
@@ -253,13 +239,10 @@ def joint_embeddings(t, space):
                 i, j = (int(v) for v in bad[0])
                 witness = (Prop(algebra, start + i), Prop(algebra, j))
                 break
-        report.checks.append(
-            AxiomCheck(f"embedding-homomorphism:{side}", witness is None,
-                       () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(f"embedding-homomorphism:{side}", witness))
 
     try:
-        common = common_language(t, host_side=1)
+        common = common_language(t)
     except DegenerateCommonLanguageError:
         common = None
     if common is not None:
@@ -276,14 +259,8 @@ def joint_embeddings(t, space):
                     image = t.apply(direction, mode, start_prop)
                     if not isinstance(image, Prop) or space.valuation(image) != target:
                         legs_witness = legs_witness or (start_prop,)
-        report.checks.append(
-            AxiomCheck("common-diagram-commutes", diagram_witness is None,
-                       () if diagram_witness is None else (diagram_witness,))
-        )
-        report.checks.append(
-            AxiomCheck("translation-legs-agree", legs_witness is None,
-                       () if legs_witness is None else (legs_witness,))
-        )
+        report.checks.append(AxiomCheck("common-diagram-commutes", diagram_witness))
+        report.checks.append(AxiomCheck("translation-legs-agree", legs_witness))
     return report
 
 
@@ -478,10 +455,7 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
                 lambda x, y: ((x & ~y) == 0) != ((ev[x] & ~ev[y]) == 0),
             )
             witness = (Prop(space.algebra(side), i), Prop(space.algebra(side), j))
-    report.checks.append(
-        AxiomCheck("implication-matches-containment", witness is None,
-                   () if witness is None else (witness,))
-    )
+    report.checks.append(AxiomCheck("implication-matches-containment", witness))
 
     for name, conjugate in (
         ("semantic-from-syntactic", True),
@@ -513,9 +487,7 @@ def verify_prop2(t: Translation, space: JointStateSpace) -> AxiomReport:
                     break
             if witness is not None:
                 break
-        report.checks.append(
-            AxiomCheck(name, witness is None, () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(name, witness))
     return report
 
 
@@ -775,11 +747,11 @@ def check_implication_axioms(r) -> AxiomReport:
     for side, algebra, extra in ((1, a1, r.extra1), (2, a2, r.extra2)):
         if extra:
             i, j = min(extra)
-            witness = ((_element(algebra, _unstar(i, algebra)),
-                        _element(algebra, _unstar(j, algebra))),)
-            report.checks.append(AxiomCheck(f"extensibility:{side}", False, witness))
+            witness = (_element(algebra, _unstar(i, algebra)),
+                       _element(algebra, _unstar(j, algebra)))
+            report.checks.append(AxiomCheck(f"extensibility:{side}", witness))
         else:
-            report.checks.append(AxiomCheck(f"extensibility:{side}", True))
+            report.checks.append(AxiomCheck(f"extensibility:{side}"))
 
     # transitivity: sources may be weakened, targets generalised, and
     # bouncing through the other language must stay inside the order
@@ -813,10 +785,7 @@ def check_implication_axioms(r) -> AxiomReport:
                                  _element(mid, _unstar(k, mid)),
                                  _element(src, _unstar(j, src)))
                 break
-    report.checks.append(
-        AxiomCheck("transitivity", trans_witness is None,
-                   () if trans_witness is None else (trans_witness,))
-    )
+    report.checks.append(AxiomCheck("transitivity", trans_witness))
 
     # bound consistency: contradictions and stars align, and the star
     # reaches nothing below the other star
@@ -826,8 +795,7 @@ def check_implication_axioms(r) -> AxiomReport:
         and not r.rows12[-1, :-1].any() and not r.rows21[-1, :-1].any()
     )
     report.checks.append(
-        AxiomCheck("bound-consistency", bound_ok,
-                   () if bound_ok else ((a1.bottom, a2.bottom),))
+        AxiomCheck("bound-consistency", None if bound_ok else (a1.bottom, a2.bottom))
     )
 
     # connective consistency: for each source proposition the set of targets
@@ -860,10 +828,7 @@ def check_implication_axioms(r) -> AxiomReport:
             if bad.size:
                 lam = int(bad[0])
                 witness = (Prop(dst, int(src_of[lam])), Prop(src, lam))
-        report.checks.append(
-            AxiomCheck(f"connective-consistency:{tag}", witness is None,
-                       () if witness is None else (witness,))
-        )
+        report.checks.append(AxiomCheck(f"connective-consistency:{tag}", witness))
 
     # negation consistency: when a proposition reaches the other tautology,
     # anything implying its negation is in turn negated by it
@@ -881,12 +846,10 @@ def check_implication_axioms(r) -> AxiomReport:
         bad = np.argwhere(viol)
         if bad.size:
             eta, lam = (int(v) for v in bad[0])
-            witness = ((Prop(src, lam), Prop(dst, eta)),)
-            report.checks.append(
-                AxiomCheck(f"negation-consistency:{tag}", False, witness)
-            )
+            witness = (Prop(src, lam), Prop(dst, eta))
+            report.checks.append(AxiomCheck(f"negation-consistency:{tag}", witness))
         else:
-            report.checks.append(AxiomCheck(f"negation-consistency:{tag}", True))
+            report.checks.append(AxiomCheck(f"negation-consistency:{tag}"))
     return report
 
 

@@ -40,9 +40,9 @@ def test_contradictory_beliefs_rejected():
 
 
 def test_atom_cap_enforced():
-    spec = parse_language("language A\natoms: a b c d")
-    with pytest.raises(AtomCapError):
-        enumerate_models(spec, max_atoms=3)
+    spec = parse_language("language A\natoms: " + " ".join(f"a{i}" for i in range(21)))
+    with pytest.raises(AtomCapError, match="declares 21 atoms, above the cap of 20"):
+        enumerate_models(spec)
 
 
 def test_model_order_is_lexicographic():

@@ -294,9 +294,16 @@ def test_export_dot_takes_no_report_options(capsys):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_max_atoms_cap_exits_two():
-    res = run_cli("joint", str(CORPUS / "oil-prices"), "--max-atoms", "5")
-    assert res.returncode == 2
+def test_max_atoms_cap_exits_two(tmp_path, capsys):
+    """A language of 21 atoms is refused at the fixed cap of 20, which no
+    option moves."""
+    res = run_main("joint", str(write_free_corpus(tmp_path, 21)))
+    assert_clean_usage_error(res)
+    assert "'lang1' declares 21 atoms, above the cap of 20" in res.stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["joint", str(CORPUS / "oil-prices"), "--max-atoms", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-atoms 5" in capsys.readouterr().err
 
 
 def test_export_dot_fixed_point_gap_structure():

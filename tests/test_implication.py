@@ -69,7 +69,7 @@ def test_closure_forcing_within_pair_fails_extensibility():
     assert r.holds(a, b)
     report = check_implication_axioms(r)
     assert not report.check("extensibility:1").passed
-    lam, mu = report.check("extensibility:1").witnesses[0]
+    lam, mu = report.check("extensibility:1").witness
     assert r.holds(lam, mu)
     from crosslang import implies
 
