@@ -22,10 +22,15 @@ skips a row.
 
     python3 scripts/scale.py                       # writes BENCH_scale.json
     python3 scripts/scale.py --src ../other-checkout/src --output other.json
+    python3 scripts/scale.py --compare BENCH_scale.json
 
 ``--src`` picks the crosslang source tree the commands run from, so that
 two versions can be compared on the same pairs: equal ``stdout_sha256``
-digests show byte-identical output, not just equal byte counts.  The steady benchmark under
+digests show byte-identical output, not just equal byte counts.
+``--compare FILE`` reruns the sweep and lists every row whose
+``stdout_sha256``, exit code or ``error`` differs from that row in FILE,
+or that only one of the two sweeps has; it exits 1 if any row differs and
+writes a result file only when ``--output`` is given.  The steady benchmark under
 ``bench/`` keeps its inputs and bounds fixed; this sweep is for the size
 frontier and is not part of it.
 """
@@ -148,12 +153,42 @@ def run(cmd: list[str], env: dict, cwd: Path) -> dict:
         return row
 
 
+IDENTITY = ("stdout_sha256", "exit", "error")
+
+
+def differences(old_rows: list[dict], new_rows: list[dict]) -> list[str]:
+    """One line for each row whose ``IDENTITY`` fields differ between two
+    sweeps, or which only one of them has; rows are matched on command,
+    pair kind and size."""
+    def key(row):
+        return f"{row['command']} {row['pair']}{row['m']}"
+    old = {key(row): row for row in old_rows}
+    lines = []
+    for row in new_rows:
+        before = old.pop(key(row), None)
+        if before is None:
+            lines.append(f"{key(row)}: not in the compared file")
+            continue
+        changed = [f"{field} {before.get(field)!r} -> {row.get(field)!r}"
+                   for field in IDENTITY if before.get(field) != row.get(field)]
+        if changed:
+            lines.append(f"{key(row)}: " + "; ".join(changed))
+    lines.extend(f"{name}: not in this sweep" for name in old)
+    return lines
+
+
 def main(argv_in=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(ROOT / "src"),
                    help="the crosslang source tree to run")
-    p.add_argument("--output", default=str(ROOT / "BENCH_scale.json"))
+    p.add_argument("--output", default=None,
+                   help="result file (default BENCH_scale.json; none with --compare)")
+    p.add_argument("--compare", metavar="FILE",
+                   help="list the rows whose output, exit code or error differ from FILE")
     args = p.parse_args(argv_in)
+    old_rows = json.loads(Path(args.compare).read_text())["rows"] if args.compare else None
+    if args.output is None and not args.compare:
+        args.output = str(ROOT / "BENCH_scale.json")
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1")
@@ -174,16 +209,21 @@ def main(argv_in=None) -> int:
                 row = {"command": command, "pair": kind, "m": m, **run(cmd, env, tmp)}
                 rows.append(row)
                 print(json.dumps(row), flush=True)
-    Path(args.output).write_text(json.dumps({
-        "pair": "cells: identity cell pair, m x m models; "
-                "free: m atoms without beliefs a side, 2**m models",
-        "cap_s": CAP_S,
-        "mem_cap_mb": MEM_CAP_MB,
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "rows": rows,
-    }, indent=1) + "\n")
-    return 0
+    if args.output is not None:
+        Path(args.output).write_text(json.dumps({
+            "pair": "cells: identity cell pair, m x m models; "
+                    "free: m atoms without beliefs a side, 2**m models",
+            "cap_s": CAP_S,
+            "mem_cap_mb": MEM_CAP_MB,
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "rows": rows,
+        }, indent=1) + "\n")
+    if old_rows is None:
+        return 0
+    lines = differences(old_rows, rows)
+    print("\n".join(lines) if lines else f"all {len(rows)} rows match {args.compare}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

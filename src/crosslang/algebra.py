@@ -21,6 +21,8 @@ join of its atoms' values.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from .errors import (
@@ -29,6 +31,7 @@ from .errors import (
     ContradictionError,
     CrossAlgebraError,
     StarNegationError,
+    UndeclaredAtomError,
 )
 from .language import (
     And,
@@ -62,33 +65,31 @@ def _atom_column(bit: int, n: int) -> int:
 
 
 def _evaluate(formula: Formula, columns: dict[str, int], full: int) -> int:
-    if isinstance(formula, Atom):
+    kind = type(formula)
+    if kind is Atom:
         return columns[formula.name]
-    if isinstance(formula, TrueLit):
-        return full
-    if isinstance(formula, FalseLit):
-        return 0
-    if isinstance(formula, Not):
+    if kind is Or:
+        return _evaluate(formula.left, columns, full) | _evaluate(formula.right, columns, full)
+    if kind is And:
+        return _evaluate(formula.left, columns, full) & _evaluate(formula.right, columns, full)
+    if kind is Not:
         return full ^ _evaluate(formula.child, columns, full)
-    if isinstance(formula, And):
-        return _evaluate(formula.left, columns, full) & _evaluate(
-            formula.right, columns, full
-        )
-    if isinstance(formula, Or):
-        return _evaluate(formula.left, columns, full) | _evaluate(
-            formula.right, columns, full
-        )
-    if isinstance(formula, Arrow):
+    if kind is Arrow:
         return (full ^ _evaluate(formula.left, columns, full)) | _evaluate(
-            formula.right, columns, full
-        )
+            formula.right, columns, full)
+    if kind is TrueLit:
+        return full
+    if kind is FalseLit:
+        return 0
     raise TypeError(f"not a formula node: {formula!r}")
 
 
 def enumerate_models(spec: LanguageSpec) -> np.ndarray:
     """The keys of all assignments satisfying every belief, ascending, as a
     read-only int64 array.  Bit n-1-j of a key is the value of atom j, so
-    ascending keys are the lexicographic order in declared atom order."""
+    ascending keys are the lexicographic order in declared atom order.  This
+    one walk over each belief also refuses an undeclared name (which only a
+    spec built in code can have), before any contradiction."""
     n = len(spec.elementary)
     if n > DEFAULT_ATOM_CAP:
         raise AtomCapError(
@@ -100,9 +101,15 @@ def enumerate_models(spec: LanguageSpec) -> np.ndarray:
     }
     surviving = full
     for belief in spec.beliefs:
-        surviving &= _evaluate(belief, columns, full)
-        if surviving == 0:
-            raise ContradictionError(f"beliefs of {spec.name!r} admit no model")
+        try:
+            surviving &= _evaluate(belief, columns, full)
+        except KeyError:
+            mentioned = defaultdict(int, columns)   # undeclared names read as 0
+            _evaluate(belief, mentioned, full)
+            name = min(mentioned.keys() - columns.keys())
+            raise UndeclaredAtomError(f"belief mentions undeclared atom {name!r}") from None
+    if surviving == 0:
+        raise ContradictionError(f"beliefs of {spec.name!r} admit no model")
     # key k survives where bit k of ``surviving`` is set
     raw = surviving.to_bytes(((1 << n) + 7) // 8, "little")
     return masks_where(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
@@ -232,13 +239,14 @@ class Algebra:
         self.name = spec.name
         self.keys = keys
         self.full_mask = (1 << len(keys)) - 1
-        # bit i of an atom's column is its value in model i
-        n = len(spec.elementary)
-        self._columns = {
-            atom: int.from_bytes(np.packbits((keys >> (n - 1 - j)) & 1 == 1,
-                                             bitorder="little").tobytes(), "little")
-            for j, atom in enumerate(spec.elementary)
-        }
+        # bit i of an atom's column is its value in model i: row j of
+        # ``bits`` is atom j's bit (bit n-1-j) of every key, cut from its byte
+        shift = np.arange(len(spec.elementary) - 1, -1, -1, dtype=np.uint8)
+        bits = keys.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8).T[shift >> 3]
+        bits >>= (shift & 7)[:, None]
+        bits &= 1
+        self._columns = {atom: int.from_bytes(column.tobytes(), "little") for atom, column
+                         in zip(spec.elementary, np.packbits(bits.T, axis=0, bitorder="little").T)}
         self._atom_labels = None
         self._texts = None
 

@@ -51,11 +51,18 @@ from .translation import check_consistency
 SCHEMA_VERSION = 1
 
 
-def _digest(path: Path) -> dict:
-    return {
-        "path": str(path),
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-    }
+def _digest(path: Path, data: bytes | None = None) -> dict:
+    """The path of an input file and the sha256 of its bytes (``data`` when
+    they have been read already)."""
+    if data is None:
+        data = path.read_bytes()
+    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _decode(data: bytes) -> str:
+    """Bytes read as ``Path.read_text(encoding="utf-8")`` reads a file:
+    strict UTF-8, with CRLF and lone CR line ends read as LF."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -130,8 +137,16 @@ def _attach_oracle(args, payload, t) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    a1, a2 = load_algebras(args.lang1, args.lang2)
-    pair_text = Path(args.pair_file).read_text(encoding="utf-8")
+    # each input is read once: the bytes parsed are the bytes digested
+    digests = []
+
+    def read(path) -> str:
+        data = Path(path).read_bytes()
+        digests.append(_digest(Path(path), data))
+        return _decode(data)
+
+    a1, a2 = load_algebras(args.lang1, args.lang2, read)
+    pair_text = read(args.pair_file)
     if args.mode == "translation":
         t = parse_translation_file(pair_text, a1, a2)
         report = check_consistency(t)
@@ -139,11 +154,7 @@ def cmd_check(args) -> int:
         r = parse_implication_file(pair_text, a1, a2)
         report = r.axiom_report()
         t = translation_from_implication(r) if args.oracle and report.passed else None
-    inputs = {
-        "lang1": _digest(Path(args.lang1)),
-        "lang2": _digest(Path(args.lang2)),
-        "pair_file": _digest(Path(args.pair_file)),
-    }
+    inputs = dict(zip(("lang1", "lang2", "pair_file"), digests))
     payload = _base_report("check", inputs, started, args)
     payload["mode"] = args.mode
     payload["axioms"] = report.to_dict()

@@ -323,10 +323,16 @@ class Corpus:
         return implication_from_translation(self.require_translation())
 
 
-def load_algebras(path1: str | Path, path2: str | Path) -> tuple[Algebra, Algebra]:
-    """The algebras of two language files, both parsed before either is built.
-    Seeds name their language, so the two names must differ."""
-    specs = [parse_language(Path(p).read_text(encoding="utf-8")) for p in (path1, path2)]
+def _read_text(path: str | Path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def load_algebras(path1: str | Path, path2: str | Path,
+                  read=_read_text) -> tuple[Algebra, Algebra]:
+    """The algebras of two language files, both parsed before either is
+    built; ``read`` gives a file's text.  Seeds name their language, so the
+    two names must differ."""
+    specs = [parse_language(read(p)) for p in (path1, path2)]
     if specs[0].name == specs[1].name:
         raise LanguageNameClashError(
             f"both language files declare the language {specs[0].name!r}; "

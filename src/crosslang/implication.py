@@ -18,6 +18,8 @@ that is not principal, and for readers that want the matrices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .algebra import Algebra, Prop, Star, StarProp, implies, sweep
@@ -256,7 +258,8 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
     masks = src.slots()
     # the pairs of ``extra`` by source, so that a row finds its own in one
     # binary search
-    excused = np.array(list(extra), dtype=np.int64).reshape(-1, 2)
+    excused = np.fromiter(chain.from_iterable(extra), dtype=np.int64,
+                          count=2 * len(extra)).reshape(-1, 2)
     excused = excused[np.argsort(excused[:, 0])]
     # only a λ with a bit that the meet of some η it reaches lacks (for the
     # star: some η reaching a proposition) leaves the order; such a row is
@@ -357,12 +360,9 @@ def close_values(sides: np.ndarray, values: np.ndarray,
         if np.array_equal(new, u):
             break
         u = new
-    extra1 = frozenset(
-        (int(i), int(j)) for i, j in np.argwhere(u[:n1, :n1] & ~w1)
-    )
-    extra2 = frozenset(
-        (int(i), int(j)) for i, j in np.argwhere(u[n1:, n1:] & ~w2)
-    )
+    # the forced pairs as int tuples, zipped from two lists of Python ints
+    extra1, extra2 = (frozenset(zip(*np.argwhere(forced).T.tolist()))
+                      for forced in (u[:n1, :n1] & ~w1, u[n1:, n1:] & ~w2))
     return CrossImplication(a1, a2, _seeds_of(u[:n1, n1:]), _seeds_of(u[n1:, :n1]),
                             extra1, extra2)
 

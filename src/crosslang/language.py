@@ -21,13 +21,11 @@ from functools import reduce
 
 from .errors import DuplicateAtomError, ParseError, UndeclaredAtomError
 
-# the direct grammar, read without the parser: names, unions of names (the
-# endpoints of corpus files) and negated conjunctions of names (beliefs)
+# the direct grammar, read without the parser: names and unions of names (the
+# endpoints of corpus files)
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_NAME)
 _UNION_RE = re.compile(rf"{_NAME}(?:\s*\|\s*{_NAME})*")
-_BELIEF_RE = re.compile(
-    rf"({_UNION_RE.pattern})|!\s*\(\s*({_NAME}(?:\s*&\s*{_NAME})*)\s*\)")
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -91,17 +89,6 @@ def desugar(formula: Formula) -> Formula:
     if isinstance(formula, Or):
         return Or(desugar(formula.left), desugar(formula.right))
     return formula
-
-
-def formula_atoms(formula: Formula) -> set[str]:
-    """All elementary proposition names mentioned by the formula."""
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, Not):
-        return formula_atoms(formula.child)
-    if isinstance(formula, (And, Or, Arrow)):
-        return formula_atoms(formula.left) | formula_atoms(formula.right)
-    return set()
 
 
 # --- printing ----------------------------------------------------------------
@@ -249,7 +236,8 @@ class _FormulaParser:
 
 @dataclass(frozen=True)
 class LanguageSpec:
-    """A named finite stock of elementary propositions plus believed formulas."""
+    """A named finite stock of elementary propositions plus believed formulas.
+    Belief names are checked by the reader, or else by ``enumerate_models``."""
 
     name: str
     elementary: tuple[str, ...]
@@ -265,12 +253,6 @@ class LanguageSpec:
             if atom in seen:
                 raise DuplicateAtomError(f"duplicate atom {atom!r}")
             seen.add(atom)
-        for belief in self.beliefs:
-            undeclared = formula_atoms(belief) - seen
-            if undeclared:
-                raise UndeclaredAtomError(
-                    f"belief mentions undeclared atom {sorted(undeclared)[0]!r}"
-                )
 
 
 def parse_formula(text: str, spec: LanguageSpec | None = None, line: int = 1) -> Formula:
@@ -281,15 +263,22 @@ def parse_formula(text: str, spec: LanguageSpec | None = None, line: int = 1) ->
 
 def _read_belief(text: str, atoms: dict[str, Atom], probe: LanguageSpec,
                  line: int) -> Formula:
-    """One belief: a union of declared names, or the negation of their
-    conjunction, is built directly, left-associated as the parser builds it,
-    from the shared ``atoms``; any other text goes to ``parse_formula``."""
-    m = _BELIEF_RE.fullmatch(text)
-    if m is not None:
-        names = IDENT_RE.findall(m[1] or m[2])
-        if all(name in atoms for name in names):
-            nodes = [atoms[name] for name in names]
-            return reduce(Or, nodes) if m[1] else Not(reduce(And, nodes))
+    """One belief: a union of declared names, or ``!(`` their conjunction
+    ``)``, is cut apart with ``split`` and built directly, left-associated as
+    the parser builds it, from the shared ``atoms``; any other text goes to
+    ``parse_formula``."""
+    negated = text.startswith("!")
+    if negated:
+        body = text[1:].strip()
+        names = body[1:-1].split("&") if body[:1] == "(" and body[-1:] == ")" else ()
+    else:
+        names = text.split("|")
+    try:
+        nodes = [atoms[name.strip()] for name in names]
+    except KeyError:
+        nodes = None
+    if nodes:
+        return Not(reduce(And, nodes)) if negated else reduce(Or, nodes)
     return parse_formula(text, probe, line)
 
 
@@ -301,6 +290,9 @@ def parse_language(text: str) -> LanguageSpec:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line.startswith("believe:"):   # most lines: no regular expression
+            belief_lines.append((line[len("believe:"):].strip(), lineno))
             continue
         keyword = IDENT_RE.match(line)
         if keyword is not None and keyword[0] == "language":
@@ -320,8 +312,6 @@ def parse_language(text: str) -> LanguageSpec:
                 if names.count(atom) > 1:
                     raise DuplicateAtomError(f"duplicate atom {atom!r}", lineno, 1)
             elementary = tuple(names)
-        elif line.startswith("believe:"):
-            belief_lines.append((line[len("believe:"):].strip(), lineno))
         else:
             raise ParseError(
                 "expected 'language', 'atoms:' or 'believe:'", lineno, 1

@@ -13,6 +13,7 @@ from crosslang import (
     ContradictionError,
     CrossAlgebraError,
     StarNegationError,
+    UndeclaredAtomError,
     enumerate_models,
     implies,
     join,
@@ -22,7 +23,7 @@ from crosslang import (
 )
 from crosslang.algebra import atom_unions, bit_pairs, cover_pairs, sweep
 from crosslang.errors import AlgebraTooLargeError
-from crosslang.language import LanguageSpec
+from crosslang.language import And, Arrow, Atom, LanguageSpec, Not, Or
 from crosslang.randgen import make_cell_spec, random_formula
 
 
@@ -43,6 +44,24 @@ def test_atom_cap_enforced():
     spec = parse_language("language A\natoms: " + " ".join(f"a{i}" for i in range(21)))
     with pytest.raises(AtomCapError, match="declares 21 atoms, above the cap of 20"):
         enumerate_models(spec)
+
+
+def test_undeclared_belief_atom_reported_at_enumeration():
+    """A spec built in code may name an undeclared atom in a belief; building
+    its algebra reports the alphabetically first one of the first such
+    belief, ahead of a contradiction among the beliefs before it."""
+    p, q = Atom("p"), Atom("q")
+    spec = LanguageSpec("A", ("p", "q"), (Or(p, q), And(Atom("z"), Or(Atom("y"), p)),
+                                          Atom("a")))
+    with pytest.raises(UndeclaredAtomError) as exc:
+        Algebra.from_spec(spec)
+    assert str(exc.value) == "belief mentions undeclared atom 'y'"
+    spec = LanguageSpec("A", ("p", "q"), (p, Not(p), Arrow(q, Atom("u"))))
+    with pytest.raises(UndeclaredAtomError) as exc:
+        Algebra.from_spec(spec)
+    assert str(exc.value) == "belief mentions undeclared atom 'u'"
+    with pytest.raises(ContradictionError):
+        Algebra.from_spec(LanguageSpec("A", ("p", "q"), (p, Not(p), Arrow(q, p))))
 
 
 def test_model_order_is_lexicographic():

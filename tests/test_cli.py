@@ -1,10 +1,13 @@
 import contextlib
 import gc
+import hashlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +244,71 @@ def test_unreadable_inputs_exit_two(tmp_path, case):
     res = run_cli(*argv)
     assert_clean_usage_error(res)
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("data", [b"a\r\nb\rc\n", b"\r\r\n\n\r", "\u00e9\u2028\x85\r".encode(),
+                                  b"x\r\xffy", b"ok\r\n\xe2\x82"])
+def test_check_decodes_as_read_text(tmp_path, data):
+    """An input's bytes decode to the text, or the error, of ``read_text``."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read()
+        except UnicodeDecodeError as exc:
+            return str(exc)
+    assert outcome(lambda: cli._decode(data)) == outcome(
+        lambda: path.read_text(encoding="utf-8"))
+
+
+def test_check_reads_each_input_once(tmp_path, monkeypatch):
+    """``check`` opens each input once and digests the bytes it parsed: a
+    CRLF copy of the oil corpus gives the report of the LF files, with the
+    CRLF files' digests."""
+    oil = CORPUS / "oil-prices"
+    names = ("lang1.lang", "lang2.lang", "translation.tr")
+    for name in names:
+        (tmp_path / name).write_bytes((oil / name).read_bytes().replace(b"\n", b"\r\n"))
+    opened = []
+    for method in ("read_bytes", "read_text"):
+        def counted(self, *args, _read=getattr(cli.Path, method), **kwargs):
+            opened.append(self.name)
+            return _read(self, *args, **kwargs)
+        monkeypatch.setattr(cli.Path, method, counted)
+    crlf = run_main("check", *(str(tmp_path / name) for name in names), "--format", "json")
+    assert sorted(opened) == sorted(names)
+    monkeypatch.undo()
+    lf = run_main("check", *(str(oil / name) for name in names), "--format", "json")
+    got, want = json.loads(crlf.stdout), json.loads(lf.stdout)
+    assert crlf.returncode == lf.returncode == 0
+    assert [entry["sha256"] for entry in got.pop("inputs").values()] == [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names]
+    want.pop("inputs")
+    assert got == want
+
+
+def test_scale_compare_lists_differing_rows():
+    """``scripts/scale.py --compare`` names each row whose output digest,
+    exit code or error moved, and rows that only one sweep has."""
+    spec = importlib.util.spec_from_file_location(
+        "scale", Path(__file__).resolve().parent.parent / "scripts" / "scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+
+    def row(command, m, **fields):
+        return {"command": command, "pair": "cells", "m": m, "wall_s": m / 10,
+                "stdout_sha256": "ab", "exit": 0, **fields}
+    old = [row("joint", 8), row("common", 8), row("bounds", 8), row("check", 8)]
+    new = [row("joint", 8, wall_s=9.0), row("common", 8, exit=2, error="error: x"),
+           row("bounds", 8, stdout_sha256="cd"), row("joint", 10)]
+    assert scale.differences(old, old) == []
+    assert scale.differences(old, new) == [
+        "common cells8: exit 0 -> 2; error None -> 'error: x'",
+        "bounds cells8: stdout_sha256 'ab' -> 'cd'",
+        "joint cells10: not in the compared file",
+        "check cells8: not in this sweep",
+    ]
 
 
 def test_translate_inconsistent_corpus_exits_one():

@@ -171,7 +171,9 @@ def test_scanner_matches_reference_parser(fragments, with_spec, line):
 
 # --- beliefs read without the parser ----------------------------------------------
 
-_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+# non-ASCII whitespace that is not a line boundary: the tokenizer's ``\s``,
+# ``str.split`` and ``str.strip`` must agree on it
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2009", "\u3000"])
 _BELIEF_NAMES = st.sampled_from(["p", "q", "r", "p", "q", "u", "true"])
 
 
@@ -202,6 +204,11 @@ def belief_lines(draw):
 @example("!(p & u)", 4)
 @example("!(p & q) | r", 4)
 @example("!(p & q))", 4)
+@example("!((p & q))", 4)
+@example("!(p &)", 4)
+@example("p || q", 4)
+@example("| p", 4)
+@example("!( )", 4)
 def test_belief_reader_matches_parser(text, line):
     """Same trees, or the same error type, message, line and column."""
     probe = LanguageSpec("A", ("p", "q", "r"), ())
