@@ -61,7 +61,6 @@ from .implication import (
 from .language import (
     Formula,
     LanguageSpec,
-    desugar,
     format_formula,
     format_language,
     parse_formula,

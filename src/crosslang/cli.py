@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
 from .corpus import (
-    IMPLICATION_FILE,
-    LANG1_FILE,
-    LANG2_FILE,
-    TRANSLATION_FILE,
     load_algebras,
     load_corpus,
     parse_implication_file,
     parse_translation_file,
+    read_input,
 )
 from .commonality import classify_awareness, common_language, joint_embeddings
 from .errors import (
@@ -51,20 +47,6 @@ from .translation import check_consistency
 SCHEMA_VERSION = 1
 
 
-def _digest(path: Path, data: bytes | None = None) -> dict:
-    """The path of an input file and the sha256 of its bytes (``data`` when
-    they have been read already)."""
-    if data is None:
-        data = path.read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _decode(data: bytes) -> str:
-    """Bytes read as ``Path.read_text(encoding="utf-8")`` reads a file:
-    strict UTF-8, with CRLF and lone CR line ends read as LF."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         out = dumps(payload) + "\n"
@@ -85,15 +67,6 @@ def _base_report(command: str, inputs: dict, started: float, args) -> dict:
     if args.timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     return report
-
-
-def _corpus_inputs(path: Path) -> dict:
-    inputs = {}
-    for name in (LANG1_FILE, LANG2_FILE, TRANSLATION_FILE, IMPLICATION_FILE):
-        p = path / name
-        if p.exists():
-            inputs[name] = _digest(p)
-    return inputs
 
 
 def _oracle_section_for(t) -> tuple[dict, bool]:
@@ -137,16 +110,9 @@ def _attach_oracle(args, payload, t) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    # each input is read once: the bytes parsed are the bytes digested
     digests = []
-
-    def read(path) -> str:
-        data = Path(path).read_bytes()
-        digests.append(_digest(Path(path), data))
-        return _decode(data)
-
-    a1, a2 = load_algebras(args.lang1, args.lang2, read)
-    pair_text = read(args.pair_file)
+    a1, a2 = load_algebras(args.lang1, args.lang2, digests)
+    pair_text = read_input(args.pair_file, digests)
     if args.mode == "translation":
         t = parse_translation_file(pair_text, a1, a2)
         report = check_consistency(t)
@@ -176,7 +142,7 @@ def cmd_translate(args) -> int:
     x = src.denote(parse_formula(args.formula, src.spec))
     result = t.apply(args.direction, args.mode, x)
     rendered = dst.formula_text(result)
-    payload = _base_report("translate", _corpus_inputs(corpus.path), started, args)
+    payload = _base_report("translate", corpus.inputs, started, args)
     payload.update({
         "direction": args.direction,
         "mode": args.mode,
@@ -193,7 +159,7 @@ def cmd_joint(args) -> int:
     corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
-    payload = _base_report("joint", _corpus_inputs(corpus.path), started, args)
+    payload = _base_report("joint", corpus.inputs, started, args)
     table = payload["joint_state_space"] = space.to_dict()
     exit_code = _attach_oracle(args, payload, t)
     lines = []
@@ -213,7 +179,7 @@ def cmd_common(args) -> int:
     except DegenerateCommonLanguageError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    payload = _base_report("common", _corpus_inputs(corpus.path), started, args)
+    payload = _base_report("common", corpus.inputs, started, args)
     table = payload["common_language"] = common.to_dict()
     exit_code = _attach_oracle(args, payload, t)
     lines = []
@@ -232,7 +198,7 @@ def cmd_classify(args) -> int:
     space = joint_space_from_translation(t)
     verdict = classify_awareness(t, space)
     embeddings = joint_embeddings(t, space)
-    payload = _base_report("classify", _corpus_inputs(corpus.path), started, args)
+    payload = _base_report("classify", corpus.inputs, started, args)
     payload["verdict"] = verdict.to_dict()
     payload["embeddings"] = embeddings.to_dict()
     exit_code = _attach_oracle(args, payload, t)
@@ -245,13 +211,14 @@ def cmd_bounds(args) -> int:
     corpus = load_corpus(args.corpus)
     t = corpus.require_translation()
     space = joint_space_from_translation(t)
-    weights = json.loads(Path(args.probabilities).read_text(encoding="utf-8"))
+    digests = []
+    weights = json.loads(read_input(args.probabilities, digests))
     src = space.algebra(args.lang)
     x = src.denote(parse_formula(args.formula, src.spec))
     target = 2 if args.lang == 1 else 1
     lo, hi = probability_bounds(space, weights, x, target)
-    payload = _base_report("bounds", _corpus_inputs(corpus.path), started, args)
-    payload["inputs"]["probabilities"] = _digest(Path(args.probabilities))
+    payload = _base_report("bounds", {**corpus.inputs, "probabilities": digests[0]},
+                           started, args)
     payload.update({
         "formula": args.formula,
         "source_language": args.lang,

@@ -4,6 +4,8 @@ A corpus directory holds ``lang1.lang`` and ``lang2.lang`` plus at least one
 of ``translation.tr`` (atom-level outer maps, optionally with explicit
 ``override`` lines) and ``implication.imp`` (seed pairs for the closure).
 The two languages must have distinct names: seeds name their language.
+Every input file, these and a command's own, is read by ``read_input``:
+once, its digest taken from the bytes that are parsed.
 
 Every endpoint of a translation file goes through one reader,
 ``_parse_value``.  It reads the common grammar directly: ``*`` is the star,
@@ -28,6 +30,7 @@ Seeds travel as two (n, 2) arrays, the side (1 or 2) and the value (a mask,
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -302,13 +305,15 @@ def parse_implication_file(text: str, a1: Algebra, a2: Algebra) -> CrossImplicat
 
 @dataclass
 class Corpus:
-    """Everything a corpus folder defines, parsed and constructed."""
+    """Everything a corpus folder defines, parsed and constructed, and the
+    path and sha256 of each file read, by file name."""
 
     path: Path
     algebra1: Algebra
     algebra2: Algebra
     translation: Translation | None
     relation: CrossImplication | None
+    inputs: dict
 
     def require_translation(self) -> Translation:
         if self.translation is not None:
@@ -323,16 +328,24 @@ class Corpus:
         return implication_from_translation(self.require_translation())
 
 
-def _read_text(path: str | Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def read_input(path: str | Path, digests: list) -> str:
+    """The text of an input file, whose bytes are read once: their path and
+    sha256 go to ``digests``, so that a report names the bytes parsed, and
+    they are decoded as ``Path.read_text(encoding="utf-8")`` decodes them,
+    strict UTF-8 with CRLF and lone CR read as LF."""
+    path = Path(path)
+    data = path.read_bytes()
+    digests.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_algebras(path1: str | Path, path2: str | Path,
-                  read=_read_text) -> tuple[Algebra, Algebra]:
+                  digests: list | None = None) -> tuple[Algebra, Algebra]:
     """The algebras of two language files, both parsed before either is
-    built; ``read`` gives a file's text.  Seeds name their language, so the
-    two names must differ."""
-    specs = [parse_language(read(p)) for p in (path1, path2)]
+    built, each file read by ``read_input`` into ``digests`` when given.
+    Seeds name their language, so the two names must differ."""
+    digests = [] if digests is None else digests
+    specs = [parse_language(read_input(p, digests)) for p in (path1, path2)]
     if specs[0].name == specs[1].name:
         raise LanguageNameClashError(
             f"both language files declare the language {specs[0].name!r}; "
@@ -342,21 +355,16 @@ def load_algebras(path1: str | Path, path2: str | Path,
 
 def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
-    a1, a2 = load_algebras(path / LANG1_FILE, path / LANG2_FILE)
-    translation = None
-    relation = None
-    tr_path = path / TRANSLATION_FILE
-    if tr_path.exists():
-        translation = parse_translation_file(
-            tr_path.read_text(encoding="utf-8"), a1, a2
-        )
-    imp_path = path / IMPLICATION_FILE
-    if imp_path.exists():
-        relation = parse_implication_file(
-            imp_path.read_text(encoding="utf-8"), a1, a2
-        )
-    if translation is None and relation is None:
+    digests = []
+    a1, a2 = load_algebras(path / LANG1_FILE, path / LANG2_FILE, digests)
+    parsed = {}
+    for name, parse in ((TRANSLATION_FILE, parse_translation_file),
+                        (IMPLICATION_FILE, parse_implication_file)):
+        if (path / name).exists():
+            parsed[name] = parse(read_input(path / name, digests), a1, a2)
+    if not parsed:
         raise FileNotFoundError(
             f"{path} has neither {TRANSLATION_FILE} nor {IMPLICATION_FILE}"
         )
-    return Corpus(path, a1, a2, translation, relation)
+    return Corpus(path, a1, a2, parsed.get(TRANSLATION_FILE), parsed.get(IMPLICATION_FILE),
+                  dict(zip((LANG1_FILE, LANG2_FILE, *parsed), digests)))

@@ -18,8 +18,6 @@ that is not principal, and for readers that want the matrices.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .algebra import Algebra, Prop, Star, StarProp, implies, sweep
@@ -46,14 +44,15 @@ class CrossImplication:
     pairs give by sweeping sources down and targets up, held as images.
     Each seed set is a (source masks, target masks) pair of arrays, -1 for
     the star.  ``extra1`` and ``extra2`` are within-language pairs forced by
-    closure but absent from the orders, as (source index, target index) with
-    the star slot last.  Whether bouncing through the other language stays
-    inside the orders is left to the transitivity check.
+    closure but absent from the orders, (source index, target index) with
+    the star slot last, given as any collection of pairs and held as an
+    (n, 2) int64 array in ascending order.  Whether bouncing through the
+    other language stays inside the orders is left to the transitivity
+    check.
     """
 
     def __init__(self, algebra1: Algebra, algebra2: Algebra,
-                 seeds12: tuple, seeds21: tuple,
-                 extra1: frozenset = frozenset(), extra2: frozenset = frozenset()):
+                 seeds12: tuple, seeds21: tuple, extra1=(), extra2=()):
         algebra1.require_enumerable()   # before allocating 2**model_count images
         algebra2.require_enumerable()
         if algebra1.name == algebra2.name:
@@ -62,8 +61,7 @@ class CrossImplication:
             )
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        self.extra1 = frozenset(extra1)
-        self.extra2 = frozenset(extra2)
+        self.extra1, self.extra2 = map(_pair_array, (extra1, extra2))
         m1, m2 = algebra1.model_count, algebra2.model_count
         self.images = (_Images(*seeds12, m1, m2), _Images(*seeds21, m2, m1))
         # the meet images of both directions when every row is the up-set
@@ -116,7 +114,8 @@ class CrossImplication:
             if implies(x, y):
                 return True
             extra = self.extra1 if sx == 1 else self.extra2
-            return (self._idx(x), self._idx(y)) in extra
+            # the oracle asks every pair: no numpy call when there are no pairs
+            return len(extra) > 0 and self._idx(y) in _targets(extra, self._idx(x)).tolist()
         if self.principal_meets is not None:
             meet = self.principal_meets[sx - 1][self._idx(x)]
             return isinstance(y, Star) or bool(meet != -1 and meet & ~y.mask == 0)
@@ -142,8 +141,8 @@ class CrossImplication:
         if not (isinstance(other, CrossImplication)
                 and self.algebra1.name == other.algebra1.name
                 and self.algebra2.name == other.algebra2.name
-                and self.extra1 == other.extra1
-                and self.extra2 == other.extra2):
+                and np.array_equal(self.extra1, other.extra1)
+                and np.array_equal(self.extra2, other.extra2)):
             return False
         mine, theirs = self.principal_meets, other.principal_meets
         if mine is None and theirs is None:
@@ -165,6 +164,21 @@ class CrossImplication:
 
     def passes_axioms(self) -> bool:
         return self.axiom_report().passed
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """(i, j) pairs as an (n, 2) int64 array in ascending order; an array,
+    such as ``np.argwhere`` gives, is taken to be in that order already."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = sorted(pairs)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _targets(pairs: np.ndarray, i: int) -> np.ndarray:
+    """The j of the pairs (i, j) of an ascending pair array, found by one
+    binary search."""
+    lo, hi = np.searchsorted(pairs[:, 0], (i, i + 1))
+    return pairs[lo:hi, 1]
 
 
 # --- images ---------------------------------------------------------------------
@@ -250,17 +264,12 @@ def _bounce_free(images: tuple) -> bool:
 
 
 def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndarray,
-                          src: Algebra, extra: frozenset):
+                          src: Algebra, extra: np.ndarray):
     """The first λ → η → μ, as (λ, η, μ) indices, whose (λ, μ) is neither in
     the source order nor in ``extra``: the least λ, then its least such μ,
     then the least η between them; None if there is none.  ``meets`` is the
     meet image of ``rows_b``."""
     masks = src.slots()
-    # the pairs of ``extra`` by source, so that a row finds its own in one
-    # binary search
-    excused = np.fromiter(chain.from_iterable(extra), dtype=np.int64,
-                          count=2 * len(extra)).reshape(-1, 2)
-    excused = excused[np.argsort(excused[:, 0])]
     # only a λ with a bit that the meet of some η it reaches lacks (for the
     # star: some η reaching a proposition) leaves the order; such a row is
     # skipped only when ``extra`` excuses every pair it leaves the order with
@@ -271,8 +280,7 @@ def _first_bounce_outside(rows_a: np.ndarray, rows_b: np.ndarray, meets: np.ndar
     suspects[-1] |= rows_a[-1].any(where=meets != -1)
     for lam in np.flatnonzero(suspects):
         outside = rows_b[rows_a[lam]].any(axis=0) & ((masks[lam] & ~masks) != 0)
-        lo, hi = np.searchsorted(excused[:, 0], (lam, lam + 1))
-        outside[excused[lo:hi, 1]] = False
+        outside[_targets(extra, lam)] = False
         if outside.any():
             mu = int(outside.argmax())
             return int(lam), int((rows_a[lam] & rows_b[:, mu]).argmax()), mu
@@ -360,11 +368,8 @@ def close_values(sides: np.ndarray, values: np.ndarray,
         if np.array_equal(new, u):
             break
         u = new
-    # the forced pairs as int tuples, zipped from two lists of Python ints
-    extra1, extra2 = (frozenset(zip(*np.argwhere(forced).T.tolist()))
-                      for forced in (u[:n1, :n1] & ~w1, u[n1:, n1:] & ~w2))
     return CrossImplication(a1, a2, _seeds_of(u[:n1, n1:]), _seeds_of(u[n1:, :n1]),
-                            extra1, extra2)
+                            np.argwhere(u[:n1, :n1] & ~w1), np.argwhere(u[n1:, n1:] & ~w2))
 
 
 def _seeds_of(block: np.ndarray) -> tuple:
@@ -392,10 +397,7 @@ def check_implication_axioms(r: CrossImplication) -> AxiomReport:
     # extensibility: the relation restricted to one language is that
     # language's own implication -- any stored extra pair is a violation
     for side, algebra, extra in ((1, a1, r.extra1), (2, a2, r.extra2)):
-        witness = None
-        if extra:
-            i, j = min(extra)
-            witness = (algebra.element(i), algebra.element(j))
+        witness = tuple(map(algebra.element, extra[0].tolist())) if len(extra) else None
         report.checks.append(AxiomCheck(f"extensibility:{side}", witness))
 
     report.checks.append(AxiomCheck(

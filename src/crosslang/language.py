@@ -9,8 +9,8 @@ A language is declared in a small line-oriented text format::
     believe: !(cell_a & cell_b)
 
 Formulas use ``!``, ``&``, ``|``, ``->`` with precedence ``!`` > ``&`` >
-``|`` > ``->``; parentheses override.  ``->`` is sugar for ``!left | right``
-and is removed by :func:`desugar` before any evaluation.
+``|`` > ``->``; parentheses override.  ``->`` means ``!left | right``; it
+stays an ``Arrow`` node in the tree, which evaluation reads as such.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ class FalseLit(Formula):
 
 TRUE = TrueLit()
 FALSE = FalseLit()
-
-
-def desugar(formula: Formula) -> Formula:
-    """Rewrite every ``a -> b`` into ``!a | b``."""
-    if isinstance(formula, Arrow):
-        return Or(Not(desugar(formula.left)), desugar(formula.right))
-    if isinstance(formula, Not):
-        return Not(desugar(formula.child))
-    if isinstance(formula, And):
-        return And(desugar(formula.left), desugar(formula.right))
-    if isinstance(formula, Or):
-        return Or(desugar(formula.left), desugar(formula.right))
-    return formula
 
 
 # --- printing ----------------------------------------------------------------

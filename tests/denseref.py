@@ -603,10 +603,22 @@ class DenseRelation:
         return bool((self.rows12 if sx == 1 else self.rows21)[i, j])
 
 
-def relations_equal(r, s) -> bool:
+def frozen_pairs(pairs: np.ndarray) -> frozenset:
+    """An (n, 2) array of within-language pairs as the frozenset of int
+    tuples that this module reads by membership."""
+    return frozenset(map(tuple, pairs.tolist()))
+
+
+def dense_relation(r: CrossImplication) -> DenseRelation:
+    """A relation's dense rows, its within-language pairs as frozensets."""
+    return DenseRelation(r.algebra1, r.algebra2, r.rows12, r.rows21,
+                         frozen_pairs(r.extra1), frozen_pairs(r.extra2))
+
+
+def relations_equal(r: DenseRelation, s: DenseRelation) -> bool:
     """``CrossImplication.__eq__`` on dense rows, for every relation."""
     return (
-        isinstance(s, CrossImplication)
+        isinstance(s, DenseRelation)
         and r.algebra1.name == s.algebra1.name
         and r.algebra2.name == s.algebra2.name
         and np.array_equal(r.rows12, s.rows12)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import gc
 import hashlib
@@ -18,6 +19,7 @@ import crosslang.commonality as commonality
 from conftest import CORPUS, write_cover_pair
 from crosslang import check_consistency, common_language, load_corpus
 from crosslang.cli import main
+from crosslang.corpus import read_input
 from crosslang.oracle import OracleBudget
 from crosslang.randgen import write_cell_corpus, write_free_corpus
 
@@ -246,10 +248,14 @@ def test_unreadable_inputs_exit_two(tmp_path, case):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("data", [b"a\r\nb\rc\n", b"\r\r\n\n\r", "\u00e9\u2028\x85\r".encode(),
-                                  b"x\r\xffy", b"ok\r\n\xe2\x82"])
+@pytest.mark.parametrize("data", [
+    b"a\r\nb\rc\n", b"\r\r\n\n\r", "\u00e9\u2028\x85\r".encode(), b"x\r\xffy",
+    b"ok\r\n\xe2\x82",
+    pytest.param(b"a\r\n" * 3000 + b"\xff" + b"b\r" * 30000, id="bad-byte-past-8k-of-69k"),
+    pytest.param(b"a\r\n" * 30000 + "\u20ac".encode()[:2], id="truncated-end-of-90k")])
 def test_check_decodes_as_read_text(tmp_path, data):
-    """An input's bytes decode to the text, or the error, of ``read_text``."""
+    """``read_input`` gives an input's text, or its error, as ``read_text``
+    does, however far into the file the error lies."""
     path = tmp_path / "input"
     path.write_bytes(data)
 
@@ -258,7 +264,7 @@ def test_check_decodes_as_read_text(tmp_path, data):
             return read()
         except UnicodeDecodeError as exc:
             return str(exc)
-    assert outcome(lambda: cli._decode(data)) == outcome(
+    assert outcome(lambda: read_input(path, [])) == outcome(
         lambda: path.read_text(encoding="utf-8"))
 
 
@@ -284,6 +290,50 @@ def test_check_reads_each_input_once(tmp_path, monkeypatch):
     assert crlf.returncode == lf.returncode == 0
     assert [entry["sha256"] for entry in got.pop("inputs").values()] == [
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names]
+    want.pop("inputs")
+    assert got == want
+
+
+@pytest.mark.parametrize("command", ["translate", "joint", "common", "classify", "bounds"])
+def test_corpus_command_reads_each_input_once(tmp_path, monkeypatch, command):
+    """Every corpus command opens each input once and digests the bytes it
+    parsed: a CRLF copy of the platypus corpus, with its seed file and
+    weights, gives the report of the LF files apart from ``inputs``, which
+    holds the CRLF files' digests."""
+    platypus = CORPUS / "platypus"
+    names = ("lang1.lang", "lang2.lang", "translation.tr", "implication.imp")
+    for name in names + ("uniform.prob.json",):
+        (tmp_path / name).write_bytes((platypus / name).read_bytes().replace(b"\n", b"\r\n"))
+
+    def argv(folder):
+        return [command, str(folder), *{
+            "translate": ["2>1", "inner", "mammal"],
+            "bounds": [str(folder / "uniform.prob.json"), "mammal", "--lang", "2"],
+        }.get(command, []), "--format", "json"]
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, Path)) and Path(file).parent == tmp_path:
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    crlf = run_main(*argv(tmp_path))
+    monkeypatch.undo()
+    lf = run_main(*argv(platypus))
+    read = names + (("uniform.prob.json",) if command == "bounds" else ())
+    assert sorted(opened) == sorted(read)
+    assert crlf.returncode == lf.returncode == 0
+    got, want = json.loads(crlf.stdout), json.loads(lf.stdout)
+
+    def digest(name):
+        path = tmp_path / name
+        return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    digests = {name: digest(name) for name in names}
+    if command == "bounds":
+        digests["probabilities"] = digest("uniform.prob.json")
+    assert got.pop("inputs") == digests
     want.pop("inputs")
     assert got == want
 

@@ -345,7 +345,7 @@ def test_seed_file_gives_the_reference_relation(seed_files, case):
     for images, ref_images in zip(r.images, ref.images):
         for field in ("xs", "ts", "meet", "low", "join", "high"):
             assert np.array_equal(getattr(images, field), getattr(ref_images, field))
-    assert (r.extra1, r.extra2) == (ref.extra1, ref.extra2)
+    assert all(map(np.array_equal, (r.extra1, r.extra2), (ref.extra1, ref.extra2)))
 
 
 @pytest.mark.parametrize("case", SEED_CASES)

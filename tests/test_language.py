@@ -10,7 +10,6 @@ from crosslang import (
     DuplicateAtomError,
     ParseError,
     UndeclaredAtomError,
-    desugar,
     format_formula,
     format_language,
     parse_formula,
@@ -20,11 +19,9 @@ from crosslang.language import (
     And,
     Arrow,
     Atom,
-    FalseLit,
     LanguageSpec,
     Not,
     Or,
-    TrueLit,
     _read_belief,
 )
 from crosslang.randgen import random_formula
@@ -70,28 +67,6 @@ def test_precedence_and_over_or_over_arrow():
 
 def test_parentheses_override():
     assert parse_formula("!(p & q)") == Not(And(Atom("p"), Atom("q")))
-
-
-def test_arrow_desugars_to_negation_disjunction():
-    f = parse_formula("p -> q")
-    assert desugar(f) == Or(Not(Atom("p")), Atom("q"))
-
-
-def test_desugared_has_no_arrows():
-    rng = random.Random(7)
-    spec = parse_language("language A\natoms: p q r")
-    for _ in range(200):
-        f = desugar(random_formula(rng, spec, depth=4))
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            assert not isinstance(node, Arrow)
-            if isinstance(node, Not):
-                stack.append(node.child)
-            elif isinstance(node, (And, Or)):
-                stack.extend((node.left, node.right))
-            else:
-                assert isinstance(node, (Atom, TrueLit, FalseLit))
 
 
 def test_undeclared_atom_rejected_with_position():
