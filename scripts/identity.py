@@ -12,7 +12,9 @@ without ``--oracle``; and ``export-dot`` of both algebras and of the cross
 relation, reduced and full.  Then a fixed list of bad inputs: missing files
 and folders, a copy of ``platypus`` with a byte that is not UTF-8 in each
 of its inputs (the weights file included), and CRLF copies of ``platypus``
-and the nested pair, each of those copies under the same commands.
+and the nested pair, each of those copies under the same commands.  Last,
+``check`` in text and JSON on copies of the nested pair with one
+``override`` line each (``MUTANTS``).
 
 Each run is one line of JSON: its argv, its exit code (or the name of the
 exception that escaped ``main``), and the sha256 of what it wrote to stdout
@@ -77,6 +79,37 @@ def write_nested_pair(path: Path) -> None:
     seeds += [f"imp: lang2.b{j} => lang1.a{parent[j]}" for j in range(12)]
     (path / "implication.imp").write_text("\n".join(seeds) + "\n")
     (path / "weights.json").write_text(json.dumps([1 / 12] * 12) + "\n")
+
+
+# one override line appended to the nested pair's translation file, by
+# folder suffix: changed inner values in both directions, an outer 2>1
+# value, the inner image of true, an outer image sent to *, and an override
+# that restates the derived value
+MUTANTS = (("inner-12", "override inner 1>2: a0 => b0"),
+           ("inner-21", "override inner 2>1: b0 | b1 => false"),
+           ("outer-21", "override outer 2>1: b0 => a0 | a1"),
+           ("inner-top", "override inner 1>2: true => b0 | b1"),
+           ("outer-star", "override outer 1>2: a0 => *"),
+           ("restated", "override inner 1>2: a0 => b0 | b1"))
+
+
+def write_mutants() -> list[str]:
+    """Copies of the nested pair with one line of ``MUTANTS`` each; their
+    folder names."""
+    folders = []
+    for suffix, line in MUTANTS:
+        folder = Path(f"{NESTED}-{suffix}")
+        shutil.copytree(NESTED, folder)
+        with open(folder / "translation.tr", "a") as f:
+            f.write(line + "\n")
+        folders.append(str(folder))
+    return folders
+
+
+def check_argvs(folder: str) -> list[list[str]]:
+    langs = [str(Path(folder) / "lang1.lang"), str(Path(folder) / "lang2.lang")]
+    return [["check", *langs, str(Path(folder) / "translation.tr"), "--format", fmt]
+            for fmt in ("text", "json")]
 
 
 def run(main, argv: list[str]) -> dict:
@@ -209,7 +242,9 @@ def main(argv_in=None) -> int:
         os.chdir(tmp)
         try:
             argvs = [argv for folder in write_inputs(cli_main)
-                     for argv in corpus_argvs(folder)] + missing_argvs()
+                     for argv in corpus_argvs(folder)]
+            argvs += [argv for folder in write_mutants() for argv in check_argvs(folder)]
+            argvs += missing_argvs()
             for argv in argvs:
                 rows.append(run(cli_main, argv))
                 if old_rows is None:

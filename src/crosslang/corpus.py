@@ -110,9 +110,11 @@ def _parse_value(text: str, algebra: Algebra, lineno: int) -> int:
 def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     """Build a translation from atom-level outer lines.
 
-    ``override`` lines replace single entries of the derived maps afterwards;
-    they exist so that corpora can encode operators that deliberately break
-    an axiom, which the derived form never does.
+    ``override`` lines replace single entries of the derived maps, in file
+    order, so the last one of an entry wins; they exist so that corpora can
+    encode operators that deliberately break an axiom, which the derived
+    form never does.  The whole table goes into one ``Translation``, which
+    refuses the first override that sends ``*`` elsewhere.
     """
     atom_outers = {"1>2": {}, "2>1": {}}
     overrides = []
@@ -140,17 +142,12 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
         elif len(head) == 3 and head[0] == "override" and head[1] in ("inner", "outer"):
             direction = _parse_side(head[2], lineno)
             src, dst = sides[direction]
-            overrides.append((
-                direction, head[1],
-                src.element(_parse_value(lhs_text, src, lineno)),
-                dst.element(_parse_value(rhs_text, dst, lineno)),
-            ))
+            overrides.append((direction, head[1], _parse_value(lhs_text, src, lineno),
+                              _parse_value(rhs_text, dst, lineno)))
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno, 1)
-    t = translation_from_atom_outers(a1, a2, atom_outers["1>2"], atom_outers["2>1"])
-    for direction, mode, lhs, rhs in overrides:
-        t = t.replace(direction, mode, lhs, rhs)
-    return t
+    return translation_from_atom_outers(a1, a2, atom_outers["1>2"], atom_outers["2>1"],
+                                        overrides)
 
 
 def _seed_keys(line: str, lineno: int, languages: dict):

@@ -2,8 +2,10 @@
 
 Each translation checker here walks every pair of lattice elements in
 512-row chunks, exactly as the library's checkers did before they were
-rewritten as cover, atom and subset-zeta decisions; the relation code at the
-end builds matrix products, as the library did before its lattice sweeps.
+rewritten as cover, atom and subset-zeta decisions (approximation and
+restricted duality ask the ``scalarref`` predicate at every argument in
+turn); the relation code at the end builds matrix products, as the library
+did before its lattice sweeps.
 The analysis code after them builds the set approximations with one
 vector operation per target event, renders a joint state-space with one
 ``formula_text`` call per proposition, checks a common language with one
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import scalarref
 from crosslang import (
     AlgebraTooLargeError,
     AwarenessVerdict,
@@ -90,6 +93,31 @@ def check_galois(t):
         else:
             report.checks.append(AxiomCheck(f"galois:{direction}"))
     return report
+
+
+def _first_failing_argument(t, axiom, holds):
+    """One check of ``axiom`` per direction whose witness is the first
+    argument, masks ascending and the star last, at which ``holds(t,
+    direction, lam)`` fails."""
+    report = AxiomReport()
+    for direction in ("1>2", "2>1"):
+        src, _ = t.endpoints(direction)
+        bad = next((lam for lam in src.star_lattice() if not holds(t, direction, lam)), None)
+        report.checks.append(AxiomCheck(f"{axiom}:{direction}",
+                                        None if bad is None else (bad,)))
+    return report
+
+
+def check_approximation(t):
+    """Approximation tested one argument at a time by the scalar predicate."""
+    return _first_failing_argument(t, "approximation", scalarref.approximation_holds)
+
+
+def check_restricted_duality(t):
+    """Restricted duality tested one argument at a time by the scalar
+    predicate."""
+    return _first_failing_argument(t, "restricted-duality",
+                                   scalarref.restricted_duality_holds)
 
 
 def _pairwise_violation(src, vals, kind):

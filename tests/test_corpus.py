@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 import crosslang.cli as cli
 import seedref
-from crosslang import Algebra, LanguageSpec, ParseError, Star, close, parse_language
+from crosslang import (
+    Algebra,
+    CrosslangError,
+    LanguageSpec,
+    ParseError,
+    Star,
+    close,
+    parse_language,
+)
 from crosslang.corpus import (
     _BLOCK_CHARS,
     load_algebras,
@@ -18,6 +26,7 @@ from crosslang.corpus import (
     parse_translation_file,
 )
 from crosslang.randgen import cell_algebra
+from crosslang.translation import Translation
 from conftest import CORPUS, write_cover_pair
 from test_language import _FRAGMENTS
 
@@ -72,8 +81,6 @@ def test_translation_file_rejects_malformed_lines():
 
 def test_translation_file_requires_total_atom_cover():
     a1, a2 = pair()
-    from crosslang import CrosslangError
-
     with pytest.raises(CrosslangError):
         parse_translation_file(
             "outer 1>2: p0 => q0\nouter 2>1: q0 => p0\nouter 2>1: q1 => p1\n",
@@ -96,6 +103,46 @@ def test_override_replaces_single_entry():
         for k in np.flatnonzero(t2.array(d, m) != t.array(d, m))
     ]
     assert changed == [("1>2", "inner", a1.denote_text("p0").mask)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_translation_file_builds_one_translation(monkeypatch, count):
+    """However many override lines a file has, it builds one translation,
+    whose table keeps them in file order."""
+    a1, a2 = pair()
+    base = (
+        "outer 1>2: p0 => q0\nouter 1>2: p1 => q1\n"
+        "outer 2>1: q0 => p0\nouter 2>1: q1 => p1\n"
+    )
+    lines = [f"override inner 1>2: p0 => {'q0' if k % 2 else 'q1'}\n" for k in range(count)]
+    built = []
+    init = Translation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Translation, "__init__", counted)
+    t = parse_translation_file(base + "".join(lines), a1, a2)
+    assert len(built) == 1
+    p0 = a1.denote_text("p0")
+    assert t.overrides == tuple(
+        ("1>2", "inner", p0.mask, a2.denote_text("q0" if k % 2 else "q1").mask)
+        for k in range(count))
+    if count:
+        assert t.apply("1>2", "inner", p0).mask == t.overrides[-1][3]
+
+
+def test_translation_file_refuses_the_first_override_that_moves_the_star():
+    a1, a2 = pair()
+    base = (
+        "outer 1>2: p0 => q0\nouter 1>2: p1 => q1\n"
+        "outer 2>1: q0 => p0\nouter 2>1: q1 => p1\n"
+        "override inner 1>2: * => *\n"
+    )
+    with pytest.raises(CrosslangError, match=r"^outer 2>1 map must send \* to \*$"):
+        parse_translation_file(base + "override outer 2>1: * => p0\n"
+                               "override inner 1>2: * => q0\n", a1, a2)
 
 
 def test_implication_seeds_parse_with_star():

@@ -20,7 +20,7 @@ from crosslang import (
 )
 from crosslang.randgen import cell_algebra, random_consistent_translation
 from crosslang.semantics import _is_order_embedding
-from crosslang.translation import _ideal_violation, _monotone_violation
+from crosslang.translation import _OPERATORS, _ideal_violation, _monotone_violation
 
 # consistent translations come from rejection sampling, whose time depends on
 # host load; the data itself is fixed by derandomize
@@ -90,6 +90,31 @@ translations = st.one_of(atom_derived(), consistent(), arbitrary(),
                          mutant(atom_derived()), mutant(consistent()))
 
 
+@st.composite
+def overridden(draw):
+    """One to four overrides on any of the four operators of a derived or
+    consistent translation: each at a random mask, at the top or at the
+    slot of an earlier one (the last wins), and to a random mask, to the
+    star or to the derived value."""
+    t = draw(st.one_of(atom_derived(), consistent()))
+    overrides = []
+    for _ in range(draw(st.integers(1, 4))):
+        where = draw(st.sampled_from(["mask", "top", "again"]))
+        if where == "again" and overrides:
+            direction, mode, lam = draw(st.sampled_from(overrides))
+        else:
+            direction, mode = draw(st.sampled_from(_OPERATORS))
+            src = t.endpoints(direction)[0]
+            lam = src.full_mask if where == "top" else draw(st.integers(0, src.full_mask))
+        src, dst = t.endpoints(direction)
+        value = draw(st.sampled_from(["mask", "star", "derived"]))
+        y = {"mask": lambda: draw(st.integers(0, dst.full_mask)), "star": lambda: -1,
+             "derived": lambda: int(t.array(direction, mode, derived=True)[lam])}[value]()
+        t = t.replace(direction, mode, Prop(src, lam), _value(dst, y))
+        overrides.append((direction, mode, lam))
+    return t
+
+
 @FUZZ
 @given(translations)
 def test_translation_checkers_match_references(t):
@@ -98,6 +123,14 @@ def test_translation_checkers_match_references(t):
             == denseref.check_derived_properties(t).to_dict())
     verdicts = {c.name: c.passed for c in check_consistency(t).checks}
     assert verdicts == scalarref.translation_verdicts(t)
+
+
+@FUZZ
+@given(overridden())
+def test_consistency_report_matches_dense_references(t):
+    expected = (denseref.check_galois(t).merged(denseref.check_approximation(t))
+                .merged(denseref.check_restricted_duality(t)))
+    assert check_consistency(t).to_dict() == expected.to_dict()
 
 
 @FUZZ

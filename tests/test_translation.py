@@ -30,6 +30,7 @@ from crosslang.randgen import (
     random_atom_outer_translation,
     random_consistent_translation,
 )
+import crosslang.translation as translation_module
 from crosslang.translation import Translation, atom_axioms_hold
 from scalarref import approximation_holds, galois_pair_holds, restricted_duality_holds
 
@@ -275,8 +276,8 @@ def test_construction_always_satisfies_galois():
 
 def test_translation_requires_total_star_preserving_maps(twin_pair):
     """One int64 image per atom, each in the target or the star; an
-    override keeps the star's image the star and takes elements of the
-    translation's own algebras."""
+    override keeps the star's image the star, takes elements of the
+    translation's own algebras and names one of the four operators."""
     a, b = twin_pair
     t = identity_translation(twin_pair)
     images = np.array([1, 2, 4], dtype=np.int64)
@@ -294,6 +295,9 @@ def test_translation_requires_total_star_preserving_maps(twin_pair):
         t.replace("1>2", "inner", a.star, b.top)
     with pytest.raises(CrossAlgebraError):
         t.replace("1>2", "inner", b.top, b.top)
+    for direction, mode in (("1to2", "inner"), ("1>2", "middle")):
+        with pytest.raises(ValueError, match="an override needs a direction"):
+            Translation(a, b, images, images, [(direction, mode, 0, 0)])
 
 
 def test_operators_are_read_only_copies(twin_pair):
@@ -383,7 +387,8 @@ def test_approximable_ideal_witness_is_the_first_down_set_violation():
 
 
 def _exhaustive(t):
-    return check_galois(t).merged(check_approximation(t)).merged(check_restricted_duality(t))
+    return (denseref.check_galois(t).merged(denseref.check_approximation(t))
+            .merged(denseref.check_restricted_duality(t)))
 
 
 @st.composite
@@ -452,15 +457,61 @@ def test_translation_with_overrides_goes_to_the_exhaustive_checkers(twin_pair):
     assert check_consistency(same).to_dict() == check_consistency(t).to_dict()
 
 
+def _recorded(monkeypatch, owner, name):
+    """The argument tuples of every later call of ``owner.name``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _identity_pair(m):
+    a1, a2 = cell_algebra("left", m, "a"), cell_algebra("right", m, "b")
+    return translation_from_atom_outers(a1, a2, {x: Prop(a2, x.mask) for x in a1.atoms()},
+                                        {y: Prop(a1, y.mask) for y in a2.atoms()})
+
+
 def test_atom_decision_builds_no_lattice_array(monkeypatch):
     """A passing check of a 16 x 16 identity pair is decided on the atom
     images alone: no operator array of 2**16 slots is built."""
-    a1, a2 = cell_algebra("left", 16, "a"), cell_algebra("right", 16, "b")
-    t = translation_from_atom_outers(a1, a2, {x: Prop(a2, x.mask) for x in a1.atoms()},
-                                     {y: Prop(a1, y.mask) for y in a2.atoms()})
+    t = _identity_pair(16)
 
     def refuse(*args):
         raise AssertionError("lattice array built")
 
     monkeypatch.setattr(Translation, "array", refuse)
     assert check_consistency(t).passed
+
+
+def test_inner_override_walks_only_its_own_direction(monkeypatch):
+    """One inner 1>2 override: the checks of 2>1 pass on the atom images,
+    galois:1>2 compares with the derived inner, and neither the inner 2>1
+    array nor the bucket sweep is built."""
+    t = _identity_pair(8)
+    a1, a2 = t.algebra1, t.algebra2
+    t = t.replace("1>2", "inner", Prop(a1, 0b11), Prop(a2, 0b1))
+    arrays = _recorded(monkeypatch, Translation, "array")
+    rows = _recorded(monkeypatch, translation_module, "_galois_failing_rows")
+    report = check_consistency(t)
+    assert [c.name for c in report.failures()] == [
+        "galois:1>2", "restricted-duality:1>2"]
+    assert report.check("galois:1>2").witness == (Prop(a1, 0b11), Prop(a2, 0b10))
+    assert ("2>1", "inner") not in {args[1:3] for args in arrays}
+    assert rows == []
+
+
+def test_outer_override_sweeps_the_buckets_of_the_adjunction_it_reaches(monkeypatch):
+    """An outer 2>1 override is read by galois:1>2 alone, which takes the
+    bucket sweep once."""
+    t = _identity_pair(8)
+    a1, a2 = t.algebra1, t.algebra2
+    t = t.replace("2>1", "outer", Prop(a2, 0b1), Prop(a1, 0b11))
+    rows = _recorded(monkeypatch, translation_module, "_galois_failing_rows")
+    report = check_consistency(t)
+    assert [args[0] for args in rows] == [a1]
+    assert report.to_dict() == _exhaustive(t).to_dict()
