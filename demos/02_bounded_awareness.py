@@ -56,7 +56,7 @@ lo, hi = probability_bounds(space, [1 / 3] * 3,
 print(f"  probability in [{lo:.4f}, {hi:.4f}]")
 
 out = Path(__file__).resolve().parent / "platypus.dot"
-out.write_text(cross_dot(relation))
+out.write_text("".join(cross_dot(relation)))
 print()
 print("cross-implication diagram written to", out.name,
       "(render with: dot -Tpng platypus.dot)")

@@ -11,11 +11,11 @@ is only included when explicitly requested with ``--timing``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 from .corpus import (
     load_algebras,
@@ -40,22 +40,29 @@ from .hasse import algebra_dot, cross_dot
 from .implication import implication_from_translation, translation_from_implication
 from .language import parse_formula
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
-from .reports import dumps
+from .reports import write
 from .semantics import joint_space_from_translation, probability_bounds
 from .translation import check_consistency
 
 SCHEMA_VERSION = 1
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        out = dumps(payload) + "\n"
-    else:
-        out = "\n".join(text_lines) + "\n"
+@contextlib.contextmanager
+def _sink(args):
+    """The ``--output`` file, opened only now, or stdout."""
     if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            yield out
     else:
-        sys.stdout.write(out)
+        yield sys.stdout
+
+
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    with _sink(args) as out:
+        if args.format == "json":
+            write(payload, out, "\n")
+        else:
+            out.write("\n".join(text_lines) + "\n")
 
 
 def _base_report(command: str, inputs: dict, started: float, args) -> dict:
@@ -231,18 +238,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    started = time.perf_counter()
     corpus = load_corpus(args.corpus)
     if args.what == "algebra1":
-        dot = algebra_dot(corpus.algebra1, 1)
+        blocks = algebra_dot(corpus.algebra1, 1)
     elif args.what == "algebra2":
-        dot = algebra_dot(corpus.algebra2, 2)
+        blocks = algebra_dot(corpus.algebra2, 2)
     else:
-        dot = cross_dot(corpus.require_relation(), full=args.full)
-    if args.output:
-        Path(args.output).write_text(dot, encoding="utf-8")
-    else:
-        sys.stdout.write(dot)
+        blocks = cross_dot(corpus.require_relation(), full=args.full)
+    with _sink(args) as out:
+        out.writelines(blocks)
     return 0
 
 

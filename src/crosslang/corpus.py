@@ -186,8 +186,13 @@ def _blocks(text: str):
 def _union_values(unions: list, lookup: dict):
     """The values of endpoint texts that are a ``*`` or a union of names of
     ``lookup``, as an int64 array; None if a name is missing.  Each name is
-    looked up once, and the columns of each union are ORed by ``reduceat``."""
-    names = list(map(str.strip, "|".join(unions).split("|")))
+    looked up once, and the columns of each union are ORed by ``reduceat``.
+    Names are stripped only when a blank is left once the bars of the usual
+    ``" | "`` have been closed up."""
+    joined = "|".join(unions).replace(" | ", "|")
+    names = joined.split("|")
+    if " " in joined or "\t" in joined:
+        names = list(map(str.strip, names))
     try:
         columns = np.fromiter(map(lookup.__getitem__, names), np.int64, len(names))
     except KeyError:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 
 from .algebra import Algebra, cover_pairs
@@ -9,45 +12,55 @@ from .implication import CrossImplication
 
 
 _STYLE = "color=forestgreen, style=bold"
-_BLOCK = 1 << 16  # lines joined into one string at a time
+_BLOCK = 1 << 12  # lines, or node labels, joined into one block of text
+_CELLS = 1 << 16  # entries of a relation scanned for arrows at a time
 
 
 def _ids(side: int, count: int) -> list[str]:
     return [f"n{side}_{mask}" for mask in range(count)]
 
 
-def _lines(heads: list[str], tails: list[str], src: np.ndarray,
-           dst: np.ndarray) -> list[str]:
-    """The lines ``heads[src[k]] + tails[dst[k]]``, joined a block of lines
-    to a string: a full diagram has millions of arrows, and no string per
-    line is ever made."""
-    blocks = []
+def _lines(indent: str, src_ids: list[str], src: np.ndarray, dst_ids: list[str],
+           dst: np.ndarray, ends: tuple[str, ...] = (";\n",),
+           kind: np.ndarray | None = None):
+    """The lines ``indent + src_ids[src[k]] + " -> " + dst_ids[dst[k]] +
+    ends[kind[k]]`` (``ends[0]`` without ``kind``), a block of lines to a
+    string: a full diagram has millions of arrows, and no string is made per
+    line, nor per node for each way a line can start or end."""
     for lo in range(0, len(src), _BLOCK):
-        block_src, block_dst = src[lo:lo + _BLOCK].tolist(), dst[lo:lo + _BLOCK].tolist()
-        parts = [""] * (2 * len(block_src))
-        parts[0::2] = map(heads.__getitem__, block_src)
-        parts[1::2] = map(tails.__getitem__, block_dst)
-        blocks.append("".join(parts))
-    return blocks
+        block_src = src[lo:lo + _BLOCK].tolist()
+        parts = [indent, "", " -> ", "", ends[0]] * len(block_src)
+        parts[1::5] = map(src_ids.__getitem__, block_src)
+        parts[3::5] = map(dst_ids.__getitem__, dst[lo:lo + _BLOCK].tolist())
+        if kind is not None:
+            parts[4::5] = map(ends.__getitem__, kind[lo:lo + _BLOCK].tolist())
+        yield "".join(parts)
 
 
-def _cluster(algebra: Algebra, ids: list[str], indent: str) -> str:
+def _cluster(ids: list[str], texts: tuple[str, ...], indent: str):
     """The node and cover-edge lines of one algebra's Hasse diagram, each
-    starting with ``indent``, as one string; ``ids`` names the nodes by
-    mask."""
-    nodes = [f'{indent}{node} [label="{label}"];\n'
-             for node, label in zip(ids, algebra.formula_texts())]
-    # covers by source mask, then by the bit added
-    src, bit = np.nonzero((np.arange(len(ids))[:, None] >> np.arange(algebra.model_count)
-                           & 1) == 0)
-    return "".join(nodes + _lines([f"{indent}{node} -> " for node in ids],
-                                  [f"{node};\n" for node in ids], src, src | 1 << bit))
+    starting with ``indent``, in blocks; ``ids`` names the nodes by mask and
+    ``texts`` labels them."""
+    for lo in range(0, len(ids), _BLOCK):
+        yield "".join([f'{indent}{node} [label="{label}"];\n'
+                       for node, label in zip(ids[lo:lo + _BLOCK], texts[lo:lo + _BLOCK])])
+    # covers by source mask, then by the bit added, for a block of about
+    # _BLOCK / m sources at a time
+    bits = np.arange(len(ids).bit_length() - 1)
+    step = max(_BLOCK // max(len(bits), 1), 1)
+    for lo in range(0, len(ids), step):
+        src, bit = np.nonzero((np.arange(lo, min(lo + step, len(ids)))[:, None] >> bits
+                               & 1) == 0)
+        src += lo
+        yield from _lines(indent, ids, src, ids, src | 1 << bit)
 
 
-def algebra_dot(algebra: Algebra, side: int = 1) -> str:
-    """The cover (Hasse) diagram of one algebra."""
-    return (f'digraph "{algebra.name}" {{\n  rankdir=BT;\n'
-            + _cluster(algebra, _ids(side, algebra.full_mask + 1), "  ") + "}\n")
+def algebra_dot(algebra: Algebra, side: int = 1) -> Iterator[str]:
+    """The cover (Hasse) diagram of one algebra, as blocks of text.  Its
+    labels are read, and a too large algebra refused, before it returns."""
+    texts = algebra.formula_texts()
+    return itertools.chain([f'digraph "{algebra.name}" {{\n  rankdir=BT;\n'],
+                           _cluster(_ids(side, len(texts)), texts, "  "), ["}\n"])
 
 
 def _reduced_cross(rows: np.ndarray) -> np.ndarray:
@@ -85,37 +98,37 @@ def _reduced_targets(meet: np.ndarray) -> np.ndarray:
 
 def _arrows(rel: np.ndarray):
     """(sources, targets) of dense boolean rows, or of one target per source,
-    in row-major order."""
-    if rel.ndim == 2:
-        return np.nonzero(rel)
-    src = np.flatnonzero(rel != -1)
-    return src, rel[src]
+    in row-major order, for about ``_CELLS`` entries at a time."""
+    step = max(_CELLS // rel.shape[1], 1) if rel.ndim == 2 else _CELLS
+    for lo in range(0, len(rel), step):
+        part = rel[lo:lo + step]
+        if rel.ndim == 2:
+            src, dst = np.nonzero(part)
+        else:
+            src = np.flatnonzero(part != -1)
+            dst = part[src]
+        yield src + lo, dst
 
 
 def _has(rel: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return rel[src, dst] if rel.ndim == 2 else rel[src] == dst
 
 
-def _cross_arrows(fwd: np.ndarray, back: np.ndarray, ids1: list[str],
-                  ids2: list[str]) -> list[str]:
+def _cross_arrows(fwd: np.ndarray, back: np.ndarray, ids1: list[str], ids2: list[str]):
     """The cross arrows of both directions, mutually implied pairs once and
     double-headed, as blocks of lines."""
-    fwd_src, fwd_dst = _arrows(fwd)
-    back_src, back_dst = _arrows(back)
-    alone = ~_has(fwd, back_dst, back_src)
-    # a mutual arrow's target is looked up past the plain ones
-    to2 = ([f"{node} [{_STYLE}];\n" for node in ids2]
-           + [f"{node} [{_STYLE}, dir=both];\n" for node in ids2])
-    mutual = _has(back, fwd_dst, fwd_src)
-    return (_lines([f"  {node} -> " for node in ids1], to2,
-                   fwd_src, fwd_dst + len(ids2) * mutual)
-            + _lines([f"  {node} -> " for node in ids2],
-                     [f"{node} [{_STYLE}];\n" for node in ids1],
-                     back_src[alone], back_dst[alone]))
+    ends = (f" [{_STYLE}];\n", f" [{_STYLE}, dir=both];\n")
+    for src, dst in _arrows(fwd):
+        yield from _lines("  ", ids1, src, ids2, dst, ends, _has(back, dst, src))
+    for src, dst in _arrows(back):
+        alone = ~_has(fwd, dst, src)
+        yield from _lines("  ", ids2, src[alone], ids1, dst[alone], ends)
 
 
-def cross_dot(r: CrossImplication, full: bool = False) -> str:
-    """Both cover diagrams plus the cross arrows (reduced unless ``full``)."""
+def cross_dot(r: CrossImplication, full: bool = False) -> Iterator[str]:
+    """Both cover diagrams plus the cross arrows (reduced unless ``full``),
+    as blocks of text.  Every step that can fail (the rows or meets of the
+    relation, the reductions, the labels) is taken before it returns."""
     a1, a2 = r.algebra1, r.algebra2
     meets = None if full else r.principal_meets
     if meets is not None:
@@ -124,11 +137,16 @@ def cross_dot(r: CrossImplication, full: bool = False) -> str:
         fwd, back = r.rows12[:-1, :-1], r.rows21[:-1, :-1]
     else:
         fwd, back = _reduced_cross(r.rows12), _reduced_cross(r.rows21)
-    ids1, ids2 = _ids(1, a1.full_mask + 1), _ids(2, a2.full_mask + 1)
-    return "".join([
-        "digraph cross {\n  rankdir=BT;\n",
-        f'  subgraph cluster_1 {{ label="{a1.name}";\n', _cluster(a1, ids1, "    "), "  }\n",
-        f'  subgraph cluster_2 {{ label="{a2.name}";\n', _cluster(a2, ids2, "    "), "  }\n",
-        *_cross_arrows(fwd, back, ids1, ids2),
-        "}\n",
-    ])
+    texts1, texts2 = a1.formula_texts(), a2.formula_texts()
+
+    def blocks():
+        ids1, ids2 = _ids(1, len(texts1)), _ids(2, len(texts2))
+        yield f'digraph cross {{\n  rankdir=BT;\n  subgraph cluster_1 {{ label="{a1.name}";\n'
+        yield from _cluster(ids1, texts1, "    ")
+        yield f'  }}\n  subgraph cluster_2 {{ label="{a2.name}";\n'
+        yield from _cluster(ids2, texts2, "    ")
+        yield "  }\n"
+        yield from _cross_arrows(fwd, back, ids1, ids2)
+        yield "}\n"
+
+    return blocks()

@@ -81,18 +81,40 @@ class AxiomReport:
 
 _INF = float("inf")
 _INT_ONLY = {int}
-_STATE_GROUP = 12  # state bits rendered by one table lookup
+_STATE_GROUP = 8  # state bits rendered by one lookup, in a table of 2**8 lines
+_BLOCK = 1 << 10   # pieces of text, or valuation labels, joined into one block
+
+
+def write(obj, out, end: str = "") -> None:
+    """Write ``dumps(obj) + end`` to the text stream ``out`` a block at a
+    time: the whole text is never held, and a small report goes out in one
+    write."""
+    _render(obj, end, out.write)
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in time
-    proportional to the text.  With ``indent`` set, ``json`` runs its
-    pure-Python encoder; here strings go through its C escaper, lists of
-    ints are joined at once and a ``Valuation`` renders from its event
-    array."""
+    proportional to the text: the join of the blocks that ``write`` writes.
+    With ``indent`` set, ``json`` runs its pure-Python encoder; here strings
+    go through its C escaper, lists of ints are joined at once and a
+    ``Valuation`` renders from its event array."""
+    blocks = []
+    _render(obj, "", blocks.append)
+    return "".join(blocks)
+
+
+def _render(obj, end: str, emit) -> None:
     out = []
-    _write(obj, "\n", out)
-    return "".join(out)
+    _write(obj, "\n", out, emit)
+    out.append(end)
+    emit("".join(out))
+
+
+def _spill(out: list[str], emit) -> None:
+    """Pass the pending pieces on as one block once there are many."""
+    if len(out) >= _BLOCK:
+        emit("".join(out))
+        out.clear()
 
 
 def _float(x: float) -> str:
@@ -118,9 +140,10 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write(o, nl: str, out: list[str]) -> None:
+def _write(o, nl: str, out: list[str], emit) -> None:
     """Append the text of ``o``, whose line starts with ``nl`` (a newline and
-    that line's indent); the checks run in ``json``'s order, so ``bool``
+    that line's indent), to the pending pieces ``out``, passing blocks on to
+    ``emit`` as they fill; the checks run in ``json``'s order, so ``bool``
     never takes the int path."""
     if isinstance(o, str):
         out.append(_quote(o))
@@ -145,7 +168,8 @@ def _write(o, nl: str, out: list[str]) -> None:
         sep = "[" + inner
         for x in o:
             out.append(sep)
-            _write(x, inner, out)
+            _write(x, inner, out, emit)
+            _spill(out, emit)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -159,11 +183,15 @@ def _write(o, nl: str, out: list[str]) -> None:
                 out.append(sep + _key(k) + ": " + _quote(v))
             else:
                 out.append(sep + _key(k) + ": ")
-                _write(v, inner, out)
+                _write(v, inner, out, emit)
+                _spill(out, emit)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, Valuation):
-        out.append(o.json_text(nl))
+        emit("".join(out))
+        out.clear()
+        for block in o.json_blocks(nl):
+            emit(block)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -171,8 +199,8 @@ def _write(o, nl: str, out: list[str]) -> None:
 class Valuation(Mapping):
     """A valuation table: each proposition's label, mapped to the ascending
     list of the states in its event, over an int array of state masks
-    indexed like the labels.  It holds no list per event: ``dumps`` renders
-    it from the array, and a lookup builds the one list asked for."""
+    indexed like the labels.  It holds no list per event: the JSON writer
+    renders it from the array, and a lookup builds the one list asked for."""
 
     def __init__(self, labels: list[str], events: np.ndarray, state_count: int):
         self._labels = labels
@@ -193,26 +221,33 @@ class Valuation(Mapping):
     def _index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self._labels)}
 
-    def json_text(self, nl: str) -> str:
-        """The table as ``dumps`` writes it on a line starting with ``nl``:
-        each event's state lines come from one lookup per group of state
-        bits in the pre-joined lines of that group."""
+    def json_blocks(self, nl: str):
+        """The table as ``dumps`` writes it on a line starting with ``nl``, a
+        block of labels at a time, in label order: each event's state lines
+        come from one lookup per group of state bits in the pre-joined lines
+        of that group."""
         labels = self._labels
         if not labels:
-            return "{}"
+            yield "{}"
+            return
         key_nl = nl + "  "
-        columns = []
-        for lo in range(0, self._state_count, _STATE_GROUP):
-            table = _state_lines(lo, min(lo + _STATE_GROUP, self._state_count), key_nl + "  ")
-            groups = (self._events >> lo) & (len(table) - 1)
-            columns.append(list(map(table.__getitem__, groups.tolist())))
+        tables = [(lo, _state_lines(lo, min(lo + _STATE_GROUP, self._state_count),
+                                    key_nl + "  "))
+                  for lo in range(0, self._state_count, _STATE_GROUP)]
         close = key_nl + "]"
-        rows = ["[" + body[1:] + close if body else "[]"
-                for body in map("".join, zip(*columns))]
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        return ("{" + key_nl
-                + ("," + key_nl).join([_quote(labels[i]) + ": " + rows[i] for i in order])
-                + nl + "}")
+        sep = "{" + key_nl
+        for start in range(0, len(order), _BLOCK):
+            block = order[start:start + _BLOCK]
+            events = self._events[block]
+            columns = [map(table.__getitem__, ((events >> lo) & (len(table) - 1)).tolist())
+                       for lo, table in tables]
+            rows = ["[" + body[1:] + close if body else "[]"
+                    for body in map("".join, zip(*columns))]
+            yield sep + ("," + key_nl).join([_quote(labels[i]) + ": " + row
+                                             for i, row in zip(block, rows)])
+            sep = "," + key_nl
+        yield nl + "}"
 
 
 def _state_lines(lo: int, hi: int, nl: str) -> list[str]:

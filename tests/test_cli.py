@@ -278,10 +278,10 @@ def test_check_reads_each_input_once(tmp_path, monkeypatch):
         (tmp_path / name).write_bytes((oil / name).read_bytes().replace(b"\n", b"\r\n"))
     opened = []
     for method in ("read_bytes", "read_text"):
-        def counted(self, *args, _read=getattr(cli.Path, method), **kwargs):
+        def counted(self, *args, _read=getattr(Path, method), **kwargs):
             opened.append(self.name)
             return _read(self, *args, **kwargs)
-        monkeypatch.setattr(cli.Path, method, counted)
+        monkeypatch.setattr(Path, method, counted)
     crlf = run_main("check", *(str(tmp_path / name) for name in names), "--format", "json")
     assert sorted(opened) == sorted(names)
     monkeypatch.undo()

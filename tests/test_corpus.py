@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosslang.cli as cli
@@ -244,6 +244,9 @@ def _seed_outcome(parse, text, a1, a2):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_seed_text)
+@example("imp: first.p|q => second.x1\n")
+@example("imp: first.p\t|  q => second.x1\n")
+@example("imp: first.p q => second.x1\n")
 def test_seed_reader_matches_reference(text):
     """Seeds, or error type, message, line and column, as before endpoints
     were read as mask values; and the relation of the file is the closure of

@@ -1,6 +1,6 @@
 """Every report the command line writes, byte for byte against the reference
 writers: JSON reports against the same run with ``json.dumps(indent=2,
-sort_keys=True)`` put in place of ``cli.dumps``, on stdout and through
+sort_keys=True)`` put in place of ``cli.write``, on stdout and through
 ``--output``, and DOT diagrams against the writers kept in ``dotref``."""
 
 import contextlib
@@ -10,12 +10,13 @@ import json
 import pytest
 
 import crosslang.cli as cli
+import crosslang.hasse as hasse
 import dotref
 from conftest import CORPUS
-from crosslang import joint_space_from_translation, load_corpus
+from crosslang import algebra_dot, cross_dot, joint_space_from_translation, load_corpus
 from crosslang.errors import CrosslangError
 from crosslang.language import format_language
-from crosslang.randgen import make_cell_spec
+from crosslang.randgen import make_cell_spec, write_free_corpus
 
 CORPORA = ("adjunction-violation", "fixed-point-gap", "nested-grids", "oil-prices",
            "platypus")
@@ -25,6 +26,10 @@ NESTED = "nested-8-12"
 def reference_dumps(obj) -> str:
     # a valuation table is a mapping, which json.dumps reads through dict()
     return json.dumps(obj, indent=2, sort_keys=True, default=dict)
+
+
+def reference_write(obj, out, end: str = "") -> None:
+    out.write(reference_dumps(obj) + end)
 
 
 def _formula(prefix, cells):
@@ -102,8 +107,8 @@ def test_json_reports_match_the_reference_writer(name, corpora, tmp_path, monkey
         for extra in ([], ["--output", str(tmp_path / "report.json")]):
             argv = command + ["--format", "json"] + extra
             runs = []
-            for writer in (cli.dumps, reference_dumps):
-                monkeypatch.setattr(cli, "dumps", writer)
+            for writer in (cli.write, reference_write):
+                monkeypatch.setattr(cli, "write", writer)
                 (tmp_path / "report.json").unlink(missing_ok=True)
                 code, out, err = run(argv)
                 written = ((tmp_path / "report.json").read_bytes()
@@ -132,3 +137,43 @@ def test_dot_diagrams_match_the_reference_writers(name, corpora):
             assert code != 0 and out == ""
             continue
         assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", CORPORA + (NESTED,))
+def test_output_file_gets_the_bytes_of_stdout(name, corpora, tmp_path):
+    """Streamed to stdout or to ``--output``, every large output is the same
+    bytes; a command that fails writes neither."""
+    path = str(corpora[0][name])
+    target = tmp_path / "out"
+    for command in (["joint", path], ["common", path],
+                    ["export-dot", path, "--what", "cross"],
+                    ["export-dot", path, "--what", "cross", "--full"],
+                    ["export-dot", path, "--what", "algebra1"]):
+        code, out, err = run(command)
+        target.unlink(missing_ok=True)
+        assert run(command + ["--output", str(target)]) == (code, "", err), command
+        written = target.read_bytes() if target.exists() else None
+        assert written == (out.encode("utf-8") if code == 0 else None), command
+
+
+@pytest.mark.parametrize("command", [["joint"], ["export-dot"]])
+def test_a_refused_pair_writes_no_byte(command, tmp_path):
+    """2**17 models a side are refused before the output file is opened."""
+    corpus = write_free_corpus(tmp_path, 17)
+    target = tmp_path / "out"
+    code, out, err = run(command + [str(corpus), "--output", str(target)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_dot_blocks_of_any_size_join_to_the_reference(block, corpora, monkeypatch):
+    """Every boundary between blocks of nodes, cover edges and arrows, on
+    both the dense and the principal relation, leaves the text as it is."""
+    monkeypatch.setattr(hasse, "_BLOCK", block)
+    for name in ("fixed-point-gap", "nested-grids", "platypus"):
+        corpus = load_corpus(corpora[0][name])
+        assert "".join(algebra_dot(corpus.algebra2, 2)) == dotref.algebra_dot(corpus.algebra2, 2)
+        r = corpus.require_relation()
+        for full in (False, True):
+            assert "".join(cross_dot(r, full)) == dotref.cross_dot(r, full), (name, full)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import denseref
 from crosslang.randgen import cell_algebra
-from crosslang.reports import Valuation, dumps
+from crosslang import reports
+from crosslang.reports import Valuation, dumps, write
 from crosslang.semantics import JointStateSpace
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -25,6 +26,17 @@ STATE_COUNTS = (1, 12, 13, 24, 25, 63)
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class Chunks(list):
+    """A text stream that keeps each chunk written to it."""
+    write = list.append
+
+
+def written(obj) -> str:
+    chunks = Chunks()
+    write(obj, chunks)
+    return "".join(chunks)
 
 
 texts = st.text(st.one_of(
@@ -64,7 +76,7 @@ payloads = st.recursive(
 @FUZZ
 @given(payloads)
 def test_dumps_matches_indented_json_dumps(payload):
-    assert dumps(payload) == reference(payload)
+    assert written(payload) == dumps(payload) == reference(payload)
 
 
 @pytest.mark.parametrize("payload", [
@@ -142,3 +154,17 @@ def test_joint_report_matches_the_dense_reference(n_states):
             table = report[f"valuation{side}"]
             assert table[space.algebra(side).formula_texts()[0]] == []
             assert dumps(table) == reference(dict(table))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_blocks_of_any_size_join_to_the_same_text(block, monkeypatch):
+    """Every boundary between blocks, inside lists, dicts and valuation
+    tables, leaves the text as it is."""
+    monkeypatch.setattr(reports, "_BLOCK", block)
+    rng = random.Random(block)
+    for n_states in STATE_COUNTS:
+        space = _space(n_states, rng)
+        payload = {"joint": space.to_dict(), "lists": [[1, 2], [], {"a": [True]}, "x"]}
+        expected = reference({"joint": denseref.joint_to_dict(space),
+                              "lists": [[1, 2], [], {"a": [True]}, "x"]})
+        assert written(payload) == dumps(payload) == expected
