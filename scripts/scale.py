@@ -9,8 +9,12 @@ narrowed copy of it in which ``a0`` implies ``false`` (so the closure
 forces within-language pairs and takes the dense fallback).  For each size
 n in ``FREE_SIZES`` it writes the pair of n-atom languages without beliefs
 of ``crosslang.randgen.write_free_corpus`` (2**n models each) with its
-one-line translation and seed files.  It runs each of ``COMMANDS`` on every
-pair (the narrowed seed file only on cell pairs), one fresh
+one-line translation and seed files.  For each size m in
+``OVERRIDE_SIZES`` it writes the m x m identity cell pair whose
+translation file also restates every derived ``inner 1>2`` value as an
+``override`` line, 2**m of them, for ``OVERRIDE_COMMANDS``.  It runs each
+of ``COMMANDS`` on every pair (the narrowed seed file only on cell pairs),
+one fresh
 ``python -m crosslang`` process each, under a wall-clock cap of ``CAP_S``
 seconds and an address-space cap of ``MEM_CAP_MB`` (so that a run which
 would exhaust the host's memory fails with MemoryError instead).  Each row
@@ -65,6 +69,8 @@ SEED_FILES = {"check-implication": "cover.imp",
               "check-implication-narrowed": "narrowed.imp"}
 FREE_SEED_FILES = {"check-implication": "seed.imp"}
 FREE_COMMANDS = tuple(c for c in COMMANDS if c != "check-implication-narrowed")
+OVERRIDE_SIZES = (16,)
+OVERRIDE_COMMANDS = ("check-translation", "translate")
 NARROWED = ("imp: lang1.a0 => lang2.b0\n", "imp: lang1.a0 => lang2.false\n")
 
 
@@ -83,6 +89,19 @@ def write_pair(path: Path, m: int) -> None:
                     for lhs, rhs in zip(formulas[sp], formulas[dp]))
     (path / SEED_FILES["check-implication"]).write_text(cover)
     (path / SEED_FILES["check-implication-narrowed"]).write_text(cover.replace(*NARROWED, 1))
+
+
+def write_overrides(path: Path, m: int) -> None:
+    """The m x m identity cell pair whose translation file restates, after
+    its outer lines, the derived inner 1>2 value of every proposition (its
+    twin) as an override line."""
+    write_cell_corpus(path, m, star=False)
+    formulas = {prefix: [" | ".join(f"{prefix}{k}" for k in range(m) if mask >> k & 1)
+                         or "false" for mask in range(1 << m)]
+                for prefix in "ab"}
+    with open(path / "translation.tr", "a") as out:
+        out.writelines(f"override inner 1>2: {lhs} => {rhs}\n"
+                       for lhs, rhs in zip(formulas["a"], formulas["b"]))
 
 
 def write_free(path: Path, n: int) -> None:
@@ -197,7 +216,9 @@ def main(argv_in=None) -> int:
         tmp = Path(tmp_name)
         pairs = ([("cells", m, write_pair, COMMANDS, SEED_FILES) for m in SIZES]
                  + [("free", n, write_free, FREE_COMMANDS, FREE_SEED_FILES)
-                    for n in FREE_SIZES])
+                    for n in FREE_SIZES]
+                 + [("overrides", m, write_overrides, OVERRIDE_COMMANDS, {})
+                    for m in OVERRIDE_SIZES])
         for kind, m, write, commands, seed_files in pairs:
             # the commands name the pair relative to the scratch directory, so
             # that the input paths in their reports are the same on every run
@@ -212,7 +233,9 @@ def main(argv_in=None) -> int:
     if args.output is not None:
         Path(args.output).write_text(json.dumps({
             "pair": "cells: identity cell pair, m x m models; "
-                    "free: m atoms without beliefs a side, 2**m models",
+                    "free: m atoms without beliefs a side, 2**m models; "
+                    "overrides: the cell pair with every derived inner 1>2 value "
+                    "restated as an override",
             "cap_s": CAP_S,
             "mem_cap_mb": MEM_CAP_MB,
             "python": platform.python_version(),

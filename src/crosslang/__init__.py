@@ -70,14 +70,12 @@ from .oracle import (
     OracleBudget,
     brute_adjoint,
     brute_states,
-    brute_ultrafilter_extension,
     brute_ultrafilters,
     state_set_of,
 )
 from .randgen import (
     cell_algebra,
     make_cell_spec,
-    mutate_one_value,
     random_atom_outer_translation,
     random_consistent_translation,
 )

@@ -39,6 +39,7 @@ from .language import (
     Atom,
     FalseLit,
     Formula,
+    LanguageCut,
     LanguageSpec,
     Not,
     Or,
@@ -54,14 +55,15 @@ ENUMERABLE_MODEL_LIMIT = 16
 
 
 def _atom_column(bit: int, n: int) -> int:
-    """Truth column of one elementary proposition over all 2**n assignments."""
-    block = ((1 << (1 << bit)) - 1) << (1 << bit)
-    width = 1 << (bit + 1)
-    total = 1 << n
-    while width < total:
-        block |= block << width
-        width <<= 1
-    return block
+    """Truth column of one elementary proposition over all 2**n assignments:
+    bit k is bit ``bit`` of k, so 2**bit zeros and 2**bit ones repeat, read
+    from repeated bytes."""
+    if bit < 3:
+        pattern = (b"\xaa", b"\xcc", b"\xf0")[bit]
+    else:
+        pattern = bytes(1 << (bit - 3)) + b"\xff" * (1 << (bit - 3))
+    column = int.from_bytes(pattern * max(1, (1 << n) // (8 * len(pattern))), "little")
+    return column if n >= 3 else column & ((1 << (1 << n)) - 1)
 
 
 def _evaluate(formula: Formula, columns: dict[str, int], full: int) -> int:
@@ -84,12 +86,15 @@ def _evaluate(formula: Formula, columns: dict[str, int], full: int) -> int:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def enumerate_models(spec: LanguageSpec) -> np.ndarray:
+def enumerate_models(spec: LanguageSpec | LanguageCut) -> np.ndarray:
     """The keys of all assignments satisfying every belief, ascending, as a
     read-only int64 array.  Bit n-1-j of a key is the value of atom j, so
-    ascending keys are the lexicographic order in declared atom order.  This
-    one walk over each belief also refuses an undeclared name (which only a
-    spec built in code can have), before any contradiction."""
+    ascending keys are the lexicographic order in declared atom order.
+
+    A direct belief of a cut is the OR of its names' columns, or the
+    complement of their AND; a tree is walked once, which also refuses an
+    undeclared name (which only a spec built in code can have), before any
+    contradiction."""
     n = len(spec.elementary)
     if n > DEFAULT_ATOM_CAP:
         raise AtomCapError(
@@ -101,6 +106,21 @@ def enumerate_models(spec: LanguageSpec) -> np.ndarray:
     }
     surviving = full
     for belief in spec.beliefs:
+        if type(belief) is tuple:
+            negated, names = belief
+            if len(names) > n:      # names repeat: one column operation each
+                names = set(names)
+            if negated:
+                value = full
+                for name in names:
+                    value &= columns[name]
+                surviving &= full ^ value
+            else:
+                value = 0
+                for name in names:
+                    value |= columns[name]
+                surviving &= value
+            continue
         try:
             surviving &= _evaluate(belief, columns, full)
         except KeyError:
@@ -151,20 +171,6 @@ class Prop:
 
     def implies(self, other) -> bool:
         return implies(self, other)
-
-    @property
-    def is_atom(self) -> bool:
-        return self.mask != 0 and self.mask & (self.mask - 1) == 0
-
-    def atoms_below(self) -> list["Prop"]:
-        """The atoms whose join is this proposition."""
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(Prop(self.algebra, low))
-            mask ^= low
-        return out
 
 
 class Star:
@@ -230,13 +236,16 @@ class Algebra:
     """The algebra of one language, ordered by implication, plus its star.
 
     ``keys`` are the assignment keys of its models, ascending, as
-    ``enumerate_models`` returns them; model i is bit i of every mask."""
+    ``enumerate_models`` returns them; model i is bit i of every mask.  The
+    language is a spec or a cut, whose spec is built on first access to
+    ``spec``: the name and the elementary names are read off either."""
 
-    def __init__(self, spec: LanguageSpec, keys: np.ndarray):
+    def __init__(self, spec: LanguageSpec | LanguageCut, keys: np.ndarray):
         if not len(keys):
             raise ContradictionError(f"{spec.name!r} has no models")
-        self.spec = spec
+        self._spec = spec
         self.name = spec.name
+        self.elementary = spec.elementary
         self.keys = keys
         self.full_mask = (1 << len(keys)) - 1
         # bit i of an atom's column is its value in model i: row j of
@@ -251,8 +260,14 @@ class Algebra:
         self._texts = None
 
     @classmethod
-    def from_spec(cls, spec: LanguageSpec) -> "Algebra":
+    def from_spec(cls, spec: LanguageSpec | LanguageCut) -> "Algebra":
         return cls(spec, enumerate_models(spec))
+
+    @property
+    def spec(self) -> LanguageSpec:
+        if isinstance(self._spec, LanguageCut):
+            self._spec = self._spec.spec()
+        return self._spec
 
     # --- basic elements ---
 
@@ -321,8 +336,10 @@ class Algebra:
     def denote(self, formula: Formula) -> Prop:
         return Prop(self, _evaluate(formula, self._columns, self.full_mask))
 
-    def denote_text(self, text: str) -> Prop:
-        return self.denote(parse_formula(text, self.spec))
+    def denote_text(self, text: str, line: int = 1) -> Prop:
+        """The proposition of a formula over this algebra's elementary names
+        (read off the algebra, so no spec is built)."""
+        return self.denote(parse_formula(text, self, line))
 
     # --- canonical printing ---
 
@@ -332,14 +349,14 @@ class Algebra:
             for name, col in self._columns.items():
                 by_mask.setdefault(col, name)
             labels = []
-            n = len(self.spec.elementary)
+            n = len(self.elementary)
             for i, key in enumerate(self.keys.tolist()):
                 mask = 1 << i
                 if mask in by_mask:
                     labels.append(by_mask[mask])
                 else:
                     lits = []
-                    for j, atom in enumerate(self.spec.elementary):
+                    for j, atom in enumerate(self.elementary):
                         val = (key >> (n - 1 - j)) & 1
                         lits.append(atom if val else "!" + atom)
                     labels.append(" & ".join(lits))

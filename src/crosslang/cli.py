@@ -38,7 +38,6 @@ from .errors import (
 )
 from .hasse import algebra_dot, cross_dot
 from .implication import implication_from_translation, translation_from_implication
-from .language import parse_formula
 from .oracle import OracleBudget, brute_adjoint, brute_states, state_set_of
 from .reports import write
 from .semantics import joint_space_from_translation, probability_bounds
@@ -146,7 +145,7 @@ def cmd_translate(args) -> int:
         sys.stderr.write("translation fails its axioms\n")
         return 1
     src, dst = t.endpoints(args.direction)
-    x = src.denote(parse_formula(args.formula, src.spec))
+    x = src.denote_text(args.formula)
     result = t.apply(args.direction, args.mode, x)
     rendered = dst.formula_text(result)
     payload = _base_report("translate", corpus.inputs, started, args)
@@ -221,7 +220,7 @@ def cmd_bounds(args) -> int:
     digests = []
     weights = json.loads(read_input(args.probabilities, digests))
     src = space.algebra(args.lang)
-    x = src.denote(parse_formula(args.formula, src.spec))
+    x = src.denote_text(args.formula)
     target = 2 if args.lang == 1 else 1
     lo, hi = probability_bounds(space, weights, x, target)
     payload = _base_report("bounds", {**corpus.inputs, "probabilities": digests[0]},

@@ -12,7 +12,7 @@ from .errors import (
     DegenerateCommonLanguageError,
     InconsistentInputError,
 )
-from .reports import AxiomCheck, AxiomReport
+from .reports import AxiomCheck, AxiomReport, Members
 from .semantics import JointStateSpace
 from .translation import Translation, first_violation
 
@@ -91,10 +91,7 @@ class CommonLanguage:
             "size": len(self.masks),
             "top": host[self.masks[-1]],
             "bottom": host[self.masks[0]],
-            "members": [
-                {"host": host[m], "partner": partner[p]}
-                for m, p in zip(self.masks.tolist(), self.partners.tolist())
-            ],
+            "members": Members(host, partner, self.masks, self.partners),
         }
 
 
@@ -257,9 +254,6 @@ class AwarenessVerdict:
     summary: str
     evidence: dict = field(default_factory=dict)
     equivalence_divergences: list = field(default_factory=list)
-
-    def less_aware(self, i: int, j: int) -> bool:
-        return self.evidence[f"sigma{i}_subset_of_sigma{j}"]
 
     def to_dict(self) -> dict:
         return {

@@ -7,12 +7,22 @@ The two languages must have distinct names: seeds name their language.
 Every input file, these and a command's own, is read by ``read_input``:
 once, its digest taken from the bytes that are parsed.
 
-Every endpoint of a translation file goes through one reader,
-``_parse_value``.  It reads the common grammar directly: ``*`` is the star,
-and a union ``name | name | ...`` of declared elementary names, ``true``
-and ``false`` is the OR of their model columns.  Any other text, an
-undeclared name included, goes to ``parse_formula``, so that errors keep
-their type, message, line and column.
+The common grammar of endpoints is read without the parser: ``*`` is the
+star, and a union ``name | name | ...`` of declared elementary names,
+``true`` and ``false`` is the OR of their model columns.  Any other text,
+an undeclared name included, goes to ``parse_formula`` through
+``_parse_value``, so that errors keep their type, message, line and
+column.
+
+A translation file is cut in blocks of lines, one regular expression call
+to a block, as a seed file is (below).  When every line is an ``outer``
+or ``override`` line with endpoints in the common grammar, a blank line or
+a comment, every name is known and every outer line maps an atom, the
+endpoints of each side of a block are valued in one bulk pass
+(``_union_values``), and the outer images go straight to the two int64
+image arrays of the ``Translation``.  Any other file is read a line at a
+time, each endpoint through ``_parse_value``, which raises its first
+error.
 
 A seed file is read in blocks of whole lines of about 64 KB, one regular
 expression call to a block.  A block whose every line is a seed line with
@@ -34,12 +44,12 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import itemgetter, not_
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import ENUMERABLE_MODEL_LIMIT, Algebra, Prop
 from .errors import LanguageNameClashError, ParseError
 from .implication import (
     CrossImplication,
@@ -47,8 +57,8 @@ from .implication import (
     implication_from_translation,
     translation_from_implication,
 )
-from .language import _UNION_RE, IDENT_RE, parse_formula, parse_language
-from .translation import Translation, translation_from_atom_outers
+from .language import _UNION_RE, IDENT_RE, cut_language
+from .translation import Translation
 
 LANG1_FILE = "lang1.lang"
 LANG2_FILE = "lang2.lang"
@@ -71,6 +81,13 @@ _BLANK = r"[ \t]*"
 _ENDPOINT = rf"(\w+)\.{_BLANK}(\*|[\w \t|]*\w){_BLANK}"
 _LINE_RE = re.compile(
     rf"^{_BLANK}(?:imp:{_BLANK}{_ENDPOINT}=>{_BLANK}{_ENDPOINT})?"
+    r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
+# one line of a translation file read in bulk, on the same terms: an
+# ``outer`` line or an ``override`` line (its mode in group 2), its
+# direction, and its two endpoints, each ``*`` or words joined by bars
+_MAP_LINE_RE = re.compile(
+    rf"^{_BLANK}(?:(?:(outer)|override[ \t]+(inner|outer))[ \t]+(1>2|2>1){_BLANK}:"
+    rf"{_BLANK}(\*|[\w \t|]*\w){_BLANK}=>{_BLANK}(\*|[\w \t|]*\w){_BLANK})?"
     r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
 
 
@@ -104,7 +121,7 @@ def _parse_value(text: str, algebra: Algebra, lineno: int) -> int:
             mask |= column
         else:
             return mask & algebra.full_mask
-    return algebra.denote(parse_formula(text, algebra.spec, lineno)).mask
+    return algebra.denote_text(text, lineno).mask
 
 
 def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
@@ -115,7 +132,71 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     encode operators that deliberately break an axiom, which the derived
     form never does.  The whole table goes into one ``Translation``, which
     refuses the first override that sends ``*`` elsewhere.
+
+    The lines are read in bulk (``_bulk_map_lines``), or, where that
+    refuses, one at a time (``_map_lines``), which raises the first error of
+    the file.  Each outer image goes straight to its atom's slot of the
+    image arrays; an atom left without one is refused once both algebras
+    are known to be enumerable.
     """
+    atom_outers, overrides = (_bulk_map_lines(text, a1, a2)
+                              or _map_lines(text, a1, a2))
+    a1.require_enumerable()   # before listing the atoms
+    a2.require_enumerable()
+    images = []
+    for src, given in ((a1, atom_outers["1>2"]), (a2, atom_outers["2>1"])):
+        atoms = [1 << i for i in range(src.model_count)]
+        missing = [atom for atom in atoms if atom not in given]
+        if missing:
+            raise ParseError(f"missing outer image for atom "
+                             f"{src.formula_text(Prop(src, missing[0]))!r} of {src.name!r}")
+        images.append(np.fromiter(map(given.__getitem__, atoms), np.int64, len(atoms)))
+    return Translation(a1, a2, *images, overrides)
+
+
+def _bulk_map_lines(text: str, a1: Algebra, a2: Algebra):
+    """``_map_lines``' result for a text whose every line is a
+    ``_MAP_LINE_RE`` line, whose every endpoint name is known and whose
+    every outer line maps an atom; None for any other text, or when an
+    algebra is too large for int64 masks.  It is read a block of lines at a
+    time (``_blocks``), each with one ``findall``, and the endpoints of each
+    side of a block are valued in one bulk pass (``_union_values``)."""
+    if max(a1.model_count, a2.model_count) > ENUMERABLE_MODEL_LIMIT:
+        return None
+    lookups = _names(a1), _names(a2)
+    atom_outers = {"1>2": {}, "2>1": {}}
+    overrides = []
+    for block in _blocks(text):
+        rows = _MAP_LINE_RE.findall(block)
+        if len(rows) != block.count("\n"):
+            return None
+        rows = list(filter(itemgetter(2), rows))  # drop blank and comment lines
+        if not rows:
+            continue
+        outer, modes, directions, lhs, rhs = zip(*rows)
+        # side 1 holds the source of a 1>2 line and the target of a 2>1 line
+        forward = [direction == "1>2" for direction in directions]
+        values1 = _union_values([x if f else y for f, x, y in zip(forward, lhs, rhs)],
+                                lookups[0])
+        values2 = _union_values([y if f else x for f, x, y in zip(forward, lhs, rhs)],
+                                lookups[1])
+        if values1 is None or values2 is None:
+            return None
+        values1, values2 = values1.tolist(), values2.tolist()
+        xs = [v1 if f else v2 for f, v1, v2 in zip(forward, values1, values2)]
+        ys = [v2 if f else v1 for f, v1, v2 in zip(forward, values1, values2)]
+        for direction, x, y in compress(zip(directions, xs, ys), outer):
+            if x <= 0 or x & (x - 1):
+                return None                        # not an atom: the lines report it
+            atom_outers[direction][x] = y
+        overrides += compress(zip(directions, modes, xs, ys), map(not_, outer))
+    return atom_outers, overrides
+
+
+def _map_lines(text: str, a1: Algebra, a2: Algebra):
+    """The outer image of each atom mask by direction, the last line of an
+    atom winning, and the overrides ``(direction, mode, x, y)`` in file
+    order, read a line at a time; the first malformed line raises."""
     atom_outers = {"1>2": {}, "2>1": {}}
     overrides = []
     sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
@@ -137,8 +218,7 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
                     f"{lhs_text.strip()!r} does not denote an atom of {src.name!r}",
                     lineno, 1,
                 )
-            atom_outers[direction][src.element(lhs)] = dst.element(
-                _parse_value(rhs_text, dst, lineno))
+            atom_outers[direction][lhs] = _parse_value(rhs_text, dst, lineno)
         elif len(head) == 3 and head[0] == "override" and head[1] in ("inner", "outer"):
             direction = _parse_side(head[2], lineno)
             src, dst = sides[direction]
@@ -146,8 +226,7 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
                               _parse_value(rhs_text, dst, lineno)))
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno, 1)
-    return translation_from_atom_outers(a1, a2, atom_outers["1>2"], atom_outers["2>1"],
-                                        overrides)
+    return atom_outers, overrides
 
 
 def _seed_keys(line: str, lineno: int, languages: dict):
@@ -201,6 +280,15 @@ def _union_values(unions: list, lookup: dict):
     return np.bitwise_or.reduceat(columns, np.cumsum(counts + 1) - counts - 1)
 
 
+def _names(algebra: Algebra) -> dict:
+    """The value of each name that a union can spell: the declared names,
+    and ``true`` and ``false`` cut to the full mask; and of ``*``, the star."""
+    return {"true": algebra.full_mask, "false": 0,
+            **{atom: column for atom, column in algebra._columns.items()
+               if IDENT_RE.fullmatch(atom)},
+            "*": -1}
+
+
 def _direct_block(block: str, sides_of: dict, lookups: dict):
     """The (sides, values) seed arrays of a block whose every line is a
     ``_LINE_RE`` line and whose every language and endpoint name is known;
@@ -251,13 +339,7 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
     a2.require_enumerable()
     languages = {a1.name: (1, a1), a2.name: (2, a2)}
     sides_of = {name: side for name, (side, _) in languages.items()}
-    # the value of each name that a union can spell: the declared names, and
-    # ``true`` and ``false`` cut to the full mask; and of ``*``, the star
-    lookups = {side: {"true": a.full_mask, "false": 0,
-                      **{atom: column for atom, column in a._columns.items()
-                         if IDENT_RE.fullmatch(atom)},
-                      "*": -1}
-               for side, a in ((1, a1), (2, a2))}
+    lookups = {1: _names(a1), 2: _names(a2)}
     endpoints = {}
 
     def endpoint(key, lineno):
@@ -347,12 +429,12 @@ def load_algebras(path1: str | Path, path2: str | Path,
     built, each file read by ``read_input`` into ``digests`` when given.
     Seeds name their language, so the two names must differ."""
     digests = [] if digests is None else digests
-    specs = [parse_language(read_input(p, digests)) for p in (path1, path2)]
-    if specs[0].name == specs[1].name:
+    cuts = [cut_language(read_input(p, digests)) for p in (path1, path2)]
+    if cuts[0].name == cuts[1].name:
         raise LanguageNameClashError(
-            f"both language files declare the language {specs[0].name!r}; "
+            f"both language files declare the language {cuts[0].name!r}; "
             "the two languages of a pair need distinct names")
-    return tuple(Algebra.from_spec(spec) for spec in specs)
+    return tuple(Algebra.from_spec(cut) for cut in cuts)
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -11,6 +11,17 @@ A language is declared in a small line-oriented text format::
 Formulas use ``!``, ``&``, ``|``, ``->`` with precedence ``!`` > ``&`` >
 ``|`` > ``->``; parentheses override.  ``->`` means ``!left | right``; it
 stays an ``Arrow`` node in the tree, which evaluation reads as such.
+
+A document is cut once (``cut_language``), each belief line into one of
+two forms: a direct belief, a union of declared names or ``!(`` their
+conjunction ``)``, becomes ``(negated, names)``, which the algebra values
+from its names' columns without a tree; any other belief becomes the tree
+of ``parse_formula``, which keeps its errors.  A document of headers,
+comments and direct beliefs spaced as usual is cut in bulk, a few string
+calls over the whole text; any other is cut a line at a time, which
+raises the first error where ``parse_language`` raises it.
+``parse_language`` builds the trees of a cut, for specs that are asked
+for.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DuplicateAtomError, ParseError, UndeclaredAtomError
 
@@ -26,6 +39,8 @@ from .errors import DuplicateAtomError, ParseError, UndeclaredAtomError
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_NAME)
 _UNION_RE = re.compile(rf"{_NAME}(?:\s*\|\s*{_NAME})*")
+# a comment, up to the next line boundary of ``str.splitlines``
+_COMMENT_RE = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -243,34 +258,106 @@ class LanguageSpec:
 
 
 def parse_formula(text: str, spec: LanguageSpec | None = None, line: int = 1) -> Formula:
-    """Parse one formula; atoms must be declared in ``spec`` when given."""
+    """Parse one formula; atoms must be declared in ``spec`` when given (a
+    spec, or anything else with ``elementary`` names: a cut, an algebra)."""
     declared = set(spec.elementary) if spec is not None else None
     return _FormulaParser(text, line, declared).parse()
 
 
-def _read_belief(text: str, atoms: dict[str, Atom], probe: LanguageSpec,
-                 line: int) -> Formula:
-    """One belief: a union of declared names, or ``!(`` their conjunction
-    ``)``, is cut apart with ``split`` and built directly, left-associated as
-    the parser builds it, from the shared ``atoms``; any other text goes to
-    ``parse_formula``."""
-    negated = text.startswith("!")
+def _cut_belief(text: str, declared, probe: LanguageSpec, line: int):
+    """One belief, cut once: a union of ``declared`` names, or ``!(`` their
+    conjunction ``)``, is cut apart with ``split`` and ``strip`` into
+    ``(negated, names)``; any other text goes to ``parse_formula``, whose
+    tree or error it gives."""
+    negated = text[:1] == "!"
     if negated:
         body = text[1:].strip()
         names = body[1:-1].split("&") if body[:1] == "(" and body[-1:] == ")" else ()
     else:
         names = text.split("|")
-    try:
-        nodes = [atoms[name.strip()] for name in names]
-    except KeyError:
-        nodes = None
-    if nodes:
-        return Not(reduce(And, nodes)) if negated else reduce(Or, nodes)
+    names = tuple([name.strip() for name in names])
+    if names and declared.issuperset(names):
+        return negated, names
     return parse_formula(text, probe, line)
 
 
-def parse_language(text: str) -> LanguageSpec:
-    """Parse a language specification document."""
+def _tree(belief, atoms: dict[str, Atom]) -> Formula:
+    """The formula of a cut belief, left-associated as the parser builds it,
+    from the shared ``atoms``."""
+    if isinstance(belief, Formula):
+        return belief
+    negated, names = belief
+    nodes = map(atoms.__getitem__, names)
+    return Not(reduce(And, nodes)) if negated else reduce(Or, nodes)
+
+
+@dataclass(frozen=True)
+class LanguageCut:
+    """A language document cut apart, each belief line once: its name, its
+    elementary names and its beliefs, each either ``(negated, names)`` (the
+    union of declared names, or with ``negated`` the negation of their
+    conjunction) or a formula tree from ``parse_formula``.  A direct belief
+    is valued by its names' columns, with no tree; ``spec`` builds the
+    trees."""
+
+    name: str
+    elementary: tuple[str, ...]
+    beliefs: tuple
+
+    def spec(self) -> LanguageSpec:
+        atoms = {atom: Atom(atom) for atom in self.elementary}
+        return LanguageSpec(self.name, self.elementary,
+                            tuple(_tree(belief, atoms) for belief in self.beliefs))
+
+
+def cut_language(text: str) -> LanguageCut:
+    """Cut a language specification document: in bulk where the header is
+    sound and every belief is direct (``_bulk_cut``), else a line at a time,
+    with every error of ``parse_language`` in the same order
+    (``_cut_lines``)."""
+    return _bulk_cut(text) or _cut_lines(text)
+
+
+def _bulk_cut(text: str) -> LanguageCut | None:
+    """The cut of a document with one ``language`` line, one ``atoms:``
+    line of distinct identifiers, none reserved, and beliefs each a union
+    of declared names, or ``!(`` their conjunction ``)``, with the bars and
+    ampersands between single spaces or none; None for any other document.
+    The comments go with one substitution, and the belief bodies are
+    closed up with one ``replace`` each and cut with ``split``."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    heads = [line for line in lines if line[:8] != "believe:"]
+    if len(heads) != 2:
+        return None
+    atoms, language = sorted(heads)         # "atoms:" sorts before "language"
+    keyword = IDENT_RE.match(language)
+    name = language[len("language"):].strip()
+    if (not atoms.startswith("atoms:") or keyword is None or keyword[0] != "language"
+            or not IDENT_RE.fullmatch(name)):
+        return None
+    elementary = tuple(atoms[len("atoms:"):].split())
+    declared = set(elementary)
+    if (not elementary or len(declared) < len(elementary) or "true" in declared
+            or "false" in declared or not all(map(IDENT_RE.fullmatch, elementary))):
+        return None
+    bodies = [line[8:].strip() for line in lines if line[:8] == "believe:"]
+    joined = "\n".join(bodies).replace(" | ", "|").replace(" & ", "&")
+    if " " in joined or "\t" in joined:
+        return None
+    beliefs = [(True, tuple(body[2:-1].split("&"))) if body[:2] == "!(" and body[-1:] == ")"
+               else (False, tuple(body.split("|")))
+               for body in joined.split("\n")] if bodies else []
+    if not declared.issuperset(chain.from_iterable(map(itemgetter(1), beliefs))):
+        return None
+    return LanguageCut(name, elementary, tuple(beliefs))
+
+
+def _cut_lines(text: str) -> LanguageCut:
+    """``cut_language`` a line at a time: the lines, then the missing ones,
+    the declared names, and the beliefs in file order, each error raised
+    where ``parse_language`` raises it."""
     name = None
     elementary = None
     belief_lines: list[tuple[str, int]] = []
@@ -308,9 +395,14 @@ def parse_language(text: str) -> LanguageSpec:
     if elementary is None or not elementary:
         raise ParseError("missing 'atoms:' line")
     probe = LanguageSpec(name, elementary, ())
-    atoms = {atom: Atom(atom) for atom in elementary}
-    beliefs = tuple(_read_belief(text, atoms, probe, line) for text, line in belief_lines)
-    return LanguageSpec(name, elementary, beliefs)
+    declared = set(elementary)
+    return LanguageCut(name, elementary, tuple(
+        _cut_belief(text, declared, probe, line) for text, line in belief_lines))
+
+
+def parse_language(text: str) -> LanguageSpec:
+    """Parse a language specification document."""
+    return cut_language(text).spec()
 
 
 def format_language(spec: LanguageSpec) -> str:

@@ -228,17 +228,3 @@ def brute_adjoint(t: Translation, direction: str,
         qualifies = (outer_back[:nd] & ~np.int64(lam)) == 0
         result[lam] = np.bitwise_or.reduce(np.where(qualifies, eta, np.int64(0)))
     return np.append(result, np.int64(-1))
-
-
-def brute_ultrafilter_extension(r: CrossImplication, side: int,
-                                filter_props, excluded: Prop):
-    """Search every ultrafilter extending the filter while keeping the
-    excluded proposition out of its upward closure; None when impossible."""
-    filter_props = set(filter_props)
-    for u in brute_ultrafilters(r, side):
-        if not filter_props <= u:
-            continue
-        if any(r.holds(x, excluded) for x in u):
-            continue
-        return u
-    return None

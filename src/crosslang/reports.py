@@ -4,7 +4,7 @@ every report the command line writes."""
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -187,7 +187,7 @@ def _write(o, nl: str, out: list[str], emit) -> None:
                 _spill(out, emit)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(o, Valuation):
+    elif isinstance(o, (Valuation, Members)):
         emit("".join(out))
         out.clear()
         for block in o.json_blocks(nl):
@@ -248,6 +248,45 @@ class Valuation(Mapping):
                                              for i, row in zip(block, rows)])
             sep = "," + key_nl
         yield nl + "}"
+
+
+class Members(Sequence):
+    """The members of a common language, each ``{"host": ..., "partner":
+    ...}``, over the labels of both algebras and two int arrays of member
+    and partner masks.  It holds no dict per member: the JSON writer renders
+    it from the arrays, and a lookup builds the one dict asked for."""
+
+    def __init__(self, host_labels, partner_labels, masks: np.ndarray,
+                 partners: np.ndarray):
+        self._labels = host_labels, partner_labels
+        self._masks = masks, partners
+
+    def __len__(self) -> int:
+        return len(self._masks[0])
+
+    def __getitem__(self, i: int) -> dict:
+        (host, partner), (masks, partners) = self._labels, self._masks
+        return {"host": host[masks[i]], "partner": partner[partners[i]]}
+
+    def json_blocks(self, nl: str):
+        """The list as ``dumps`` writes it on a line starting with ``nl``, a
+        block of members at a time."""
+        (host, partner), (masks, partners) = self._labels, self._masks
+        if not len(masks):
+            yield "[]"
+            return
+        item_nl = nl + "  "
+        key_nl = item_nl + "  "
+        head, middle, close = "{" + key_nl + '"host": ', "," + key_nl + '"partner": ', item_nl + "}"
+        sep = "[" + item_nl
+        for start in range(0, len(masks), _BLOCK):
+            stop = start + _BLOCK
+            yield sep + ("," + item_nl).join([
+                head + _quote(h) + middle + _quote(p) + close
+                for h, p in zip(map(host.__getitem__, masks[start:stop].tolist()),
+                                map(partner.__getitem__, partners[start:stop].tolist()))])
+            sep = "," + item_nl
+        yield nl + "]"
 
 
 def _state_lines(lo: int, hi: int, nl: str) -> list[str]:

@@ -80,13 +80,6 @@ class JointStateSpace:
         """The event (state bitmask) a proposition refers to."""
         return int(self._ev[self.side_of(x)][x.mask])
 
-    def generated_field_block_count(self) -> int:
-        """Blocks of the coarsest partition refining both event fields: the
-        fields are generated by their atom events, so two states share a
-        block exactly when they lie in the same atoms."""
-        atoms = self._atoms[1] + self._atoms[2]
-        return len({tuple(a >> s & 1 for a in atoms) for s in range(self.state_count)})
-
     def to_dict(self) -> dict:
         """The space as the ``joint`` report: its states by atom labels and
         one ``Valuation`` table per algebra."""

@@ -37,6 +37,7 @@ from crosslang import (
 )
 from crosslang.algebra import Algebra
 from crosslang.implication import _SLOW_CLOSE_LIMIT, implication_from_translation
+from crosslang.oracle import brute_ultrafilters
 from crosslang.reports import AxiomCheck, AxiomReport
 from crosslang.semantics import JointStateSpace, _is_order_embedding, sigma_approximation
 from crosslang.translation import _OPERATORS, Translation, first_violation
@@ -998,3 +999,28 @@ def cross_dot(r, full: bool = False) -> str:
             lines.append(f"  n2_{y} -> n1_{x} [{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# --- helpers only the suites ask for --------------------------------------------
+
+
+def brute_ultrafilter_extension(r: CrossImplication, side: int,
+                                filter_props, excluded: Prop):
+    """Search every ultrafilter extending the filter while keeping the
+    excluded proposition out of its upward closure; None when impossible."""
+    filter_props = set(filter_props)
+    for u in brute_ultrafilters(r, side):
+        if not filter_props <= u:
+            continue
+        if any(r.holds(x, excluded) for x in u):
+            continue
+        return u
+    return None
+
+
+def generated_field_block_count(space: JointStateSpace) -> int:
+    """Blocks of the coarsest partition refining both event fields: the
+    fields are generated by their atom events, so two states share a
+    block exactly when they lie in the same atoms."""
+    atoms = space.atom_events(1) + space.atom_events(2)
+    return len({tuple(a >> s & 1 for a in atoms) for s in range(space.state_count)})

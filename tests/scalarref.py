@@ -2,7 +2,7 @@
 checkers.  Everything here walks plain Python loops over lattice elements
 and asks only ``implies``/``holds``/``apply``."""
 
-from crosslang import Star, implies, join, meet, negate
+from crosslang import Prop, Star, implies, join, meet, negate
 
 
 def galois_ok(t, direction):
@@ -141,3 +141,22 @@ def relation_verdicts(r):
         "connective-consistency": connective_consistency_ok(r),
         "negation-consistency": negation_consistency_ok(r),
     }
+
+
+def is_atom(x) -> bool:
+    return x.mask != 0 and x.mask & (x.mask - 1) == 0
+
+
+def atoms_below(x) -> list:
+    """The atoms whose join is this proposition."""
+    out = []
+    mask = x.mask
+    while mask:
+        low = mask & -mask
+        out.append(Prop(x.algebra, low))
+        mask ^= low
+    return out
+
+
+def less_aware(verdict, i: int, j: int) -> bool:
+    return verdict.evidence[f"sigma{i}_subset_of_sigma{j}"]

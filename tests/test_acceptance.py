@@ -32,7 +32,9 @@ from crosslang import (
     translation_from_implication,
     verify_prop2,
 )
-from crosslang.randgen import mutate_one_value, random_consistent_translation
+from crosslang.randgen import random_consistent_translation
+from generators import mutate_one_value
+from scalarref import less_aware
 from conftest import CORPUS
 from test_oracle import canonical, fast_state_sets, reduced_oil
 
@@ -88,7 +90,7 @@ def test_criterion_2_platypus_reproduction():
         assert space.state_count == 3
         assert sum(1 for s in space.states if s[1] is None) == 1
         verdict = classify_awareness(t, space)
-        assert verdict.less_aware(2, 1)
+        assert less_aware(verdict, 2, 1)
         assert "language 2 less aware than language 1" in verdict.summary
         assert time.perf_counter() - started < 1.0
 

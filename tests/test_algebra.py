@@ -24,7 +24,9 @@ from crosslang import (
 from crosslang.algebra import atom_unions, bit_pairs, cover_pairs, sweep
 from crosslang.errors import AlgebraTooLargeError
 from crosslang.language import And, Arrow, Atom, LanguageSpec, Not, Or
-from crosslang.randgen import make_cell_spec, random_formula
+from crosslang.randgen import make_cell_spec
+from generators import random_formula
+from scalarref import atoms_below
 
 
 def algebra(text):
@@ -195,7 +197,7 @@ def test_every_prop_is_join_of_its_atoms():
     a = algebra("language A\natoms: p q\nbelieve: p | q")
     for prop in a.all_props():
         rebuilt = a.bottom
-        for atom in prop.atoms_below():
+        for atom in atoms_below(prop):
             rebuilt = join(rebuilt, atom)
         assert rebuilt == prop
 

@@ -13,11 +13,11 @@ from crosslang import (
 )
 from crosslang.randgen import (
     cell_algebra,
-    mutate_one_value,
     random_atom_outer_translation,
     random_consistent_translation,
     random_star_prop,
 )
+from generators import mutate_one_value
 
 
 def translation_verdicts_fast(t):

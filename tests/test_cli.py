@@ -4,7 +4,9 @@ import gc
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -17,9 +19,17 @@ import scalarref
 import crosslang.cli as cli
 import crosslang.commonality as commonality
 from conftest import CORPUS, write_cover_pair
-from crosslang import check_consistency, common_language, load_corpus
+from crosslang import (
+    check_consistency,
+    common_language,
+    joint_space_from_translation,
+    load_corpus,
+    parse_formula,
+    parse_language,
+)
 from crosslang.cli import main
 from crosslang.corpus import read_input
+from crosslang.language import And, Arrow, Atom, Not, Or
 from crosslang.oracle import OracleBudget
 from crosslang.randgen import write_cell_corpus, write_free_corpus
 
@@ -670,3 +680,56 @@ def test_check_implication_checks_the_axioms_once(monkeypatch, oracle):
                      str(base / "implication.imp"), "--mode", "implication",
                      *(["--oracle"] if oracle else [])])
     assert (code, len(calls)) == (0, 1)
+
+
+@pytest.mark.parametrize("shape", ["union", "negated-conjunction"])
+def test_deep_flat_belief_answers_without_a_traceback(tmp_path, shape):
+    """A belief of 10**5 declared names, a flat union of every cell or the
+    negation of a conjunction of two cells, changes no model of
+    ``oil-prices``: check, translate and classify answer as on the shipped
+    files."""
+    folder = tmp_path / "oil"
+    shutil.copytree(CORPUS / "oil-prices", folder)
+    cells = parse_language((folder / "lang1.lang").read_text()).elementary
+    if shape == "union":
+        belief = " | ".join(itertools.islice(itertools.cycle(cells), 10**5))
+    else:
+        belief = "!(" + " & ".join(itertools.islice(itertools.cycle(cells[:2]), 10**5)) + ")"
+    with open(folder / "lang1.lang", "a") as lang:
+        lang.write(f"believe: {belief}\n")
+    for argv in (["check", "{}/lang1.lang", "{}/lang2.lang", "{}/translation.tr"],
+                 ["translate", "{}", "2>1", "inner", "cny_500_600 | cny_600_700"],
+                 ["classify", "{}", "--format", "text"]):
+        deep, shipped = (run_main(*(a.format(d) for a in argv))
+                         for d in (folder, CORPUS / "oil-prices"))
+        assert (deep.returncode, deep.stdout, deep.stderr) == (
+            shipped.returncode, shipped.stdout, shipped.stderr)
+        assert deep.returncode == 0
+
+
+def test_direct_beliefs_build_no_formula_node(tmp_path, monkeypatch):
+    """``check --mode translation``, ``translate`` and ``bounds`` on
+    ``oil-prices``, whose beliefs and endpoints are all direct, build no
+    formula node but those of the query they are given."""
+    oil = CORPUS / "oil-prices"
+    states = joint_space_from_translation(load_corpus(oil).require_translation()).state_count
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps([1 / states] * states))
+    built = []
+    for node in (Atom, Not, And, Or, Arrow):
+        def counted(self, *args, _init=node.__init__):
+            built.append(self)
+            _init(self, *args)
+        monkeypatch.setattr(node, "__init__", counted)
+    for argv, query in (
+            (["check", f"{oil}/lang1.lang", f"{oil}/lang2.lang", f"{oil}/translation.tr"], None),
+            (["translate", str(oil), "2>1", "inner", "cny_500_600 | cny_600_700"],
+             "cny_500_600 | cny_600_700"),
+            (["bounds", str(oil), str(weights), "usd_0_10", "--lang", "1"], "usd_0_10")):
+        built.clear()
+        assert run_main(*argv).returncode == 0
+        command = list(built)
+        built.clear()
+        if query is not None:
+            parse_formula(query)
+        assert len(command) == len(built), argv[0]

@@ -21,6 +21,7 @@ from crosslang import (
     translation_from_atom_outers,
 )
 from crosslang.randgen import cell_algebra, random_consistent_translation
+from scalarref import less_aware
 
 
 def identity_translation(twin_pair):
@@ -198,7 +199,7 @@ def test_classify_platypus_restriction(platypus):
     space = joint_space_from_translation(t)
     verdict = classify_awareness(t, space)
     assert verdict.classification == "2-pure-restriction-of-1"
-    assert verdict.less_aware(2, 1)
+    assert less_aware(verdict, 2, 1)
     assert "language 2 less aware than language 1" in verdict.summary
     assert not verdict.equivalence_divergences
 
@@ -217,8 +218,8 @@ def test_classify_oil_incomparable(oil):
     space = joint_space_from_translation(t)
     verdict = classify_awareness(t, space)
     assert verdict.classification == "incomparable"
-    assert not verdict.less_aware(1, 2)
-    assert not verdict.less_aware(2, 1)
+    assert not less_aware(verdict, 1, 2)
+    assert not less_aware(verdict, 2, 1)
 
 
 def test_classify_identity_equal(twin_pair):

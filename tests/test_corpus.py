@@ -1,5 +1,7 @@
 import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosslang.cli as cli
+import crosslang.corpus as corpus
+import languageref
 import seedref
+import translationref
 from crosslang import (
     Algebra,
     CrosslangError,
+    LanguageNameClashError,
     LanguageSpec,
     ParseError,
     Star,
     close,
+    enumerate_models,
     parse_language,
 )
 from crosslang.corpus import (
@@ -24,11 +31,12 @@ from crosslang.corpus import (
     parse_implication_file,
     parse_implication_seeds,
     parse_translation_file,
+    read_input,
 )
-from crosslang.randgen import cell_algebra
+from crosslang.randgen import cell_algebra, write_cell_corpus
 from crosslang.translation import Translation
 from conftest import CORPUS, write_cover_pair
-from test_language import _FRAGMENTS
+from test_language import _FRAGMENTS, belief_lines
 
 
 def pair():
@@ -428,3 +436,196 @@ def test_narrowed_sixteen_by_sixteen_seed_file_is_refused(tmp_path):
     assert _check_implication((d / "lang1.lang", d / "lang2.lang", d / "narrowed.imp")) == (
         2, "", "error: closure forces within-language pairs and the algebras are "
                "too large for the dense fallback\n")
+
+
+# --- the load path against the readers it replaced --------------------------------
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _pair_outcome(load, texts):
+    """The keys and spec of both algebras and the atom images and overrides
+    of the translation, or the error's type, message, line and column."""
+    try:
+        a1, a2, t = load(texts)
+        return (a1.keys.tolist(), a2.keys.tolist(), a1.spec, a2.spec,
+                t._images["1>2"].tolist(), t._images["2>1"].tolist(), t.overrides)
+    except CrosslangError as exc:
+        return _error(exc)
+
+
+def _load_pair(texts):
+    """Through the files, as every command reads a pair."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / name for name in ("lang1.lang", "lang2.lang", "translation.tr")]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode())
+        a1, a2 = load_algebras(*paths[:2])
+        return a1, a2, parse_translation_file(read_input(paths[2], []), a1, a2)
+
+
+def _reference_pair(texts):
+    """Trees from the language reader before the cut, models from
+    ``enumerate_models`` and the translation from the line reader the bulk
+    pass replaced."""
+    specs = [languageref.parse_language(text.replace("\r\n", "\n").replace("\r", "\n"))
+             for text in texts[:2]]
+    if specs[0].name == specs[1].name:
+        raise LanguageNameClashError(
+            f"both language files declare the language {specs[0].name!r}; "
+            "the two languages of a pair need distinct names")
+    a1, a2 = (Algebra(spec, enumerate_models(spec)) for spec in specs)
+    text = texts[2].replace("\r\n", "\n").replace("\r", "\n")
+    return a1, a2, translationref.parse_translation_file(text, a1, a2)
+
+
+_CELL_BELIEFS = {
+    ("p", "q", "r"): ["p | q | r", "!(p & q)", "!(p & r)", "!(q & r)"],
+    ("x1", "_y"): ["x1 | _y", "!(x1 & _y)"],
+}
+
+
+_LINE_ENDS = ["\r\n", "\r", "\x0c", "\x85", "\u2028", ""]
+
+
+@st.composite
+def language_docs(draw, name, atoms, other=None):
+    """Mostly a cell language ``name`` over ``atoms`` (exactly one holds),
+    with its lines spaced, commented, reordered or ended in varied ways; now
+    and then the ``other`` name, a bad header, a belief of any shape, or a
+    stray line.  The choices are weighted through one ``Random`` that the
+    example seeds."""
+    rng = draw(st.randoms(use_true_random=True))
+
+    def pick(good, bad, p_bad=0.04):
+        return rng.choice(bad if rng.random() < p_bad else good)
+
+    name = pick([name], [other or name], 0.1)
+
+    lines = [
+        pick([f"language {name}", f"language\t{name}  # named", f"  language {name}"],
+             ["language 1x", "language", f"language{name}", f"language {name} x"]),
+        pick(["atoms: " + " ".join(atoms), "atoms:" + "\t".join(atoms) + "  "],
+             ["atoms: p p", "atoms: p true", "atoms:", "atoms: p 1q", "atoms: p q r u"]),
+    ]
+    cells = [text.replace(" ", pick([" ", ""], ["  ", "\t", "\xa0"], 0.3))
+             for text in _CELL_BELIEFS[atoms]]
+    if rng.random() < 0.15:
+        cells = rng.choices(cells, k=rng.randrange(4))
+    lines += ["believe: " + text for text in cells]
+    if rng.random() < 0.2:
+        lines.append(pick(["believe: " + draw(belief_lines())],
+                          ["", "# note", " \t", "believe:", "whatever: p", "believe: !p",
+                           "believe: p -> q"], 0.5))
+    if rng.random() < 0.2:
+        rng.shuffle(lines)
+    return "".join(line + pick(["\n"], _LINE_ENDS, 0.05) for line in lines)
+
+
+def _map_endpoint(names):
+    union = st.lists(st.sampled_from(names * 3 + ["true", "false", "zz"]), min_size=1,
+                     max_size=3).flatmap(
+        lambda words: _space.map(lambda sp: f"{sp}|{sp} ".join(words)))
+    return st.one_of(union, union, union, st.just("*"), st.just(f"!{names[0]}"),
+                     _fragment_text)
+
+
+_SIDE_NAMES = {"1>2": (["p", "q", "r"], ["x1", "_y"]), "2>1": (["x1", "_y"], ["p", "q", "r"])}
+_map_head = st.sampled_from(["outer"] * 6 + ["override inner", "override outer"] * 2
+                            + ["override\tinner", "outer ", "override", "inner", "outer x"])
+_map_line = st.sampled_from(["1>2", "2>1", "1>2", "2>1", "1to2"]).flatmap(
+    lambda d: st.builds("{} {}{}:{}{}=>{}{}{}".format, _map_head, st.just(d), _space, _space,
+                        _map_endpoint(_SIDE_NAMES.get(d, _SIDE_NAMES["1>2"])[0]), _space,
+                        _map_endpoint(_SIDE_NAMES.get(d, _SIDE_NAMES["1>2"])[1]),
+                        st.sampled_from(["", " ", " # note", "#"])))
+# every atom of the cell pair mapped, so that most files are whole
+_MAP_BASE = ["outer 1>2: p => x1", "outer 1>2: q => x1 | _y", "outer 1>2: r => *",
+             "outer 2>1: x1 => p | q", "outer 2>1: _y => q"]
+_map_text = st.tuples(
+    st.sampled_from([_MAP_BASE] * 4 + [_MAP_BASE[:-1], []]),
+    st.lists(st.tuples(st.one_of(_map_line, _map_line, _map_line, _other_line,
+                                 _fragment_text), _line_end), max_size=4),
+    st.booleans(),
+).map(lambda t: "".join(map("".join, t[1])) + "\n".join(t[0]) + "\n" if t[2]
+      else "\n".join(t[0]) + "\n" + "".join(map("".join, t[1])))
+
+_FREE5 = "language A\natoms: p q r s t\n"                   # 32 models
+_ATOMS21 = "language A\natoms: " + " ".join(f"a{i}" for i in range(21)) + "\n"
+_CELLS_A = "language A\natoms: p q r\nbelieve: p | q | r\nbelieve: !(p & q)\n" \
+           "believe: !(p & r)\nbelieve: !(q & r)\n"
+_CELLS_B = "language B\natoms: x1 _y\nbelieve: x1 | _y\nbelieve: !(x1 & _y)\n"
+_MAP_TEXT = "\n".join(_MAP_BASE) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(language_docs("A", ("p", "q", "r")),
+                 language_docs("B", ("x1", "_y"), "A"),
+                 _map_text))
+# a syntax error in lang2 beats a contradiction in lang1
+@example((_CELLS_A + "believe: !(p)\nbelieve: !(q)\nbelieve: !(r)\n",
+          _CELLS_B + "believe: x1 &\n", _MAP_TEXT))
+# a syntax error beats the 20-atom cap, and the 16-model cap
+@example((_ATOMS21, _CELLS_B + "believe: (x1\n", _MAP_TEXT))
+@example((_FREE5, _CELLS_B, _MAP_TEXT + "outer 1>2: p => x1 &\n"))
+# the 16-model cap beats a missing outer image
+@example((_FREE5, _CELLS_B, "outer 2>1: x1 => p\n"))
+# the last of duplicate outer lines wins, and overrides keep file order
+@example((_CELLS_A, _CELLS_B, _MAP_TEXT + "outer 1>2: p => _y\nouter 2>1: x1 => r\n"
+          "override inner 1>2: p | q => x1\noverride inner 1>2: p | q => _y\n"))
+def test_loaded_pair_matches_the_reference_readers(texts):
+    """Two language files and a translation file, read as every command
+    reads them: each algebra's keys are ``enumerate_models`` of the spec the
+    reader before the cut builds, and its spec, like ``parse_language``'s,
+    is that spec; the translation has the atom images and overrides of the
+    line reader the bulk pass replaced; or both raise the same error with
+    the same message, line and column."""
+    outcome = _pair_outcome(_load_pair, texts)
+    assert outcome == _pair_outcome(_reference_pair, texts)
+    if not isinstance(outcome[0], type):
+        assert outcome[2:4] == tuple(parse_language(text.replace("\r\n", "\n").replace(
+            "\r", "\n")) for text in texts[:2])
+
+
+def _map_outcome(parse, text, a1, a2):
+    try:
+        t = parse(text, a1, a2)
+        return t._images["1>2"].tolist(), t._images["2>1"].tolist(), t.overrides
+    except CrosslangError as exc:
+        return _error(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_map_text)
+@example("outer 1>2: p => x1\nouter 1>2: q => x1 | _y\nouter 1>2: r => *\n"
+         "outer 2>1: x1 => p | q\nouter 2>1: _y => q\nouter 2>1: _y => r | true\n")
+@example(_MAP_TEXT + "override outer 2>1: * => p\n")
+@example(_MAP_TEXT + "override inner 1>2: p | * => x1\n")
+@example(_MAP_TEXT.replace("q => x1 | _y", "q => x1 _y"))
+@example(_MAP_TEXT.replace("outer 1>2: p", "outer 1>2: p | q"))
+@example(_MAP_TEXT.replace("\n", "\r\n"))
+@example(_MAP_TEXT.replace("\n", "  # note\x85", 1))
+def test_translation_reader_matches_reference(text):
+    """Atom images and overrides, or the error type, message, line and
+    column, as the line reader the bulk pass replaced gives them."""
+    a1 = Algebra.from_spec(parse_language(_CELLS_A))
+    a2 = Algebra.from_spec(parse_language(_CELLS_B))
+    assert (_map_outcome(parse_translation_file, text, a1, a2)
+            == _map_outcome(translationref.parse_translation_file, text, a1, a2))
+
+
+def test_override_file_values_every_endpoint_in_bulk(tmp_path, monkeypatch):
+    """The 16 x 16 identity pair with every derived inner 1>2 value restated
+    as an override: the bulk pass reads it whole, no endpoint goes through
+    the line reader, and the translation is the reference's."""
+    d = write_cell_corpus(tmp_path, 16, star=False)
+    a1, a2 = load_algebras(d / "lang1.lang", d / "lang2.lang")
+    derived = parse_translation_file((d / "translation.tr").read_text(), a1, a2)
+    texts = a1.formula_texts(), a2.formula_texts()
+    inner = derived.array("1>2", "inner")[:-1].tolist()
+    text = (d / "translation.tr").read_text() + "".join(
+        f"override inner 1>2: {texts[0][x]} => {texts[1][y]}\n" for x, y in enumerate(inner))
+    expected = _map_outcome(translationref.parse_translation_file, text, a1, a2)
+    monkeypatch.setattr(corpus, "_parse_value", None)
+    assert _map_outcome(parse_translation_file, text, a1, a2) == expected
+    assert len(expected[2]) == 1 << 16

@@ -42,11 +42,10 @@ from crosslang import (
 from crosslang.commonality import _check_common, _is_block_embedding
 from crosslang.randgen import (
     cell_algebra,
-    mutate_one_value,
     random_consistent_translation,
-    random_formula,
     random_star_prop,
 )
+from generators import mutate_one_value, random_formula
 from crosslang.reports import Valuation, dumps
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,

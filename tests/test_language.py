@@ -22,9 +22,10 @@ from crosslang.language import (
     LanguageSpec,
     Not,
     Or,
-    _read_belief,
+    _cut_belief,
+    _tree,
 )
-from crosslang.randgen import random_formula
+from generators import random_formula
 
 
 def test_parse_language_basic():
@@ -188,7 +189,8 @@ def test_belief_reader_matches_parser(text, line):
     """Same trees, or the same error type, message, line and column."""
     probe = LanguageSpec("A", ("p", "q", "r"), ())
     atoms = {name: Atom(name) for name in probe.elementary}
-    read = _outcome(lambda t, s, n: _read_belief(t, atoms, s, n), text, probe, line)
+    read = _outcome(lambda t, s, n: _tree(_cut_belief(t, set(s.elementary), s, n), atoms),
+                    text, probe, line)
     assert read == _outcome(parse_formula, text, probe, line)
     if isinstance(read, tuple):  # an error
         return

@@ -9,7 +9,6 @@ from crosslang import (
     Prop,
     brute_adjoint,
     brute_states,
-    brute_ultrafilter_extension,
     brute_ultrafilters,
     implication_from_translation,
     joint_space_from_translation,
@@ -17,6 +16,8 @@ from crosslang import (
     translation_from_atom_outers,
 )
 from crosslang.corpus import parse_translation_file
+from denseref import brute_ultrafilter_extension
+from scalarref import is_atom
 from crosslang.randgen import cell_algebra, make_cell_spec, random_consistent_translation
 
 
@@ -124,7 +125,7 @@ def test_ultrafilters_are_principal_at_atoms(platypus):
         assert len(filters) == algebra.model_count
         for u in filters:
             generator = min(u, key=lambda p: bin(p.mask).count("1"))
-            assert generator.is_atom
+            assert is_atom(generator)
 
 
 def test_ultrafilter_extension_finds_avoiding_atom(platypus):

@@ -6,6 +6,7 @@ sort_keys=True)`` put in place of ``cli.write``, on stdout and through
 import contextlib
 import io
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -23,9 +24,14 @@ CORPORA = ("adjunction-violation", "fixed-point-gap", "nested-grids", "oil-price
 NESTED = "nested-8-12"
 
 
+def _plain(obj):
+    """A valuation table is a mapping, which json.dumps reads through dict();
+    the members of a common language are a sequence, read through list()."""
+    return dict(obj) if isinstance(obj, Mapping) else list(obj)
+
+
 def reference_dumps(obj) -> str:
-    # a valuation table is a mapping, which json.dumps reads through dict()
-    return json.dumps(obj, indent=2, sort_keys=True, default=dict)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain)
 
 
 def reference_write(obj, out, end: str = "") -> None:

@@ -19,6 +19,7 @@ from crosslang import (
 )
 from crosslang.randgen import cell_algebra, random_consistent_translation
 from crosslang.reports import dumps
+from denseref import generated_field_block_count
 
 
 def test_platypus_space_has_three_states_one_lone(platypus):
@@ -266,4 +267,4 @@ def test_minimal_space_generates_the_full_field(oil, platypus, nested):
     joint language is the whole powerset field over the state set."""
     for corpus in (oil, platypus, nested):
         space = joint_space_from_translation(corpus.require_translation())
-        assert space.generated_field_block_count() == space.state_count
+        assert generated_field_block_count(space) == space.state_count

@@ -1,6 +1,7 @@
 """The JSON writer ``crosslang.reports.dumps`` against the reference
 ``json.dumps(obj, indent=2, sort_keys=True)``: the same text, byte for byte,
-for nested payloads and for valuation tables rendered from event arrays."""
+for nested payloads, for valuation tables rendered from event arrays and
+for common-language members rendered from mask arrays."""
 
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import denseref
 from crosslang.randgen import cell_algebra
 from crosslang import reports
-from crosslang.reports import Valuation, dumps, write
+from crosslang.reports import Members, Valuation, dumps, write
 from crosslang.semantics import JointStateSpace
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -168,3 +169,40 @@ def test_blocks_of_any_size_join_to_the_same_text(block, monkeypatch):
         expected = reference({"joint": denseref.joint_to_dict(space),
                               "lists": [[1, 2], [], {"a": [True]}, "x"]})
         assert written(payload) == dumps(payload) == expected
+
+
+@st.composite
+def member_tables(draw):
+    """Members over random labels of both sides, repeats and none
+    included."""
+    host = draw(st.lists(texts, min_size=1, max_size=6))
+    partner = draw(st.lists(texts, min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(host) - 1),
+                                    st.integers(0, len(partner) - 1)), max_size=40))
+    masks, partners = (np.array([pair[k] for pair in pairs], dtype=np.int64) for k in (0, 1))
+    plain = [{"host": host[m], "partner": partner[p]} for m, p in pairs]
+    return Members(host, partner, masks, partners), plain
+
+
+@FUZZ
+@given(member_tables(), st.integers(0, 3))
+def test_members_render_like_their_plain_list(drawn, depth):
+    members, plain = drawn
+    assert list(members) == plain and len(members) == len(plain)
+    nested, nested_plain = members, plain
+    for k in range(depth):   # the list's indent follows its depth
+        nested, nested_plain = {f"k{k}": [nested]}, {f"k{k}": [nested_plain]}
+    assert written(nested) == dumps(nested) == reference(nested_plain)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_member_blocks_of_any_size_join_to_the_same_text(block, monkeypatch):
+    monkeypatch.setattr(reports, "_BLOCK", block)
+    labels = [f"m{k}" for k in range(12)]
+    masks = np.arange(12, dtype=np.int64)
+    members = Members(labels, labels[::-1], masks, masks[::-1].copy())
+    plain = [{"host": f"m{k}", "partner": f"m{k}"} for k in range(12)]
+    for payload, expected in (({"members": members, "size": 12},
+                               {"members": plain, "size": 12}),
+                              ([members, [], members], [plain, [], plain])):
+        assert written(payload) == dumps(payload) == reference(expected)
