@@ -14,7 +14,10 @@ and folders, a copy of ``platypus`` with a byte that is not UTF-8 in each
 of its inputs (the weights file included), and CRLF copies of ``platypus``
 and the nested pair, each of those copies under the same commands.  Last,
 ``check`` in text and JSON on copies of the nested pair with one
-``override`` line each (``MUTANTS``).
+``override`` line each (``MUTANTS``), and on copies with one reader edge
+case each (``READER_EDGES``): a long translation file whose last block
+has a formula endpoint, an undeclared name before a malformed line, a
+formula belief among direct ones, a tab-spaced belief.
 
 Each run is one line of JSON: its argv, its exit code (or the name of the
 exception that escaped ``main``), and the sha256 of what it wrote to stdout
@@ -93,15 +96,33 @@ MUTANTS = (("inner-12", "override inner 1>2: a0 => b0"),
            ("restated", "override inner 1>2: a0 => b0 | b1"))
 
 
+# reader edge cases, by folder suffix: the file of the nested pair that is
+# rewritten, and its new text as a function of the old: a formula endpoint
+# in the last block of a translation file over 64 KB, an undeclared name
+# before a malformed line, one formula belief among direct ones, and a
+# tab-spaced direct belief
+READER_EDGES = (
+    ("long-formula", "translation.tr",
+     lambda text: text * (70_000 // len(text) + 1) + "outer 1>2: a0 => !(!b0 & !b1)\n"),
+    ("undeclared-malformed", "translation.tr",
+     lambda text: text + "outer 1>2: a0 => b0 | zz\nouter 1>2 a1 => b1\n"),
+    ("formula-belief", "lang1.lang", lambda text: text + "believe: a0 -> !a1\n"),
+    ("tab-belief", "lang2.lang",
+     lambda text: text.replace("believe: !(b0 & b1)", "believe: !(b0\t&\tb1)")),
+)
+
+
 def write_mutants() -> list[str]:
-    """Copies of the nested pair with one line of ``MUTANTS`` each; their
-    folder names."""
+    """Copies of the nested pair with one line of ``MUTANTS`` appended to
+    the translation file each, and with one file rewritten by
+    ``READER_EDGES`` each; their folder names."""
+    copies = [(suffix, "translation.tr", lambda text, line=line: text + line + "\n")
+              for suffix, line in MUTANTS] + list(READER_EDGES)
     folders = []
-    for suffix, line in MUTANTS:
+    for suffix, name, rewrite in copies:
         folder = Path(f"{NESTED}-{suffix}")
         shutil.copytree(NESTED, folder)
-        with open(folder / "translation.tr", "a") as f:
-            f.write(line + "\n")
+        (folder / name).write_text(rewrite((folder / name).read_text()))
         folders.append(str(folder))
     return folders
 

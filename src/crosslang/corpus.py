@@ -14,15 +14,16 @@ an undeclared name included, goes to ``parse_formula`` through
 ``_parse_value``, so that errors keep their type, message, line and
 column.
 
-A translation file is cut in blocks of lines, one regular expression call
-to a block, as a seed file is (below).  When every line is an ``outer``
-or ``override`` line with endpoints in the common grammar, a blank line or
-a comment, every name is known and every outer line maps an atom, the
-endpoints of each side of a block are valued in one bulk pass
-(``_union_values``), and the outer images go straight to the two int64
-image arrays of the ``Translation``.  Any other file is read a line at a
-time, each endpoint through ``_parse_value``, which raises its first
-error.
+A translation file has one reader: it takes a block of whole lines at a
+time, as the seed reader does (below), and cuts each line once into its
+direction, mode and two endpoints.  The endpoints of each side of a block are valued
+in one bulk pass (``_union_values``) when every one of them is in the
+common grammar with known names, every outer line maps an atom and both
+algebras have at most 16 models; the outer images go to the two int64
+image arrays of the ``Translation``.  Any other block has its rows valued
+one at a time, each endpoint through ``_parse_value``; a malformed line
+raises only after the rows before it, so the first error in the file is
+the one raised.
 
 A seed file is read in blocks of whole lines of about 64 KB, one regular
 expression call to a block.  A block whose every line is a seed line with
@@ -44,12 +45,12 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, not_
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import ENUMERABLE_MODEL_LIMIT, Algebra, Prop
+from .algebra import ENUMERABLE_MODEL_LIMIT, Algebra
 from .errors import LanguageNameClashError, ParseError
 from .implication import (
     CrossImplication,
@@ -58,7 +59,7 @@ from .implication import (
     translation_from_implication,
 )
 from .language import _UNION_RE, IDENT_RE, cut_language
-from .translation import Translation
+from .translation import Translation, translation_from_atom_values
 
 LANG1_FILE = "lang1.lang"
 LANG2_FILE = "lang2.lang"
@@ -68,9 +69,9 @@ IMPLICATION_FILE = "implication.imp"
 # reserved words cannot be atoms; ``true`` is all ones, cut to the full mask
 _CONSTANTS = {"false": 0, "true": -1}
 
-# a seed file is read in blocks of whole lines of about this many
-# characters: many lines to each regular-expression call, while the strings
-# of one block stay small
+# a seed or translation file is read in blocks of whole lines of about this
+# many characters: many lines to each bulk call, while the strings of one
+# block stay small
 _BLOCK_CHARS = 1 << 16
 # one line of a block read whole: a seed line whose endpoints are ``*`` or
 # words joined by bars (each word must then be a name of its side), a blank
@@ -82,13 +83,11 @@ _ENDPOINT = rf"(\w+)\.{_BLANK}(\*|[\w \t|]*\w){_BLANK}"
 _LINE_RE = re.compile(
     rf"^{_BLANK}(?:imp:{_BLANK}{_ENDPOINT}=>{_BLANK}{_ENDPOINT})?"
     r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
-# one line of a translation file read in bulk, on the same terms: an
-# ``outer`` line or an ``override`` line (its mode in group 2), its
-# direction, and its two endpoints, each ``*`` or words joined by bars
-_MAP_LINE_RE = re.compile(
-    rf"^{_BLANK}(?:(?:(outer)|override[ \t]+(inner|outer))[ \t]+(1>2|2>1){_BLANK}:"
-    rf"{_BLANK}(\*|[\w \t|]*\w){_BLANK}=>{_BLANK}(\*|[\w \t|]*\w){_BLANK})?"
-    r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
+# the direction and mode of each head of a mapping line, its words spaced
+# once; the mode of an ``outer`` line is None
+_HEADS = {f"{head} {direction}": (direction, mode) for direction in ("1>2", "2>1")
+          for head, mode in (("outer", None), ("override inner", "inner"),
+                             ("override outer", "outer"))}
 
 
 def _content_lines(lines, start: int = 1):
@@ -97,12 +96,6 @@ def _content_lines(lines, start: int = 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
-
-
-def _parse_side(token: str, lineno: int) -> str:
-    if token not in ("1>2", "2>1"):
-        raise ParseError(f"expected direction '1>2' or '2>1', got {token!r}", lineno, 1)
-    return token
 
 
 def _parse_value(text: str, algebra: Algebra, lineno: int) -> int:
@@ -133,100 +126,88 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     form never does.  The whole table goes into one ``Translation``, which
     refuses the first override that sends ``*`` elsewhere.
 
-    The lines are read in bulk (``_bulk_map_lines``), or, where that
-    refuses, one at a time (``_map_lines``), which raises the first error of
-    the file.  Each outer image goes straight to its atom's slot of the
-    image arrays; an atom left without one is refused once both algebras
-    are known to be enumerable.
+    An atom left without an outer image is refused once both algebras are
+    known to be enumerable.
     """
-    atom_outers, overrides = (_bulk_map_lines(text, a1, a2)
-                              or _map_lines(text, a1, a2))
-    a1.require_enumerable()   # before listing the atoms
-    a2.require_enumerable()
-    images = []
-    for src, given in ((a1, atom_outers["1>2"]), (a2, atom_outers["2>1"])):
-        atoms = [1 << i for i in range(src.model_count)]
-        missing = [atom for atom in atoms if atom not in given]
-        if missing:
-            raise ParseError(f"missing outer image for atom "
-                             f"{src.formula_text(Prop(src, missing[0]))!r} of {src.name!r}")
-        images.append(np.fromiter(map(given.__getitem__, atoms), np.int64, len(atoms)))
-    return Translation(a1, a2, *images, overrides)
-
-
-def _bulk_map_lines(text: str, a1: Algebra, a2: Algebra):
-    """``_map_lines``' result for a text whose every line is a
-    ``_MAP_LINE_RE`` line, whose every endpoint name is known and whose
-    every outer line maps an atom; None for any other text, or when an
-    algebra is too large for int64 masks.  It is read a block of lines at a
-    time (``_blocks``), each with one ``findall``, and the endpoints of each
-    side of a block are valued in one bulk pass (``_union_values``)."""
-    if max(a1.model_count, a2.model_count) > ENUMERABLE_MODEL_LIMIT:
-        return None
-    lookups = _names(a1), _names(a2)
-    atom_outers = {"1>2": {}, "2>1": {}}
-    overrides = []
-    for block in _blocks(text):
-        rows = _MAP_LINE_RE.findall(block)
-        if len(rows) != block.count("\n"):
-            return None
-        rows = list(filter(itemgetter(2), rows))  # drop blank and comment lines
-        if not rows:
-            continue
-        outer, modes, directions, lhs, rhs = zip(*rows)
-        # side 1 holds the source of a 1>2 line and the target of a 2>1 line
-        forward = [direction == "1>2" for direction in directions]
-        values1 = _union_values([x if f else y for f, x, y in zip(forward, lhs, rhs)],
-                                lookups[0])
-        values2 = _union_values([y if f else x for f, x, y in zip(forward, lhs, rhs)],
-                                lookups[1])
-        if values1 is None or values2 is None:
-            return None
-        values1, values2 = values1.tolist(), values2.tolist()
-        xs = [v1 if f else v2 for f, v1, v2 in zip(forward, values1, values2)]
-        ys = [v2 if f else v1 for f, v1, v2 in zip(forward, values1, values2)]
-        for direction, x, y in compress(zip(directions, xs, ys), outer):
-            if x <= 0 or x & (x - 1):
-                return None                        # not an atom: the lines report it
-            atom_outers[direction][x] = y
-        overrides += compress(zip(directions, modes, xs, ys), map(not_, outer))
-    return atom_outers, overrides
+    return translation_from_atom_values(a1, a2, *_map_lines(text, a1, a2))
 
 
 def _map_lines(text: str, a1: Algebra, a2: Algebra):
-    """The outer image of each atom mask by direction, the last line of an
-    atom winning, and the overrides ``(direction, mode, x, y)`` in file
-    order, read a line at a time; the first malformed line raises."""
+    """The outer image of each atom mask in each direction, the last line of
+    an atom winning, and the overrides ``(direction, mode, x, y)`` in file
+    order.  Each block of lines is cut (``_map_rows``) and its endpoints
+    valued in bulk (``_bulk_values``), or where that refuses, a row at a
+    time, each outer source checked to be an atom before its image is read;
+    a malformed line raises once the rows before it are valued."""
+    sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
+    lookups = None              # masks beyond int64: every row one at a time
+    if max(a1.model_count, a2.model_count) <= ENUMERABLE_MODEL_LIMIT:
+        lookups = _names(a1), _names(a2)
     atom_outers = {"1>2": {}, "2>1": {}}
     overrides = []
-    sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
-    for lineno, line in _content_lines(text.splitlines()):
-        parts = line.split(":", 1)
-        if len(parts) != 2:
-            raise ParseError("expected 'outer <dir>: <formula> => <formula|*>'",
-                             lineno, 1)
-        head, body = parts[0].split(), parts[1]
-        if "=>" not in body:
-            raise ParseError("expected '=>' in mapping line", lineno, 1)
-        lhs_text, rhs_text = body.split("=>", 1)
-        if len(head) == 2 and head[0] == "outer":
-            direction = _parse_side(head[1], lineno)
+    lineno = 1
+    for block in _blocks(text):
+        rows, malformed, lineno = _map_rows(block.splitlines(), lineno)
+        bulk = lookups and rows and _bulk_values(rows, lookups)
+        for i, (n, direction, mode, lhs, rhs) in enumerate(rows):
             src, dst = sides[direction]
-            lhs = _parse_value(lhs_text, src, lineno)
-            if lhs <= 0 or lhs & (lhs - 1):
-                raise ParseError(
-                    f"{lhs_text.strip()!r} does not denote an atom of {src.name!r}",
-                    lineno, 1,
-                )
-            atom_outers[direction][lhs] = _parse_value(rhs_text, dst, lineno)
-        elif len(head) == 3 and head[0] == "override" and head[1] in ("inner", "outer"):
-            direction = _parse_side(head[2], lineno)
-            src, dst = sides[direction]
-            overrides.append((direction, head[1], _parse_value(lhs_text, src, lineno),
-                              _parse_value(rhs_text, dst, lineno)))
+            x = bulk[0][i] if bulk else _parse_value(lhs, src, n)
+            if mode is None and (x <= 0 or x & (x - 1)):
+                raise ParseError(f"{lhs!r} does not denote an atom of {src.name!r}", n, 1)
+            y = bulk[1][i] if bulk else _parse_value(rhs, dst, n)
+            if mode is None:
+                atom_outers[direction][x] = y
+            else:
+                overrides.append((direction, mode, x, y))
+        if malformed is not None:
+            raise malformed
+    return atom_outers["1>2"], atom_outers["2>1"], overrides
+
+
+def _map_rows(lines, start: int):
+    """The rows ``(lineno, direction, mode, lhs, rhs)`` of the lines with
+    content, numbered from ``start``, ``mode`` None on an ``outer`` line and
+    the endpoint texts stripped, up to the first malformed line; that
+    line's error, or None; and the number of the line after the last."""
+    rows = []
+    for lineno, line in _content_lines(lines, start):
+        head, colon, body = line.partition(":")
+        lhs, arrow, rhs = body.partition("=>")
+        kind = _HEADS.get(head) or _HEADS.get(" ".join(head.split()))
+        if colon and arrow and kind:
+            rows.append((lineno, *kind, lhs.strip(), rhs.strip()))
+            continue
+        words = head.split()
+        if not colon:
+            error = "expected 'outer <dir>: <formula> => <formula|*>'"
+        elif not arrow:
+            error = "expected '=>' in mapping line"
+        elif words[:-1] in (["outer"], ["override", "inner"], ["override", "outer"]):
+            error = f"expected direction '1>2' or '2>1', got {words[-1]!r}"
         else:
-            raise ParseError(f"unrecognised line {line!r}", lineno, 1)
-    return atom_outers, overrides
+            error = f"unrecognised line {line!r}"
+        return rows, ParseError(error, lineno, 1), None
+    return rows, None, start + len(lines)
+
+
+def _bulk_values(rows: list, lookups: tuple):
+    """The values ``xs`` and ``ys`` of the rows' endpoints, each side's
+    valued in one pass (``_union_values``); None when an endpoint is not a
+    ``*`` or a union of known names."""
+    _, directions, _, lhs, rhs = zip(*rows)
+    # side 1 holds the source of a 1>2 line and the target of a 2>1 line
+    forward = [direction == "1>2" for direction in directions]
+    texts1 = [x if f else y for f, x, y in zip(forward, lhs, rhs)]
+    texts2 = [y if f else x for f, x, y in zip(forward, lhs, rhs)]
+    values1, values2 = _union_values(texts1, lookups[0]), _union_values(texts2, lookups[1])
+    if values1 is None or values2 is None:
+        return None
+    values1, values2 = values1.tolist(), values2.tolist()
+    for values, texts in ((values1, texts1), (values2, texts2)):
+        if -1 in values and any("|" in text for text, v in zip(texts, values) if v == -1):
+            return None                             # a star in a union
+    return ([v1 if f else v2 for f, v1, v2 in zip(forward, values1, values2)],
+            [v2 if f else v1 for f, v1, v2 in zip(forward, values1, values2)])
 
 
 def _seed_keys(line: str, lineno: int, languages: dict):

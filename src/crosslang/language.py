@@ -12,16 +12,16 @@ Formulas use ``!``, ``&``, ``|``, ``->`` with precedence ``!`` > ``&`` >
 ``|`` > ``->``; parentheses override.  ``->`` means ``!left | right``; it
 stays an ``Arrow`` node in the tree, which evaluation reads as such.
 
-A document is cut once (``cut_language``), each belief line into one of
-two forms: a direct belief, a union of declared names or ``!(`` their
-conjunction ``)``, becomes ``(negated, names)``, which the algebra values
-from its names' columns without a tree; any other belief becomes the tree
-of ``parse_formula``, which keeps its errors.  A document of headers,
-comments and direct beliefs spaced as usual is cut in bulk, a few string
-calls over the whole text; any other is cut a line at a time, which
-raises the first error where ``parse_language`` raises it.
-``parse_language`` builds the trees of a cut, for specs that are asked
-for.
+A document is read by one reader, a line at a time (``cut_language``),
+and each belief line is cut into one of two forms: a direct belief, a
+union of declared names or ``!(`` their conjunction ``)``, becomes
+``(negated, names)``, which the algebra values from its names' columns
+without a tree; any other belief becomes the tree of ``parse_formula``,
+which keeps its errors.  When every belief of a document is direct and
+spaced as usual, the bodies are cut together, a few string calls over
+their join; else each is cut on its own, in file order, so that the first
+error is raised where ``parse_language`` raises it.  ``parse_language``
+builds the trees of a cut, for specs that are asked for.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .errors import DuplicateAtomError, ParseError, UndeclaredAtomError
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_NAME)
 _UNION_RE = re.compile(rf"{_NAME}(?:\s*\|\s*{_NAME})*")
-# a comment, up to the next line boundary of ``str.splitlines``
-_COMMENT_RE = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -311,62 +309,23 @@ class LanguageCut:
 
 
 def cut_language(text: str) -> LanguageCut:
-    """Cut a language specification document: in bulk where the header is
-    sound and every belief is direct (``_bulk_cut``), else a line at a time,
-    with every error of ``parse_language`` in the same order
-    (``_cut_lines``)."""
-    return _bulk_cut(text) or _cut_lines(text)
-
-
-def _bulk_cut(text: str) -> LanguageCut | None:
-    """The cut of a document with one ``language`` line, one ``atoms:``
-    line of distinct identifiers, none reserved, and beliefs each a union
-    of declared names, or ``!(`` their conjunction ``)``, with the bars and
-    ampersands between single spaces or none; None for any other document.
-    The comments go with one substitution, and the belief bodies are
-    closed up with one ``replace`` each and cut with ``split``."""
-    if "#" in text:
-        text = _COMMENT_RE.sub("", text)
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
-    heads = [line for line in lines if line[:8] != "believe:"]
-    if len(heads) != 2:
-        return None
-    atoms, language = sorted(heads)         # "atoms:" sorts before "language"
-    keyword = IDENT_RE.match(language)
-    name = language[len("language"):].strip()
-    if (not atoms.startswith("atoms:") or keyword is None or keyword[0] != "language"
-            or not IDENT_RE.fullmatch(name)):
-        return None
-    elementary = tuple(atoms[len("atoms:"):].split())
-    declared = set(elementary)
-    if (not elementary or len(declared) < len(elementary) or "true" in declared
-            or "false" in declared or not all(map(IDENT_RE.fullmatch, elementary))):
-        return None
-    bodies = [line[8:].strip() for line in lines if line[:8] == "believe:"]
-    joined = "\n".join(bodies).replace(" | ", "|").replace(" & ", "&")
-    if " " in joined or "\t" in joined:
-        return None
-    beliefs = [(True, tuple(body[2:-1].split("&"))) if body[:2] == "!(" and body[-1:] == ")"
-               else (False, tuple(body.split("|")))
-               for body in joined.split("\n")] if bodies else []
-    if not declared.issuperset(chain.from_iterable(map(itemgetter(1), beliefs))):
-        return None
-    return LanguageCut(name, elementary, tuple(beliefs))
-
-
-def _cut_lines(text: str) -> LanguageCut:
-    """``cut_language`` a line at a time: the lines, then the missing ones,
-    the declared names, and the beliefs in file order, each error raised
-    where ``parse_language`` raises it."""
+    """Cut a language specification document a line at a time: the header
+    lines, then the missing ones, with every error of ``parse_language`` in
+    the same order; then the belief bodies.  When each body is a union of
+    declared names, or ``!(`` their conjunction ``)``, with the bars and
+    ampersands between single spaces or none, all are cut in one pass: their
+    join closed up with one ``replace`` each and cut with ``split``.  Else
+    each goes through ``_cut_belief``, in file order."""
     name = None
     elementary = None
-    belief_lines: list[tuple[str, int]] = []
+    bodies, belief_lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.partition("#")[0].strip()
+        if line[:8] == "believe:":        # most lines: no regular expression
+            bodies.append(line[8:].strip())
+            belief_lines.append(lineno)
             continue
-        if line.startswith("believe:"):   # most lines: no regular expression
-            belief_lines.append((line[len("believe:"):].strip(), lineno))
+        if not line:
             continue
         keyword = IDENT_RE.match(line)
         if keyword is not None and keyword[0] == "language":
@@ -396,8 +355,14 @@ def _cut_lines(text: str) -> LanguageCut:
         raise ParseError("missing 'atoms:' line")
     probe = LanguageSpec(name, elementary, ())
     declared = set(elementary)
-    return LanguageCut(name, elementary, tuple(
-        _cut_belief(text, declared, probe, line) for text, line in belief_lines))
+    joined = "\n".join(bodies).replace(" | ", "|").replace(" & ", "&")
+    beliefs = [(True, tuple(body[2:-1].split("&"))) if body[:2] == "!(" and body[-1:] == ")"
+               else (False, tuple(body.split("|"))) for body in joined.split("\n")]
+    if (" " in joined or "\t" in joined
+            or not declared.issuperset(chain.from_iterable(map(itemgetter(1), beliefs)))):
+        beliefs = [_cut_belief(body, declared, probe, line)
+                   for body, line in zip(bodies, belief_lines)]
+    return LanguageCut(name, elementary, tuple(beliefs))
 
 
 def parse_language(text: str) -> LanguageSpec:

@@ -143,15 +143,11 @@ class Translation:
         return self._consistency
 
 
-def translation_from_atom_outers(
-    a1: Algebra,
-    a2: Algebra,
-    outer_on_atoms12: dict[Prop, StarProp],
-    outer_on_atoms21: dict[Prop, StarProp],
-    overrides=(),
-) -> Translation:
-    """The translation of the outer images of atoms, given as elements,
-    with an override table of values (see ``Translation``).
+def translation_from_atom_values(a1: Algebra, a2: Algebra, images12: dict, images21: dict,
+                                 overrides=()) -> Translation:
+    """The translation of the outer image of each atom, given as values (a
+    mask, -1 for the star) by atom mask, with an override table of values
+    (see ``Translation``).
 
     Every atom needs an image: a missing one leaves the outer operator
     undefined on it, which makes the input unusable (a ``ParseError``
@@ -159,14 +155,29 @@ def translation_from_atom_outers(
     a1.require_enumerable()   # before listing the atoms
     a2.require_enumerable()
     images = []
-    for src, dst, given in ((a1, a2, outer_on_atoms12), (a2, a1, outer_on_atoms21)):
-        missing = [atom for atom in src.atoms() if atom not in given]
+    for src, given in ((a1, images12), (a2, images21)):
+        atoms = [1 << i for i in range(src.model_count)]
+        missing = [atom for atom in atoms if atom not in given]
         if missing:
             raise ParseError(f"missing outer image for atom "
-                             f"{src.formula_text(missing[0])!r} of {src.name!r}")
-        images.append(np.array([dst.slot(given[atom]) for atom in src.atoms()],
-                               dtype=np.int64))
+                             f"{src.formula_text(Prop(src, missing[0]))!r} of {src.name!r}")
+        images.append(np.fromiter(map(given.__getitem__, atoms), np.int64, len(atoms)))
     return Translation(a1, a2, *images, overrides)
+
+
+def translation_from_atom_outers(
+    a1: Algebra,
+    a2: Algebra,
+    outer_on_atoms12: dict[Prop, StarProp],
+    outer_on_atoms21: dict[Prop, StarProp],
+    overrides=(),
+) -> Translation:
+    """``translation_from_atom_values`` of the outer images of atoms given
+    as elements."""
+    return translation_from_atom_values(
+        a1, a2, *({src.slot(atom): dst.slot(image) for atom, image in given.items()}
+                  for src, dst, given in ((a1, a2, outer_on_atoms12),
+                                          (a2, a1, outer_on_atoms21))), overrides)
 
 
 # --- lattice sweeps and the first-witness scan ---------------------------------

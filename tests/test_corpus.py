@@ -551,11 +551,23 @@ _map_text = st.tuples(
       else "\n".join(t[0]) + "\n" + "".join(map("".join, t[1])))
 
 _FREE5 = "language A\natoms: p q r s t\n"                   # 32 models
+_CELLS17 = "language A\natoms: " + " ".join(f"c{i}" for i in range(17)) + "\nbelieve: " \
+    + " | ".join(f"c{i}" for i in range(17)) + "\n" + "".join(
+        f"believe: !(c{i} & c{j})\n" for i in range(17) for j in range(i + 1, 17))
 _ATOMS21 = "language A\natoms: " + " ".join(f"a{i}" for i in range(21)) + "\n"
 _CELLS_A = "language A\natoms: p q r\nbelieve: p | q | r\nbelieve: !(p & q)\n" \
            "believe: !(p & r)\nbelieve: !(q & r)\n"
 _CELLS_B = "language B\natoms: x1 _y\nbelieve: x1 | _y\nbelieve: !(x1 & _y)\n"
 _MAP_TEXT = "\n".join(_MAP_BASE) + "\n"
+# whole mapping lines that fill more than one block of the readers
+_MAP_BLOCK = _MAP_TEXT * (_BLOCK_CHARS // len(_MAP_TEXT) + 1)
+# an undeclared name, then a malformed line; a non-atom outer source, then
+# a malformed line: the first error of each pair is the one raised, also
+# when the malformed line is in a later block
+_ERROR_PAIRS = ["outer 1>2: p => x1\nouter 1>2: q => x1 | zz\nouter 1>2 r => *\n",
+                _MAP_TEXT + "outer 1>2: p | q => x1\noverride inner 1>2\n",
+                "outer 1>2: q => zz\n" + _MAP_BLOCK + "outer 1>2 r => *\n",
+                "outer 1>2: p | q => x1\n" + _MAP_BLOCK + "override inner 1>2\n"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -573,6 +585,18 @@ _MAP_TEXT = "\n".join(_MAP_BASE) + "\n"
 # the last of duplicate outer lines wins, and overrides keep file order
 @example((_CELLS_A, _CELLS_B, _MAP_TEXT + "outer 1>2: p => _y\nouter 2>1: x1 => r\n"
           "override inner 1>2: p | q => x1\noverride inner 1>2: p | q => _y\n"))
+@example((_CELLS_A, _CELLS_B, _ERROR_PAIRS[0]))
+@example((_CELLS_A, _CELLS_B, _ERROR_PAIRS[1]))
+@example((_CELLS_A, _CELLS_B, _ERROR_PAIRS[2]))
+@example((_CELLS_A, _CELLS_B, _ERROR_PAIRS[3]))
+# a formula endpoint beyond the bulk pass's 16 models, then a malformed line
+@example((_CELLS17, _CELLS_B, "outer 1>2: c0 => !x1\nouter 1>2 c1 => x1\n"))
+# a header error beats an earlier bad belief
+@example((_CELLS_A + "believe: p &\nlanguage B\n", _CELLS_B, _MAP_TEXT))
+# one tab-spaced direct belief among direct ones
+@example((_CELLS_A.replace("!(p & r)", "!(p\t&\tr)"), _CELLS_B, _MAP_TEXT))
+# an undeclared name in a direct belief beats a later syntax error
+@example((_CELLS_A + "believe: p | zz\nbelieve: (q\n", _CELLS_B, _MAP_TEXT))
 def test_loaded_pair_matches_the_reference_readers(texts):
     """Two language files and a translation file, read as every command
     reads them: each algebra's keys are ``enumerate_models`` of the spec the
@@ -605,6 +629,10 @@ def _map_outcome(parse, text, a1, a2):
 @example(_MAP_TEXT.replace("outer 1>2: p", "outer 1>2: p | q"))
 @example(_MAP_TEXT.replace("\n", "\r\n"))
 @example(_MAP_TEXT.replace("\n", "  # note\x85", 1))
+@example(_ERROR_PAIRS[0])
+@example(_ERROR_PAIRS[1])
+@example(_ERROR_PAIRS[2])
+@example(_ERROR_PAIRS[3])
 def test_translation_reader_matches_reference(text):
     """Atom images and overrides, or the error type, message, line and
     column, as the line reader the bulk pass replaced gives them."""
@@ -629,3 +657,22 @@ def test_override_file_values_every_endpoint_in_bulk(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus, "_parse_value", None)
     assert _map_outcome(parse_translation_file, text, a1, a2) == expected
     assert len(expected[2]) == 1 << 16
+
+
+def test_only_a_refused_block_is_valued_a_row_at_a_time(monkeypatch):
+    """About three blocks of mapping lines whose last line has a formula
+    endpoint: the bulk pass values the first blocks, and only the last
+    block's endpoints go through ``_parse_value``; the translation is the
+    reference's."""
+    a1 = Algebra.from_spec(parse_language(_CELLS_A))
+    a2 = Algebra.from_spec(parse_language(_CELLS_B))
+    text = _MAP_TEXT * (3 * _BLOCK_CHARS // len(_MAP_TEXT)) + "outer 2>1: _y => !(p | r)\n"
+    blocks = list(corpus._blocks(text))
+    assert len(blocks) == 3
+    calls = []
+    parse_value = corpus._parse_value
+    monkeypatch.setattr(corpus, "_parse_value",
+                        lambda *args: calls.append(args[0]) or parse_value(*args))
+    outcome = _map_outcome(parse_translation_file, text, a1, a2)
+    assert len(calls) == 2 * blocks[-1].count("=>")
+    assert outcome == _map_outcome(translationref.parse_translation_file, text, a1, a2)
