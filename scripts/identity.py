@@ -17,7 +17,10 @@ and the nested pair, each of those copies under the same commands.  Last,
 ``override`` line each (``MUTANTS``), and on copies with one reader edge
 case each (``READER_EDGES``): a long translation file whose last block
 has a formula endpoint, an undeclared name before a malformed line, a
-formula belief among direct ones, a tab-spaced belief.
+formula belief among direct ones, a tab-spaced belief.  Then ``check``,
+``joint``, ``common``, ``classify`` and ``bounds`` in JSON on a copy of the
+nested pair whose overrides restate every slot of its four operators as
+those of another consistent translation (``write_another``).
 
 Each run is one line of JSON: its argv, its exit code (or the name of the
 exception that escaped ``main``), and the sha256 of what it wrote to stdout
@@ -125,6 +128,50 @@ def write_mutants() -> list[str]:
         (folder / name).write_text(rewrite((folder / name).read_text()))
         folders.append(str(folder))
     return folders
+
+
+def write_another() -> list[list[str]]:
+    """A copy of the nested pair whose translation file keeps its ``outer``
+    lines and overrides every slot of the four operators with the values of
+    another consistent translation: cell a_i covers the cells b_j whose
+    parent is i - 1 (mod 8), except that a7's image is the star.  The file
+    stays consistent, but its effective atom images are not its ``outer``
+    lines.  Its weights are uniform over that translation's states; the
+    commands to run on it."""
+    folder = Path(f"{NESTED}-another")
+    shutil.copytree(NESTED, folder)
+    parent = [(j * 8 // 12 + 1) % 8 for j in range(12)]
+    images = {"1>2": [-1 if i == 7 else sum(1 << j for j in range(12) if parent[j] == i)
+                      for i in range(8)],
+              "2>1": [1 << parent[j] for j in range(12)]}
+
+    def outer(direction, mask):
+        value = 0
+        for i, image in enumerate(images[direction]):
+            if mask >> i & 1:
+                value |= image          # the star, -1, absorbs every join
+        return value
+
+    def inner(direction, mask):
+        back = images["2>1" if direction == "1>2" else "1>2"]
+        return sum(1 << b for b, v in enumerate(back) if v != -1 and v & ~mask == 0)
+
+    def text(prefix, value):
+        return "*" if value == -1 else _formula(prefix, [k for k in range(12) if value >> k & 1])
+
+    lines = [f"override {mode} {direction}: {text(src, x)} => {text(dst, value(direction, x))}"
+             for direction, src, dst, n in (("1>2", "a", "b", 8), ("2>1", "b", "a", 12))
+             for mode, value in (("inner", inner), ("outer", outer))
+             for x in range(1 << n)]
+    with open(folder / "translation.tr", "a") as out:
+        out.write("\n".join(lines) + "\n")
+    states = sum(bool(images["1>2"][a] >> b & 1 and images["2>1"][b] >> a & 1)
+                 for a in range(8) for b in range(12)) + images["1>2"].count(-1)
+    (folder / "weights.json").write_text(json.dumps([1 / states] * states) + "\n")
+    argvs = [[command, str(folder)] for command in ("joint", "common", "classify")]
+    argvs += [["bounds", str(folder), str(folder / "weights.json"), atom, "--lang", lang]
+              for atom, lang in (("a0", "1"), ("b0", "2"))]
+    return check_argvs(str(folder)) + [argv + ["--format", "json"] for argv in argvs]
 
 
 def check_argvs(folder: str) -> list[list[str]]:
@@ -265,6 +312,7 @@ def main(argv_in=None) -> int:
             argvs = [argv for folder in write_inputs(cli_main)
                      for argv in corpus_argvs(folder)]
             argvs += [argv for folder in write_mutants() for argv in check_argvs(folder)]
+            argvs += write_another()
             argvs += missing_argvs()
             for argv in argvs:
                 rows.append(run(cli_main, argv))

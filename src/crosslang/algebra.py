@@ -21,6 +21,7 @@ join of its atoms' values.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     UndeclaredAtomError,
 )
 from .language import (
+    IDENT_RE,
     And,
     Arrow,
     Atom,
@@ -388,6 +390,16 @@ class Algebra:
             self._texts = tuple(texts)
         return self._texts
 
+    @functools.cached_property
+    def names(self) -> dict[str, int]:
+        """The value of each name that a union can spell: the declared names,
+        and ``true`` and ``false`` cut to the full mask; and of ``*``, the
+        star."""
+        return {"true": self.full_mask, "false": 0,
+                **{atom: column for atom, column in self._columns.items()
+                   if IDENT_RE.fullmatch(atom)},
+                "*": -1}
+
     def __repr__(self):
         return f"Algebra({self.name!r}, {self.model_count} models)"
 
@@ -420,10 +432,11 @@ def sweep(a: np.ndarray, op, up: bool) -> None:
 def atom_unions(values) -> np.ndarray:
     """The int64 array over 2**m masks whose entry x is the ``|`` of
     ``values[i]`` over the bits i of x: the masks with bit i set are those
-    below it joined with ``values[i]``, so it doubles once per value, O(2^m)."""
-    out = np.zeros(1, dtype=np.int64)
-    for v in values:
-        out = np.concatenate((out, out | v))
+    below it joined with ``values[i]``, so it fills one more half per
+    value, O(2^m)."""
+    out = np.zeros(1 << len(values), dtype=np.int64)
+    for i, v in enumerate(values):
+        np.bitwise_or(out[:1 << i], v, out=out[1 << i:2 << i])
     return out
 
 

@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["translation", "implication"],
                    default="translation")
     _add_common(p, "text")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("translate", help="translate one formula")
     p.add_argument("corpus")
@@ -283,22 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["inner", "outer"])
     p.add_argument("formula")
     _add_common(p, "text")
-    p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("joint", help="construct the joint state-space")
-    p.add_argument("corpus")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_joint)
-
-    p = sub.add_parser("common", help="extract the common language")
-    p.add_argument("corpus")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_common)
-
-    p = sub.add_parser("classify", help="compare the languages' awareness")
-    p.add_argument("corpus")
-    _add_common(p, "json")
-    p.set_defaults(func=cmd_classify)
+    for name, text in (("joint", "construct the joint state-space"),
+                       ("common", "extract the common language"),
+                       ("classify", "compare the languages' awareness")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("corpus")
+        _add_common(p, "json")
 
     p = sub.add_parser("bounds", help="probability interval of a translated formula")
     p.add_argument("corpus")
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", type=int, choices=[1, 2], required=True,
                    help="language the formula belongs to")
     _add_common(p, "json")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("export-dot", help="emit Graphviz DOT diagrams")
     p.add_argument("corpus")
@@ -316,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="emit the full closure instead of the reduction")
     _add_common(p, None)
-    p.set_defaults(func=cmd_export_dot)
     return parser
 
 
@@ -329,7 +317,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a replaced ``cmd_*`` is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError, AtomCapError,
             AlgebraTooLargeError, ContradictionError, InvalidWeightsError,
             LanguageNameClashError) as exc:

@@ -96,88 +96,79 @@ class CommonLanguage:
 
 
 def common_language(t: Translation) -> CommonLanguage:
-    """Assemble the common language from the perfect set of language 1,
-    its host.
+    """The common language hosted in language 1: the unions of the side-1
+    parts of the connected components of the compatible pairs
+    (``Translation.compatibility``) that hold no lone atom, each partnered
+    by the union of the matching side-2 parts.
 
-    Verifies the closure laws (meets, relative complements, distinct top and
-    bottom) and that the partner bijection preserves implication both ways.
+    Take a consistent translation, write img(a) for an atom's outer image
+    and D1, D2 for the non-lone atoms.
+
+    1. λ is perfect iff outer(λ) is concrete and lies under inner(λ), as
+       approximation puts inner(λ) under outer(λ).
+    2. outer(λ) joins img(a) over a ∈ λ, and inner(λ) the b ∈ D2 with
+       img(b) ⊆ λ.  So 1 holds iff every a ∈ λ is non-lone, and every
+       b ∈ img(a) is non-lone with img(b) ⊆ λ.
+    3. Restricted duality turns b ∈ img(a) into compatibility on D1×D2,
+       and a lone atom is compatible with each atom whose image holds it.
+       So 2 holds iff λ is closed under compatibility and reaches no lone
+       atom through it: λ is a union of side-1 parts of lone-free
+       components.
+    4. Approximation in both directions leaves no non-lone atom without a
+       partner.  So every lone-free component has two non-empty sides,
+       outer(λ) is the union of the side-2 parts of λ's components, and
+       the partner map is an order embedding.
+
+    Unions of disjoint blocks are closed under meet and relative complement
+    and have a top by construction.  The result is audited: unless its
+    masks are ``perfect_translations``, whose four characterizations must
+    agree, and its partners their outer images, it raises
+    ``CharacterizationMismatchError``.
     """
-    src, dst = t.algebra1, t.algebra2
-    masks = perfect_translations(t, 1)
+    perfect = perfect_translations(t, 1)
+    parts = _lone_free_components(*t.compatibility[2:])
+    masks = atom_unions([side1 for side1, _ in parts])
+    partners = atom_unions([side2 for _, side2 in parts])
+    if not (np.array_equal(masks, perfect)
+            and np.array_equal(partners, t.array("1>2", "outer")[masks])):
+        raise CharacterizationMismatchError(
+            "the common language from the compatibility relation differs from "
+            "the perfect set"
+        )
     if len(masks) < 2:
         raise DegenerateCommonLanguageError(
             "only the contradiction translates exactly"
         )
-    partners = t.array("1>2", "outer")[masks]
-    partners.flags.writeable = False
-    _check_common(masks, partners, src.full_mask)
-    return CommonLanguage(src, dst, masks, partners)
+    masks.flags.writeable = partners.flags.writeable = False
+    return CommonLanguage(t.algebra1, t.algebra2, masks, partners)
 
 
-def _check_common(masks: np.ndarray, partners: np.ndarray, full: int) -> None:
-    """Raise unless the members (ascending ``masks``) are closed under meet
-    and relative complement, have a top, and their partners preserve
-    implication both ways.  The block decision settles the common case; the
-    pairwise scan runs only when it fails, and finds the first failing pair."""
-    top = int(np.bitwise_or.reduce(masks))
-    if _is_block_embedding(masks, partners, top):
-        return
-    is_member = np.zeros(full + 1, dtype=bool)
-    is_member[masks] = True
-    _first_pairwise_failure(masks, partners, is_member, full)
-    if not is_member[top]:
-        raise CharacterizationMismatchError("common language lacks a distinct top")
+def _bits(rows: np.ndarray) -> list[int] | int:
+    """Each row of bools as an int mask, bit i for column i."""
+    return (rows.astype(np.int64) << np.arange(rows.shape[-1])).sum(axis=-1).tolist()
 
 
-def _is_block_embedding(masks: np.ndarray, partners: np.ndarray, top: int) -> bool:
-    """Whether the perfect set P (ascending ``masks``) is closed under meet
-    and relative complement, has the top ``top`` and is embedded by the
-    partner map, decided over the atoms of P in O(|P|·m).
+def _lone_free_components(pairs: np.ndarray, lone1: np.ndarray,
+                          lone2: np.ndarray) -> list[tuple[int, int]]:
+    """The side-1 and side-2 atom masks of the components of the compatible
+    pairs that hold a side-1 atom and no lone atom: each side-1 atom and its
+    partners absorb every component that shares one of them.
 
-    Group the bits of ``top`` by the members that contain them; the groups
-    are the blocks, and each member is a union of blocks.  With the top in
-    P, P is closed iff it holds all 2^k unions of its k blocks.  Then the
-    partner map preserves and reflects implication if it sends each member
-    to the join of its blocks' partners and no block's partner lies under
-    the partner of the block's complement: x ⊄ y puts a block under x and y
-    under that block's complement.  ``False`` decides nothing."""
-    if masks[-1] != top:
-        return False
-    groups: dict[bytes, int] = {}
-    for i in range(top.bit_length()):
-        if top >> i & 1:
-            key = np.packbits((masks >> i) & 1 == 1).tobytes()
-            groups[key] = groups.get(key, 0) | 1 << i
-    if len(masks) != 1 << len(groups):
-        return False
-    blocks = list(groups.values())
-    index = np.searchsorted(masks, [blocks, [top ^ b for b in blocks]])
-    block_partners, rest_partners = partners[index]
-    joined = np.zeros_like(partners)
-    for b, p in zip(blocks, block_partners.tolist()):
-        joined |= np.where((masks & b) != 0, p, 0)
-    return bool((joined == partners).all()
-                and ((block_partners & ~rest_partners) != 0).all())
-
-
-def _first_pairwise_failure(masks: np.ndarray, partner_masks: np.ndarray,
-                            is_member: np.ndarray, full: int) -> None:
-    """Raise at the first pair (a, b) of members, row-major, that breaks
-    closure under meet and relative complement or the partner map's
-    preservation of implication both ways; closure is reported first at the
-    same pair."""
-    for a, partner_a in zip(masks, partner_masks):
-        closed = is_member[a & masks] & is_member[(full ^ a) & masks]
-        preserved = ((a & ~masks) == 0) == ((partner_a & ~partner_masks) == 0)
-        bad = np.flatnonzero(~(closed & preserved))
-        if bad.size and not closed[bad[0]]:
-            raise CharacterizationMismatchError(
-                "perfect set is not closed under meet / relative complement"
-            )
-        if bad.size:
-            raise CharacterizationMismatchError(
-                "partner bijection does not preserve implication"
-            )
+    A component goes last when its highest side-1 atom joins it, so the
+    components come ordered by that atom, and their unions by
+    ``atom_unions`` ascend: where two unions first differ from the top, the
+    last component on which they differ holds a bit above every bit of the
+    components before it."""
+    parts = []
+    for a, side2 in enumerate(_bits(pairs)):
+        side1 = 1 << a
+        for part in [part for part in parts if part[1] & side2]:
+            parts.remove(part)
+            side1, side2 = side1 | part[0], side2 | part[1]
+        parts.append((side1, side2))
+    lone1, lone2 = _bits(lone1), _bits(lone2)
+    return [(side1, side2) for side1, side2 in parts
+            if not (side1 & lone1 or side2 & lone2)]
 
 
 def _is_atom_homomorphism(ev: np.ndarray) -> bool:

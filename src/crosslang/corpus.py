@@ -58,7 +58,7 @@ from .implication import (
     implication_from_translation,
     translation_from_implication,
 )
-from .language import _UNION_RE, IDENT_RE, cut_language
+from .language import _UNION_RE, cut_language
 from .translation import Translation, translation_from_atom_values
 
 LANG1_FILE = "lang1.lang"
@@ -142,7 +142,7 @@ def _map_lines(text: str, a1: Algebra, a2: Algebra):
     sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
     lookups = None              # masks beyond int64: every row one at a time
     if max(a1.model_count, a2.model_count) <= ENUMERABLE_MODEL_LIMIT:
-        lookups = _names(a1), _names(a2)
+        lookups = a1.names, a2.names
     atom_outers = {"1>2": {}, "2>1": {}}
     overrides = []
     lineno = 1
@@ -261,15 +261,6 @@ def _union_values(unions: list, lookup: dict):
     return np.bitwise_or.reduceat(columns, np.cumsum(counts + 1) - counts - 1)
 
 
-def _names(algebra: Algebra) -> dict:
-    """The value of each name that a union can spell: the declared names,
-    and ``true`` and ``false`` cut to the full mask; and of ``*``, the star."""
-    return {"true": algebra.full_mask, "false": 0,
-            **{atom: column for atom, column in algebra._columns.items()
-               if IDENT_RE.fullmatch(atom)},
-            "*": -1}
-
-
 def _direct_block(block: str, sides_of: dict, lookups: dict):
     """The (sides, values) seed arrays of a block whose every line is a
     ``_LINE_RE`` line and whose every language and endpoint name is known;
@@ -320,7 +311,7 @@ def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
     a2.require_enumerable()
     languages = {a1.name: (1, a1), a2.name: (2, a2)}
     sides_of = {name: side for name, (side, _) in languages.items()}
-    lookups = {1: _names(a1), 2: _names(a2)}
+    lookups = {1: a1.names, 2: a2.names}
     endpoints = {}
 
     def endpoint(key, lineno):

@@ -1,9 +1,10 @@
 """Joint state-spaces, set-level approximation and probability bounds.
 
 A state pairs an atom of one algebra with a compatible atom of the other, or
-stands alone when its atom's outer image is undefined.  Both algebras embed
-into the resulting field of sets; events are int bitmasks over the state
-list.
+stands alone when its atom's outer image is undefined; the states are read
+off a translation's compatibility relation (``Translation.compatibility``).
+Both algebras embed into the resulting field of sets; events are int
+bitmasks over the state list.
 """
 
 from __future__ import annotations
@@ -117,30 +118,22 @@ def build_joint_state_space(r: CrossImplication) -> JointStateSpace:
 
 
 def joint_space_from_translation(t: Translation) -> JointStateSpace:
+    """The joint state-space of a consistent translation, read off its
+    compatibility relation: the side-1 atoms ascending, each with its
+    compatible partners ascending and then its lone state, if it has one,
+    and last the lone states of the side-2 atoms."""
     if not t.is_consistent():
         raise InconsistentInputError(
             "translation fails its axioms; no joint state-space exists"
         )
-    a1, a2 = t.algebra1, t.algebra2
-    o12 = t.array("1>2", "outer")
-    o21 = t.array("2>1", "outer")
+    _, _, pairs, lone1, lone2 = t.compatibility
     states: list[tuple[int | None, int | None]] = []
-    for i in range(a1.model_count):
-        if o12[1 << i] == -1:
-            states.append((i, None))
-        for jj in range(a2.model_count):
-            # an undefined outer image (-1, all ones) constrains nothing
-            if (1 << jj) & ~o12[1 << i] == 0 and (1 << i) & ~o21[1 << jj] == 0:
-                states.append((i, jj))
-    for jj in range(a2.model_count):
-        if o21[1 << jj] == -1:
-            states.append((None, jj))
-    absent = a1.model_count + a2.model_count + 1
-    states.sort(key=lambda p: (
-        absent if p[0] is None else p[0],
-        absent if p[1] is None else p[1],
-    ))
-    return JointStateSpace(a1, a2, states)
+    for a, (row, lone) in enumerate(zip(pairs.tolist(), lone1.tolist())):
+        states += [(a, b) for b, compatible in enumerate(row) if compatible]
+        if lone:
+            states.append((a, None))
+    states += [(None, b) for b in np.flatnonzero(lone2).tolist()]
+    return JointStateSpace(t.algebra1, t.algebra2, states)
 
 
 class SemanticTranslation:

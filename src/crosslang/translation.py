@@ -8,6 +8,8 @@ source's slots (the ``algebra`` module's layout), built on first use.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import (
@@ -112,6 +114,15 @@ class Translation:
             built = self._arrays[(direction, mode)] = (vals, final)
         return built[0] if derived else built[1]
 
+    @functools.cached_property
+    def compatibility(self) -> tuple[np.ndarray, ...]:
+        """``compatibility_of`` the effective atom images: each
+        direction's atom images, or with an override on its outer operator,
+        that operator's values at the atom slots."""
+        return compatibility_of(*(
+            self.array(d, "outer")[1 << np.arange(len(self._images[d]))]
+            if self.overridden((d, "outer")) else self._images[d] for d in ("1>2", "2>1")))
+
     def overridden(self, *operators: tuple[str, str]) -> bool:
         """Whether an override sits on any of the ``(direction, mode)``
         operators."""
@@ -141,6 +152,18 @@ class Translation:
         if self._consistency is None:
             self._consistency = check_consistency(self).passed
         return self._consistency
+
+
+def compatibility_of(images12: np.ndarray, images21: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The compatibility relation that the outer images of the atoms a of
+    algebra1 and b of algebra2 (-1 for the star) fix, as the bool arrays
+    ``(reach12, reach21, pairs, lone1, lone2)``: ``reach12[a, b]`` is
+    b ∈ img(a) and ``reach21[a, b]`` is a ∈ img(b), a star image holding
+    every atom; ``pairs`` is both, the compatible pairs; ``lone1`` and
+    ``lone2`` mark the atoms whose image is the star."""
+    reach12 = images12[:, None] >> np.arange(len(images21)) & 1 == 1
+    reach21 = (images21[:, None] >> np.arange(len(images12)) & 1 == 1).T
+    return reach12, reach21, reach12 & reach21, images12 == -1, images21 == -1
 
 
 def translation_from_atom_values(a1: Algebra, a2: Algebra, images12: dict, images21: dict,
@@ -290,19 +313,17 @@ _WITNESS = {"galois": _galois_witness, "approximation": _approximation_witness,
 
 def _atom_conditions(t: Translation) -> dict[str, bool]:
     """Each check's atom-level condition (``atom_axioms_hold`` has the
-    proofs), read off rel[a, b]: b ∈ img(a) and a ∈ img(b) for the atoms a
-    of algebra1 and b of algebra2, where a star image holds every atom."""
-    i12, i21 = t._images["1>2"], t._images["2>1"]
-    rel12 = i12[:, None] >> np.arange(len(i21)) & 1 == 1
-    rel21 = (i21[:, None] >> np.arange(len(i12)) & 1 == 1).T
-    d1, d2 = i12 != -1, i21 != -1
+    proofs), read off the compatibility relation of the atom images the
+    derived operators are built from."""
+    reach12, reach21, pairs, lone1, lone2 = compatibility_of(t._images["1>2"],
+                                                             t._images["2>1"])
+    d1, d2 = ~lone1, ~lone2
     # b ≤ outer(img(b)) iff some atom a of img(b) has b ∈ img(a), and the
     # mirror image for a
-    both = rel12 & rel21
-    duality = bool((rel12 == rel21)[np.ix_(d1, d2)].all())
+    duality = bool((reach12 == reach21)[np.ix_(d1, d2)].all())
     return {"galois:1>2": True, "galois:2>1": True,
-            "approximation:1>2": bool(both.any(axis=0)[d2].all()),
-            "approximation:2>1": bool(both.any(axis=1)[d1].all()),
+            "approximation:1>2": bool(pairs.any(axis=0)[d2].all()),
+            "approximation:2>1": bool(pairs.any(axis=1)[d1].all()),
             "restricted-duality:1>2": duality, "restricted-duality:2>1": duality}
 
 

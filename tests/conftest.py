@@ -1,9 +1,11 @@
+import random
+import time
 from pathlib import Path
 
 import pytest
 
 from crosslang import Algebra, load_corpus, parse_language
-from crosslang.randgen import write_cell_corpus
+from crosslang.randgen import random_consistent_translation, write_cell_corpus
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -26,6 +28,17 @@ def write_cover_pair(path: Path, m: int) -> Path:
     (path / "narrowed.imp").write_text(cover.replace(
         "imp: lang1.a0 => lang2.b0\n", "imp: lang1.a0 => lang2.false\n", 1))
     return path
+
+
+@pytest.fixture(scope="session")
+def suite500():
+    """500 consistent instances from filtered random atom-outer maps, and
+    the seconds their generation took."""
+    rng = random.Random(2024)
+    started = time.perf_counter()
+    instances = [random_consistent_translation(rng, max_atoms=5)
+                 for _ in range(500)]
+    return instances, time.perf_counter() - started
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,9 @@ rewritten as cover, atom and subset-zeta decisions (approximation and
 restricted duality ask the ``scalarref`` predicate at every argument in
 turn); the relation code at the end builds matrix products, as the library
 did before its lattice sweeps.
-The analysis code after them builds the set approximations with one
-vector operation per target event, renders a joint state-space with one
+The analysis code after them lists the joint states from both outer
+arrays with one test per atom pair and a sort, builds the set
+approximations with one vector operation per target event, renders a joint state-space with one
 ``formula_text`` call per proposition, checks a common language with one
 pass per member, compares event fields as sets of every event and checks
 Proposition 2 on the dense implication rows, as the library did before it
@@ -291,6 +292,32 @@ def joint_embeddings(t, space):
         report.checks.append(AxiomCheck("common-diagram-commutes", diagram_witness))
         report.checks.append(AxiomCheck("translation-legs-agree", legs_witness))
     return report
+
+
+def joint_states(t):
+    """The joint states of a consistent translation as the library listed
+    them before it read them off the compatibility relation: one test per
+    atom pair on both outer arrays' atom slots, then a sort."""
+    a1, a2 = t.algebra1, t.algebra2
+    o12 = t.array("1>2", "outer")
+    o21 = t.array("2>1", "outer")
+    states = []
+    for i in range(a1.model_count):
+        if o12[1 << i] == -1:
+            states.append((i, None))
+        for jj in range(a2.model_count):
+            # an undefined outer image (-1, all ones) constrains nothing
+            if (1 << jj) & ~o12[1 << i] == 0 and (1 << i) & ~o21[1 << jj] == 0:
+                states.append((i, jj))
+    for jj in range(a2.model_count):
+        if o21[1 << jj] == -1:
+            states.append((None, jj))
+    absent = a1.model_count + a2.model_count + 1
+    states.sort(key=lambda p: (
+        absent if p[0] is None else p[0],
+        absent if p[1] is None else p[1],
+    ))
+    return states
 
 
 def semantic_tables(space):

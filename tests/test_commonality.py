@@ -275,10 +275,12 @@ def test_common_language_checks_match_pairwise_reference(monkeypatch):
     """Candidate perfect sets are the unions of blocks of a random partition
     of some atoms with defined outer images (closed, but the partner map may
     merge members), optionally with one member added or dropped (not closed)
-    or the top dropped; the vectorized checks must report what the pairwise
-    loop reports."""
+    or the top dropped.  Injected as the perfect set, each one is refused
+    exactly when it differs from the true perfect set, so every set that the
+    pairwise loop rejects is refused."""
     rng = random.Random(41)
-    outcomes = set()
+    true_perfect = commonality.perfect_translations
+    outcomes, refused = set(), set()
     for _ in range(300):
         t = random_consistent_translation(rng, max_atoms=5)
         a1 = t.algebra1
@@ -305,6 +307,7 @@ def test_common_language_checks_match_pairwise_reference(monkeypatch):
         perfect = {Prop(a1, m) for m in masks}
         if len(perfect) < 2:
             continue
+        differs = sorted(masks) != true_perfect(t, 1).tolist()
         is_perfect = np.zeros(a1.full_mask + 1, dtype=bool)
         is_perfect[sorted(masks)] = True
         monkeypatch.setattr(commonality, "perfect_translations",
@@ -312,12 +315,14 @@ def test_common_language_checks_match_pairwise_reference(monkeypatch):
         expected = pairwise_common_checks(t, perfect)
         try:
             common = common_language(t)
-            got = None
+        except CharacterizationMismatchError:
+            assert differs
+        else:
+            assert not differs and expected is None
             assert common.masks.tolist() == sorted(masks)
             assert all(Prop(t.algebra2, p) == t.apply("1>2", "outer", Prop(a1, m))
                        for m, p in zip(common.masks.tolist(), common.partners.tolist()))
-        except CharacterizationMismatchError as exc:
-            got = str(exc)
-        assert got == expected
         outcomes.add(expected)
+        refused.add(differs)
     assert len(outcomes) == 4   # every outcome of the reference was exercised
+    assert refused == {False, True}

@@ -1,10 +1,9 @@
 """Differential suite: the analysis layer built from atom events and blocks
 against the per-event, per-proposition and per-member references in
 ``denseref``: set approximations and probability bounds, the rendered joint
-state-space, the awareness verdict, ``formula_texts``, the
-common-language checks, the mask arrays of the lattice-wide results and
-Proposition 2, on generated translations of up to six models per side,
-altered joint state-spaces and hand-built member sets."""
+state-space, the awareness verdict, ``formula_texts``, the mask arrays of
+the lattice-wide results and Proposition 2, on generated translations of up
+to six models per side and altered joint state-spaces."""
 
 import json
 import random
@@ -18,7 +17,6 @@ import denseref
 from conftest import CORPUS
 from crosslang import (
     Algebra,
-    CharacterizationMismatchError,
     ContradictionError,
     CrosslangError,
     InconsistentInputError,
@@ -39,7 +37,6 @@ from crosslang import (
     translation_from_atom_outers,
     verify_prop2,
 )
-from crosslang.commonality import _check_common, _is_block_embedding
 from crosslang.randgen import (
     cell_algebra,
     random_consistent_translation,
@@ -131,88 +128,6 @@ def test_formula_texts_of_conjunction_labels():
     texts = a.formula_texts()
     assert texts[0] == "false" and texts[-1] == "true"
     assert " & !" in texts[1] and texts[3] == f"{texts[1]} | {texts[2]}"
-
-
-# --- common-language checks ------------------------------------------------------
-
-
-@st.composite
-def member_sets(draw):
-    """Ascending member masks of an m-model host with their partner masks.
-    The base set is every union of the blocks of a random partition of some
-    bits, each member's partner the join of its blocks' partners; then it
-    is left closed, given an extra member, dropped a member, a union of
-    several blocks (which keeps every block and block complement when there
-    are four or more) or its top,
-    given partners that are order-preserving but not join-preserving (the
-    top's partner gains a bit of its own), or given random partners."""
-    m = draw(st.integers(1, 6))
-    bits = draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
-    labels = draw(st.lists(st.integers(0, len(bits) - 1),
-                           min_size=len(bits), max_size=len(bits)))
-    blocks = {}
-    for bit, label in zip(bits, labels):
-        blocks[label] = blocks.get(label, 0) | 1 << bit
-    n2 = draw(st.integers(len(blocks), 6))
-    if draw(st.booleans()):   # distinct partner bits: an embedding
-        order = draw(st.permutations(range(n2)))
-        partner_of = {b: 1 << order[k] for k, b in enumerate(blocks.values())}
-    else:
-        partner_of = {b: draw(st.integers(0, (1 << n2) - 1)) for b in blocks.values()}
-    members = {0: 0}
-    for b, p in partner_of.items():
-        members.update({m_ | b: v | p for m_, v in members.items()})
-    kind = draw(st.sampled_from(["closed", "extra", "drop", "drop-union", "no-top",
-                                 "not-join", "random"]))
-    top = max(members)
-    unions = [u for u in sorted(members)
-              if u != top and sum(1 for b in blocks.values() if u & b) > 1]
-    if kind == "extra":
-        members[draw(st.integers(0, (1 << m) - 1))] = draw(st.integers(0, (1 << n2) - 1))
-    elif kind == "drop":
-        del members[draw(st.sampled_from(sorted(members)))]
-    elif kind == "drop-union" and unions:
-        del members[draw(st.sampled_from(unions))]
-    elif kind == "no-top":
-        del members[top]
-    elif kind == "not-join":
-        members[top] |= 1 << n2   # a bit no other partner has
-    elif kind == "random":
-        members = {k: draw(st.integers(0, (1 << n2) - 1)) for k in members}
-    assume(len(members) >= 2)
-    masks = np.array(sorted(members), dtype=np.int64)
-    partners = np.array([members[k] for k in sorted(members)], dtype=np.int64)
-    return kind, masks, partners, (1 << m) - 1
-
-
-def _outcome(check, *args):
-    try:
-        check(*args)
-    except CharacterizationMismatchError as exc:
-        return str(exc)
-    return None
-
-
-@FUZZ
-@given(member_sets())
-def test_common_checks_match_pairwise_reference(case):
-    kind, masks, partners, full = case
-    expected = _outcome(denseref.common_checks, masks, partners, full)
-    assert _outcome(_check_common, masks, partners, full) == expected
-    if kind == "closed" and expected is None:
-        # a closed set with join-preserving partners never needs the scan
-        assert _is_block_embedding(masks, partners, int(masks[-1]))
-
-
-def test_order_preserving_partner_that_is_not_join_preserving_is_decided_by_the_scan():
-    """{0, a, b, a|b} with partners 0, x, y and x|y|z: an order embedding
-    that misses the join, so the block decision fails and the scan passes
-    it."""
-    masks = np.array([0, 1, 2, 3], dtype=np.int64)
-    partners = np.array([0, 1, 2, 7], dtype=np.int64)
-    assert not _is_block_embedding(masks, partners, 3)
-    assert _outcome(denseref.common_checks, masks, partners, 3) is None
-    assert _outcome(_check_common, masks, partners, 3) is None
 
 
 def test_probability_bounds_need_no_approximation_table(monkeypatch):
