@@ -13,14 +13,16 @@ relation, reduced and full.  Then a fixed list of bad inputs: missing files
 and folders, a copy of ``platypus`` with a byte that is not UTF-8 in each
 of its inputs (the weights file included), and CRLF copies of ``platypus``
 and the nested pair, each of those copies under the same commands.  Last,
-``check`` in text and JSON on copies of the nested pair with one
-``override`` line each (``MUTANTS``), and on copies with one reader edge
-case each (``READER_EDGES``): a long translation file whose last block
-has a formula endpoint, an undeclared name before a malformed line, a
-formula belief among direct ones, a tab-spaced belief.  Then ``check``,
-``joint``, ``common``, ``classify`` and ``bounds`` in JSON on a copy of the
-nested pair whose overrides restate every slot of its four operators as
-those of another consistent translation (``write_another``).
+``check`` of the translation and of the seed file, in text and JSON, on
+copies of the nested pair with one ``override`` line each (``MUTANTS``),
+and on copies with one reader edge case each (``READER_EDGES``): a long
+translation or seed file whose last block has a formula endpoint, an
+undeclared name before a malformed line, a formula belief among direct
+ones, a tab-spaced belief, seed lines that only the line reader takes or
+that it refuses, and each kind's line in the other kind's file.  Then
+``check``, ``joint``, ``common``, ``classify`` and ``bounds`` in JSON on a
+copy of the nested pair whose overrides restate every slot of its four
+operators as those of another consistent translation (``write_another``).
 
 Each run is one line of JSON: its argv, its exit code (or the name of the
 exception that escaped ``main``), and the sha256 of what it wrote to stdout
@@ -103,7 +105,10 @@ MUTANTS = (("inner-12", "override inner 1>2: a0 => b0"),
 # rewritten, and its new text as a function of the old: a formula endpoint
 # in the last block of a translation file over 64 KB, an undeclared name
 # before a malformed line, one formula belief among direct ones, and a
-# tab-spaced direct belief
+# tab-spaced direct belief; then in the seed file, a formula endpoint in
+# the last block of a file over 64 KB, a comment broken by a vertical tab,
+# ``imp:`` with no blank after it, a tab before ``=>``, a star inside a
+# union, and a mapping line; and a seed line in the translation file
 READER_EDGES = (
     ("long-formula", "translation.tr",
      lambda text: text * (70_000 // len(text) + 1) + "outer 1>2: a0 => !(!b0 & !b1)\n"),
@@ -112,6 +117,15 @@ READER_EDGES = (
     ("formula-belief", "lang1.lang", lambda text: text + "believe: a0 -> !a1\n"),
     ("tab-belief", "lang2.lang",
      lambda text: text.replace("believe: !(b0 & b1)", "believe: !(b0\t&\tb1)")),
+    ("long-seed-formula", "implication.imp",
+     lambda text: text * (70_000 // len(text) + 1) + "imp: lang1.a0 => lang2.!(!b0 & !b1)\n"),
+    ("vt-comment", "implication.imp",
+     lambda text: "# every cell\x0bimplies its cover\n" + text),
+    ("imp-unspaced", "implication.imp", lambda text: text.replace("imp: ", "imp:", 1)),
+    ("tab-arrow", "implication.imp", lambda text: text.replace(" => ", "\t=> ", 1)),
+    ("star-in-union", "implication.imp", lambda text: text + "imp: lang1.a0 => lang2.* | b0\n"),
+    ("mapping-seed", "implication.imp", lambda text: text + "outer 1>2: a0 => b0\n"),
+    ("seed-mapping", "translation.tr", lambda text: text + "imp: lang1.a0 => lang2.b0\n"),
 )
 
 
@@ -175,8 +189,12 @@ def write_another() -> list[list[str]]:
 
 
 def check_argvs(folder: str) -> list[list[str]]:
+    """``check`` of the translation file and of the seed file, in text and
+    JSON."""
     langs = [str(Path(folder) / "lang1.lang"), str(Path(folder) / "lang2.lang")]
-    return [["check", *langs, str(Path(folder) / "translation.tr"), "--format", fmt]
+    return [["check", *langs, str(Path(folder) / name), *mode, "--format", fmt]
+            for name, mode in (("translation.tr", []),
+                               ("implication.imp", ["--mode", "implication"]))
             for fmt in ("text", "json")]
 
 

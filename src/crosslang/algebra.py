@@ -22,6 +22,7 @@ join of its atoms' values.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     UndeclaredAtomError,
 )
 from .language import (
+    _UNION_RE,
     IDENT_RE,
     And,
     Arrow,
@@ -340,7 +342,13 @@ class Algebra:
 
     def denote_text(self, text: str, line: int = 1) -> Prop:
         """The proposition of a formula over this algebra's elementary names
-        (read off the algebra, so no spec is built)."""
+        (read off the algebra, so no spec is built).  A union of declared
+        names, ``true`` and ``false`` is the OR of their columns, with no
+        formula tree; any other text, an undeclared name included, is
+        parsed, so that errors keep their type, message, line and column."""
+        names = list(map(str.strip, text.split("|")))
+        if _UNION_RE.fullmatch(text) and all(map(self.names.__contains__, names)):
+            return Prop(self, functools.reduce(operator.or_, map(self.names.__getitem__, names)))
         return self.denote(parse_formula(text, self, line))
 
     # --- canonical printing ---

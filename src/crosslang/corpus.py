@@ -7,45 +7,46 @@ The two languages must have distinct names: seeds name their language.
 Every input file, these and a command's own, is read by ``read_input``:
 once, its digest taken from the bytes that are parsed.
 
-The common grammar of endpoints is read without the parser: ``*`` is the
-star, and a union ``name | name | ...`` of declared elementary names,
-``true`` and ``false`` is the OR of their model columns.  Any other text,
-an undeclared name included, goes to ``parse_formula`` through
-``_parse_value``, so that errors keep their type, message, line and
-column.
+Both pair files have one line shape, ``head: endpoint => endpoint``: the
+head is one of the six mapping heads (``outer 1>2``, ``override inner
+2>1``, ...) of a translation file or the ``imp`` of a seed file, and a seed
+endpoint is ``<lang>.<formula>``.  They have one reader.  It takes a block
+of whole lines of about 64 KB at a time and cuts it with a few string
+calls: comments and empty lines dropped, each line partitioned at its
+first ``": "`` and then at its first ``" => "``, every head looked up in
+one table (``_HEADS``).  The distinct endpoints of both sides are valued
+in one bulk pass (``_union_values``) when each is ``*`` or a union of
+declared names, ``true`` and ``false``; a seed endpoint's side is read off
+its ``<lang>.`` prefix, cut off once per distinct endpoint.  A block is
+refused rather than guessed at when a line boundary other than a newline
+would number its lines otherwise, when a line does not cut into three
+parts with a head of its file's kind (a tab, a leading blank, ``imp:``
+with no blank after it), when an endpoint is not in that grammar (a
+formula, a star inside a union, an undeclared name, an unknown language),
+when an ``outer`` line maps anything but an atom, or when an algebra has
+more than 16 models.
 
-A translation file has one reader: it takes a block of whole lines at a
-time, as the seed reader does (below), and cuts each line once into its
-direction, mode and two endpoints.  The endpoints of each side of a block are valued
-in one bulk pass (``_union_values``) when every one of them is in the
-common grammar with known names, every outer line maps an atom and both
-algebras have at most 16 models; the outer images go to the two int64
-image arrays of the ``Translation``.  Any other block has its rows valued
-one at a time, each endpoint through ``_parse_value``; a malformed line
-raises only after the rows before it, so the first error in the file is
-the one raised.
+A refused block is read a line at a time from its first line number
+(``_cut_rows``): each line cut once, its head looked up in the same table,
+each distinct endpoint valued once through ``_parse_value`` (``*``, or
+``Algebra.denote_text``, so that errors keep their type, message, line and
+column), each kind of file keeping its own error messages in the order
+along the line.  As only a refused block can fail, the first error in the
+file is the one raised, after the rows before it are valued.
 
-A seed file is read in blocks of whole lines of about 64 KB, one regular
-expression call to a block.  A block whose every line is a seed line with
-endpoints in that common grammar, a blank line or a comment, that has no
-line boundary but newlines, and whose language and endpoint names are all
-known, is read whole: each distinct endpoint once, its names mapped to
-their columns in bulk and ORed with numpy.  Any other block (a formula
-endpoint, a malformed line, an undeclared name, a CRLF file) is read line
-by line through ``_parse_value``, from its first line number on; as only
-such a block can fail, the first error in the file is the one raised.
+A translation file gives the outer image of each atom, the last line for an
+atom winning, and its overrides in file order, for one ``Translation``.
 Seeds travel as two (n, 2) arrays, the side (1 or 2) and the value (a mask,
--1 for the star) of each endpoint, which is what
-``implication.close_values`` takes.
+-1 for the star) of each endpoint, which is what ``implication.close_values``
+takes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import getitem, not_
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ from .implication import (
     implication_from_translation,
     translation_from_implication,
 )
-from .language import _UNION_RE, cut_language
+from .language import cut_language
 from .translation import Translation, translation_from_atom_values
 
 LANG1_FILE = "lang1.lang"
@@ -66,55 +67,23 @@ LANG2_FILE = "lang2.lang"
 TRANSLATION_FILE = "translation.tr"
 IMPLICATION_FILE = "implication.imp"
 
-# reserved words cannot be atoms; ``true`` is all ones, cut to the full mask
-_CONSTANTS = {"false": 0, "true": -1}
-
 # a seed or translation file is read in blocks of whole lines of about this
 # many characters: many lines to each bulk call, while the strings of one
 # block stay small
 _BLOCK_CHARS = 1 << 16
-# one line of a block read whole: a seed line whose endpoints are ``*`` or
-# words joined by bars (each word must then be a name of its side), a blank
-# line or a comment; blanks are " " and "\t" only, and the line ends at
-# "\n", the other line boundaries of ``str.splitlines`` being kept out of
-# comments, so that a block has as many lines as newlines
-_BLANK = r"[ \t]*"
-_ENDPOINT = rf"(\w+)\.{_BLANK}(\*|[\w \t|]*\w){_BLANK}"
-_LINE_RE = re.compile(
-    rf"^{_BLANK}(?:imp:{_BLANK}{_ENDPOINT}=>{_BLANK}{_ENDPOINT})?"
-    r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?\n", re.M | re.A)
-# the direction and mode of each head of a mapping line, its words spaced
-# once; the mode of an ``outer`` line is None
-_HEADS = {f"{head} {direction}": (direction, mode) for direction in ("1>2", "2>1")
-          for head, mode in (("outer", None), ("override inner", "inner"),
-                             ("override outer", "outer"))}
-
-
-def _content_lines(lines, start: int = 1):
-    """(line number, text) of each line with content, its comment cut."""
-    for lineno, raw in enumerate(lines, start=start):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+# each head of a pair-file line, its words spaced once: the direction and
+# mode of a mapping line, the mode of an ``outer`` line None; and the
+# ``imp`` of a seed line, whose endpoints name their sides
+_HEADS = {"imp": (None, None), **{
+    f"{head} {direction}": (direction, mode) for direction in ("1>2", "2>1")
+    for head, mode in (("outer", None), ("override inner", "inner"),
+                       ("override outer", "outer"))}}
 
 
 def _parse_value(text: str, algebra: Algebra, lineno: int) -> int:
     """The value of an endpoint: a mask, -1 for ``*``."""
     text = text.strip()
-    if text == "*":
-        return -1
-    if _UNION_RE.fullmatch(text):
-        columns = algebra._columns
-        mask = 0
-        for name in text.split("|"):
-            name = name.strip()
-            column = columns.get(name, _CONSTANTS.get(name))
-            if column is None:
-                break          # undeclared: the parser reports it
-            mask |= column
-        else:
-            return mask & algebra.full_mask
-    return algebra.denote_text(text, lineno).mask
+    return -1 if text == "*" else algebra.denote_text(text, lineno).mask
 
 
 def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
@@ -129,106 +98,36 @@ def parse_translation_file(text: str, a1: Algebra, a2: Algebra) -> Translation:
     An atom left without an outer image is refused once both algebras are
     known to be enumerable.
     """
-    return translation_from_atom_values(a1, a2, *_map_lines(text, a1, a2))
-
-
-def _map_lines(text: str, a1: Algebra, a2: Algebra):
-    """The outer image of each atom mask in each direction, the last line of
-    an atom winning, and the overrides ``(direction, mode, x, y)`` in file
-    order.  Each block of lines is cut (``_map_rows``) and its endpoints
-    valued in bulk (``_bulk_values``), or where that refuses, a row at a
-    time, each outer source checked to be an atom before its image is read;
-    a malformed line raises once the rows before it are valued."""
-    sides = {"1>2": (a1, a2), "2>1": (a2, a1)}
-    lookups = None              # masks beyond int64: every row one at a time
-    if max(a1.model_count, a2.model_count) <= ENUMERABLE_MODEL_LIMIT:
-        lookups = a1.names, a2.names
-    atom_outers = {"1>2": {}, "2>1": {}}
+    outers = {"1>2": {}, "2>1": {}}
     overrides = []
-    lineno = 1
-    for block in _blocks(text):
-        rows, malformed, lineno = _map_rows(block.splitlines(), lineno)
-        bulk = lookups and rows and _bulk_values(rows, lookups)
-        for i, (n, direction, mode, lhs, rhs) in enumerate(rows):
-            src, dst = sides[direction]
-            x = bulk[0][i] if bulk else _parse_value(lhs, src, n)
-            if mode is None and (x <= 0 or x & (x - 1)):
-                raise ParseError(f"{lhs!r} does not denote an atom of {src.name!r}", n, 1)
-            y = bulk[1][i] if bulk else _parse_value(rhs, dst, n)
+    for kinds, _, values in _read_pairs(text, a1, a2):
+        for (direction, mode), x, y in zip(kinds, *values):
             if mode is None:
-                atom_outers[direction][x] = y
+                outers[direction][x] = y
             else:
                 overrides.append((direction, mode, x, y))
-        if malformed is not None:
-            raise malformed
-    return atom_outers["1>2"], atom_outers["2>1"], overrides
+    return translation_from_atom_values(a1, a2, outers["1>2"], outers["2>1"], overrides)
 
 
-def _map_rows(lines, start: int):
-    """The rows ``(lineno, direction, mode, lhs, rhs)`` of the lines with
-    content, numbered from ``start``, ``mode`` None on an ``outer`` line and
-    the endpoint texts stripped, up to the first malformed line; that
-    line's error, or None; and the number of the line after the last."""
-    rows = []
-    for lineno, line in _content_lines(lines, start):
-        head, colon, body = line.partition(":")
-        lhs, arrow, rhs = body.partition("=>")
-        kind = _HEADS.get(head) or _HEADS.get(" ".join(head.split()))
-        if colon and arrow and kind:
-            rows.append((lineno, *kind, lhs.strip(), rhs.strip()))
-            continue
-        words = head.split()
-        if not colon:
-            error = "expected 'outer <dir>: <formula> => <formula|*>'"
-        elif not arrow:
-            error = "expected '=>' in mapping line"
-        elif words[:-1] in (["outer"], ["override", "inner"], ["override", "outer"]):
-            error = f"expected direction '1>2' or '2>1', got {words[-1]!r}"
-        else:
-            error = f"unrecognised line {line!r}"
-        return rows, ParseError(error, lineno, 1), None
-    return rows, None, start + len(lines)
-
-
-def _bulk_values(rows: list, lookups: tuple):
-    """The values ``xs`` and ``ys`` of the rows' endpoints, each side's
-    valued in one pass (``_union_values``); None when an endpoint is not a
-    ``*`` or a union of known names."""
-    _, directions, _, lhs, rhs = zip(*rows)
-    # side 1 holds the source of a 1>2 line and the target of a 2>1 line
-    forward = [direction == "1>2" for direction in directions]
-    texts1 = [x if f else y for f, x, y in zip(forward, lhs, rhs)]
-    texts2 = [y if f else x for f, x, y in zip(forward, lhs, rhs)]
-    values1, values2 = _union_values(texts1, lookups[0]), _union_values(texts2, lookups[1])
-    if values1 is None or values2 is None:
-        return None
-    values1, values2 = values1.tolist(), values2.tolist()
-    for values, texts in ((values1, texts1), (values2, texts2)):
-        if -1 in values and any("|" in text for text, v in zip(texts, values) if v == -1):
-            return None                             # a star in a union
-    return ([v1 if f else v2 for f, v1, v2 in zip(forward, values1, values2)],
-            [v2 if f else v1 for f, v1, v2 in zip(forward, values1, values2)])
-
-
-def _seed_keys(line: str, lineno: int, languages: dict):
-    """The (language, formula text) endpoints of a seed line.  A generator,
-    so that each endpoint is read before the next one is checked: the error
-    reported is the first along the line."""
-    if not line.startswith("imp:"):
-        raise ParseError("expected 'imp: <lang>.<formula> => <lang>.<formula>'",
-                         lineno, 1)
-    body = line[len("imp:"):]
-    if "=>" not in body:
-        raise ParseError("expected '=>' in seed line", lineno, 1)
-    for chunk in body.split("=>", 1):
-        chunk = chunk.strip()
-        if "." not in chunk:
-            raise ParseError(f"expected '<lang>.<formula>', got {chunk!r}",
-                             lineno, 1)
-        lang_name, formula = chunk.split(".", 1)
-        if lang_name not in languages:
-            raise ParseError(f"unknown language {lang_name!r}", lineno, 1)
-        yield lang_name, formula.strip()
+def _read_pairs(text: str, a1: Algebra, a2: Algebra, languages: dict | None = None):
+    """The rows of a translation file, or of a seed file when ``languages``
+    gives the side (1 or 2) of each language name, a block at a time: the
+    ``_HEADS`` entry of each line with content, and the sides and the values
+    of its endpoints, each as two sequences, the left endpoints' and the
+    right ones' (a (2, n) array for a seed block read whole; no sides for a
+    translation block read whole).  A block is read whole (``_cut_block``)
+    or, where that refuses, a line at a time (``_cut_rows``)."""
+    algebras = (None, a1, a2)
+    lookups = None              # masks beyond int64: every row one at a time
+    if max(a1.model_count, a2.model_count) <= ENUMERABLE_MODEL_LIMIT:
+        lookups = (None, a1.names, a2.names)
+    found = {}
+    lineno = 1
+    for block in _blocks(text):
+        lines = block.splitlines()
+        rows = lookups and _cut_block(block, lines, languages, lookups)
+        yield rows or _cut_rows(lines, lineno, languages, algebras, found)
+        lineno += len(lines)
 
 
 def _blocks(text: str):
@@ -243,100 +142,148 @@ def _blocks(text: str):
         start = end
 
 
-def _union_values(unions: list, lookup: dict):
-    """The values of endpoint texts that are a ``*`` or a union of names of
-    ``lookup``, as an int64 array; None if a name is missing.  Each name is
-    looked up once, and the columns of each union are ORed by ``reduceat``.
-    Names are stripped only when a blank is left once the bars of the usual
-    ``" | "`` have been closed up."""
-    joined = "|".join(unions).replace(" | ", "|")
-    names = joined.split("|")
-    if " " in joined or "\t" in joined:
-        names = list(map(str.strip, names))
-    try:
-        columns = np.fromiter(map(lookup.__getitem__, names), np.int64, len(names))
-    except KeyError:
-        return None
-    counts = np.fromiter(map(str.count, unions, repeat("|")), np.int64, len(unions))
-    return np.bitwise_or.reduceat(columns, np.cumsum(counts + 1) - counts - 1)
+def _cut_block(block: str, lines: list, languages: dict | None, lookups: tuple):
+    """The rows of a block read whole, as ``_read_pairs`` gives them, or
+    None when the block is refused.  Each line with content must cut into a
+    head of its file's kind, a left and a right endpoint, and each distinct
+    endpoint of a side must be ``*`` or a union of names of ``lookups``."""
+    if len(lines) != block.count("\n"):
+        return None         # numbered otherwise by ``splitlines`` and by "\n"
+    if "#" in block:
+        lines = [line.partition("#")[0] for line in lines]
+    lines = list(filter(None, lines))
+    if not lines:
+        return [], ([], []), ([], [])
+    n = len(lines)
+    heads, colons, rest = zip(*map(str.partition, lines, repeat(": ")))
+    lhs, arrows, rhs = zip(*map(str.partition, rest, repeat(" => ")))
+    kinds = list(map(_HEADS.get, heads))
+    if (colons.count(": ") < n or arrows.count(" => ") < n or None in kinds
+            or kinds.count(_HEADS["imp"]) != (n if languages else 0)):
+        return None     # a line that does not cut, or a head of the other kind
+    if languages:       # "<lang>.<formula>", and a language name has no dot
+        ends = lhs + rhs
+        prefixes = [name + "." for name in languages]
+        first = list(map(str.startswith, ends, repeat(prefixes[0])))
+        keys = [list(dict.fromkeys(compress(ends, first))),
+                list(dict.fromkeys(compress(ends, map(not_, first))))]
+        if not all(map(str.startswith, keys[1], repeat(prefixes[1]))):
+            return None                             # an unknown language
+        texts = [list(map(getitem, side_keys, repeat(slice(len(prefix), None))))
+                 for side_keys, prefix in zip(keys, prefixes)]
+    else:               # the direction of a line gives its sides
+        forward = [direction == "1>2" for direction, _ in kinds]
+        backward = list(map(not_, forward))
+        keys = texts = [list(dict.fromkeys(chain(compress(own, forward),
+                                                 compress(other, backward))))
+                        for own, other in ((lhs, rhs), (rhs, lhs))]
+    masks = _union_values(texts, lookups)
+    if masks is None:
+        return None         # undeclared (the parser reports it), or a star in a union
+    if languages:
+        value_of = dict(zip(keys[0] + keys[1], masks))
+        return (kinds, 2 - np.array(first).reshape(2, n),
+                np.fromiter(map(value_of.__getitem__, ends), np.int64, 2 * n).reshape(2, n))
+    # each endpoint valued by its side's table: the tables of sides 1 and 2,
+    # indexed by ``forward`` for a right endpoint and reversed for a left one
+    tables = dict(zip(keys[0], masks)), dict(zip(keys[1], masks[len(keys[0]):]))
+    xs = list(map(getitem, map(tables[::-1].__getitem__, forward), lhs))
+    if not set(compress(xs, map(str.startswith, heads, repeat("outer")))) <= {
+            1 << i for i in range(ENUMERABLE_MODEL_LIMIT)}:
+        return None                                 # an outer line off an atom
+    return kinds, None, (xs, list(map(getitem, map(tables.__getitem__, forward), rhs)))
 
 
-def _direct_block(block: str, sides_of: dict, lookups: dict):
-    """The (sides, values) seed arrays of a block whose every line is a
-    ``_LINE_RE`` line and whose every language and endpoint name is known;
-    None for any other block.  ``sides_of`` gives the side of each language
-    name, ``lookups`` the values of the names of each side.  Each distinct
-    endpoint of a side is read once."""
-    rows = _LINE_RE.findall(block)
-    if len(rows) != block.count("\n"):
-        return None
-    rows = list(filter(itemgetter(0), rows))        # drop blank and comment lines
-    langs1, texts1, langs2, texts2 = zip(*rows) if rows else ((),) * 4
-    langs, texts = langs1 + langs2, texts1 + texts2
-    try:
-        sides = np.fromiter(map(sides_of.__getitem__, langs), np.int64, len(langs))
-    except KeyError:
-        return None                                 # an unknown language
-    values = np.zeros(len(langs), np.int64)
-    for side, lookup in lookups.items():
-        mine = sides == side
-        chosen = list(compress(texts, mine.tolist()))
-        if not chosen:
+def _cut_rows(lines: list, start: int, languages: dict | None, algebras: tuple,
+              found: dict):
+    """The rows of a refused block, as ``_read_pairs`` gives them, a line at
+    a time from line ``start``: each line cut once and its head looked up in
+    ``_HEADS``, each endpoint valued through ``_parse_value`` once per
+    distinct (side, text) in ``found``.  A line's errors come in the order
+    along it, so the first error of the block is raised once the rows before
+    it are valued; only successes are remembered."""
+    kinds, sides, values = [], ([], []), ([], [])
+    for lineno, raw in enumerate(lines, start):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        distinct = dict.fromkeys(chosen)
-        masks = _union_values(list(distinct), lookup)
-        if masks is None:
-            return None                             # undeclared: the parser reports it
-        if len(distinct) < len(chosen):             # spread repeated endpoints
-            index = dict(zip(distinct, range(len(distinct))))
-            masks = masks[np.fromiter(map(index.__getitem__, chosen), np.int64,
-                                      len(chosen))]
-        values[mine] = masks
-    return sides.reshape(2, -1).T, values.reshape(2, -1).T
+        head, colon, body = line.partition(":")
+        lhs, arrow, rhs = body.partition("=>")
+        if languages:
+            if not colon or head != "imp":
+                raise ParseError("expected 'imp: <lang>.<formula> => <lang>.<formula>'",
+                                 lineno, 1)
+            if not arrow:
+                raise ParseError("expected '=>' in seed line", lineno, 1)
+            kind = _HEADS[head]
+        else:
+            words = head.split()
+            kind = _HEADS.get(" ".join(words), (None, None))
+            if not (colon and arrow and kind[0]):
+                raise ParseError(
+                    "expected 'outer <dir>: <formula> => <formula|*>'" if not colon
+                    else "expected '=>' in mapping line" if not arrow
+                    else f"expected direction '1>2' or '2>1', got {words[-1]!r}"
+                    if words[:-1] in (["outer"], ["override", "inner"], ["override", "outer"])
+                    else f"unrecognised line {line!r}", lineno, 1)
+        kinds.append(kind)
+        for i, end in enumerate((lhs.strip(), rhs.strip())):
+            if languages:
+                name, dot, text = end.partition(".")
+                if not dot:
+                    raise ParseError(f"expected '<lang>.<formula>', got {end!r}", lineno, 1)
+                if name not in languages:
+                    raise ParseError(f"unknown language {name!r}", lineno, 1)
+                side, text = languages[name], text.strip()
+            else:       # the source's side, then the target's
+                side, text = (i + 1 if kind[0] == "1>2" else 2 - i), end
+            value = found.get((side, text))
+            if value is None:
+                value = found[side, text] = _parse_value(text, algebras[side], lineno)
+            if kind[0] and kind[1] is None and not i and (value <= 0 or value & (value - 1)):
+                raise ParseError(f"{text!r} does not denote an atom of "
+                                 f"{algebras[side].name!r}", lineno, 1)
+            sides[i].append(side)
+            values[i].append(value)
+    return kinds, sides, values
+
+
+def _union_values(unions: list, lookups: tuple):
+    """The values of endpoint texts that are a ``*`` or a union of names,
+    ``unions[0]`` valued by the names of ``lookups[1]`` and ``unions[1]`` by
+    those of ``lookups[2]``, as one list; None if a name is missing or a
+    star is in a union.  Each name is looked up once, and the columns of
+    all unions are ORed by one ``reduceat``.  Names are stripped only when
+    a blank is left once the bars of the usual ``" | "`` have been closed
+    up."""
+    every = unions[0] + unions[1]
+    columns, count = [], 0
+    for texts, lookup in zip(unions, lookups[1:]):
+        joined = "|".join(texts).replace(" | ", "|")
+        if "*" in joined and any("|" in text for text in texts if "*" in text):
+            return None
+        names = joined.split("|") if texts else []
+        if " " in joined or "\t" in joined:
+            names = list(map(str.strip, names))
+        columns.append(map(lookup.__getitem__, names))
+        count += len(names)
+    try:
+        columns = np.fromiter(chain(*columns), np.int64, count)
+    except KeyError:
+        return None
+    counts = np.fromiter(map(str.count, every, repeat("|")), np.int64, len(every))
+    return np.bitwise_or.reduceat(columns, np.cumsum(counts + 1) - counts - 1).tolist()
 
 
 def _scan_seeds(text: str, a1: Algebra, a2: Algebra):
     """The seeds of ``imp: <lang>.<formula> => <lang>.<formula>`` lines as
     two arrays of shape (n, 2), in file order: the side of each endpoint,
-    1 or 2, and its value, a mask or -1 for the star.
-
-    The text is read a block of lines at a time (``_direct_block``).  A
-    block it refuses is read line by line, each endpoint through
-    ``_parse_value``, starting at the block's first line number.  Each
-    distinct endpoint of those lines is read once; only successes are
-    remembered, so a malformed endpoint fails with the line it appears on,
-    and as a refused block is the only kind that can fail, the first error
-    in the file is the one raised."""
+    1 or 2, and its value, a mask or -1 for the star."""
     a1.require_enumerable()   # before reading masks into int64 arrays
     a2.require_enumerable()
-    languages = {a1.name: (1, a1), a2.name: (2, a2)}
-    sides_of = {name: side for name, (side, _) in languages.items()}
-    lookups = {1: a1.names, 2: a2.names}
-    endpoints = {}
-
-    def endpoint(key, lineno):
-        found = endpoints.get(key)
-        if found is None:
-            side, algebra = languages[key[0]]
-            found = endpoints[key] = (side, _parse_value(key[1], algebra, lineno))
-        return found
-
-    sides, values = [np.empty((0, 2), np.int64)], [np.empty((0, 2), np.int64)]
-    lineno = 1
-    for block in _blocks(text):
-        direct = _direct_block(block, sides_of, lookups)
-        if direct is not None:
-            lineno += block.count("\n")
-        else:
-            lines = block.splitlines()
-            seeds = np.array([[endpoint(key, n) for key in _seed_keys(line, n, languages)]
-                              for n, line in _content_lines(lines, lineno)],
-                             dtype=np.int64).reshape(-1, 2, 2)
-            lineno += len(lines)
-            direct = seeds[..., 0], seeds[..., 1]
-        sides.append(direct[0])
-        values.append(direct[1])
-    return np.concatenate(sides), np.concatenate(values)
+    blocks = [rows[1:] for rows in _read_pairs(text, a1, a2, {a1.name: 1, a2.name: 2})]
+    return tuple(np.concatenate([np.empty((0, 2), np.int64)] + [
+        np.asarray(block[i], np.int64).reshape(2, -1).T for block in blocks]) for i in (0, 1))
 
 
 def parse_implication_seeds(text: str, a1: Algebra, a2: Algebra):

@@ -23,7 +23,6 @@ from crosslang import (
     common_language,
     joint_space_from_translation,
     load_corpus,
-    parse_formula,
     parse_language,
 )
 from crosslang.cli import main
@@ -713,10 +712,23 @@ def test_deep_flat_belief_answers_without_a_traceback(tmp_path, shape):
         assert deep.returncode == 0
 
 
+@pytest.mark.parametrize("count", [1500, 10**5])
+def test_flat_union_query_answers(count):
+    """A query that is a union of ``count`` names, one cell over and over,
+    is valued as that cell: ``translate`` prints what it prints for the
+    single name, where the parsed union used to recurse past Python's
+    limit."""
+    oil = CORPUS / "oil-prices"
+    union = " | ".join(["usd_0_10"] * count)
+    got, single = (run_main("translate", str(oil), "1>2", "outer", query)
+                   for query in (union, "usd_0_10"))
+    assert (got.returncode, got.stdout, got.stderr) == (0, single.stdout, single.stderr)
+
+
 def test_direct_beliefs_build_no_formula_node(tmp_path, monkeypatch):
     """``check --mode translation``, ``translate`` and ``bounds`` on
     ``oil-prices``, whose beliefs and endpoints are all direct, build no
-    formula node but those of the query they are given."""
+    formula node, nor do the flat-union queries they are given."""
     oil = CORPUS / "oil-prices"
     states = joint_space_from_translation(load_corpus(oil).require_translation()).state_count
     weights = tmp_path / "weights.json"
@@ -727,15 +739,8 @@ def test_direct_beliefs_build_no_formula_node(tmp_path, monkeypatch):
             built.append(self)
             _init(self, *args)
         monkeypatch.setattr(node, "__init__", counted)
-    for argv, query in (
-            (["check", f"{oil}/lang1.lang", f"{oil}/lang2.lang", f"{oil}/translation.tr"], None),
-            (["translate", str(oil), "2>1", "inner", "cny_500_600 | cny_600_700"],
-             "cny_500_600 | cny_600_700"),
-            (["bounds", str(oil), str(weights), "usd_0_10", "--lang", "1"], "usd_0_10")):
-        built.clear()
+    for argv in (["check", f"{oil}/lang1.lang", f"{oil}/lang2.lang", f"{oil}/translation.tr"],
+                 ["translate", str(oil), "2>1", "inner", "cny_500_600 | cny_600_700"],
+                 ["bounds", str(oil), str(weights), "usd_0_10", "--lang", "1"]):
         assert run_main(*argv).returncode == 0
-        command = list(built)
-        built.clear()
-        if query is not None:
-            parse_formula(query)
-        assert len(command) == len(built), argv[0]
+        assert built == [], argv[0]

@@ -5,7 +5,8 @@ both outer arrays, and the common language as the perfect set with its
 outer images, checked pair by pair (``denseref.common_checks``).  Every
 consistent translation between two-cell algebras, the 500-instance suite,
 dense 8 x 8 pairs, and translations whose overrides restate a different
-translation."""
+translation.  Also every one-value mutant of a consistent two-cell
+translation, whose consistency report is that of the dense checkers."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ import numpy as np
 import denseref
 from crosslang import (
     DegenerateCommonLanguageError,
+    check_consistency,
     common_language,
     joint_space_from_translation,
     perfect_translations,
@@ -88,21 +90,53 @@ def dense_pairs(count: int) -> list[Translation]:
         pairs.append(t)
 
 
-def test_every_two_cell_translation():
+_TWO_CELL_VALUES = (0, 1, 2, 3, -1)     # the masks of two cells, then the star
+
+
+def two_cell_translations():
     """All 625 pairs of atom-image vectors between two-cell algebras, each
-    image a mask or the star; the consistent ones match the references."""
+    image a mask or the star, as translations."""
     a1, a2 = cell_algebra("left", 2, "a"), cell_algebra("right", 2, "b")
-    values = (0, 1, 2, 3, -1)
+    for images12 in itertools.product(_TWO_CELL_VALUES, repeat=2):
+        for images21 in itertools.product(_TWO_CELL_VALUES, repeat=2):
+            yield Translation(a1, a2, np.array(images12, np.int64),
+                              np.array(images21, np.int64))
+
+
+def test_every_two_cell_translation():
+    """The consistent ones of the 625 two-cell translations match the
+    references."""
     tried = consistent = 0
-    for images12 in itertools.product(values, repeat=2):
-        for images21 in itertools.product(values, repeat=2):
-            tried += 1
-            t = Translation(a1, a2, np.array(images12, np.int64),
-                            np.array(images21, np.int64))
-            if t.is_consistent():
-                consistent += 1
-                assert_matches_references(t)
+    for t in two_cell_translations():
+        tried += 1
+        if t.is_consistent():
+            consistent += 1
+            assert_matches_references(t)
     assert (tried, consistent) == (625, 90)
+
+
+def test_every_one_value_mutant_of_a_two_cell_translation():
+    """Every override of one value of a consistent two-cell translation: each
+    of the four operators, each mask slot, each value (a mask or the star)
+    but the current one.  ``check_consistency`` gives the report of the
+    dense references merged: the same checks, verdicts and first
+    witnesses."""
+    mutants = 0
+    for t in filter(Translation.is_consistent, two_cell_translations()):
+        for direction, mode in (("1>2", "inner"), ("1>2", "outer"),
+                                ("2>1", "inner"), ("2>1", "outer")):
+            current = t.array(direction, mode)
+            for x, y in itertools.product(range(4), _TWO_CELL_VALUES):
+                if y == current[x]:
+                    continue
+                mutant = Translation(t.algebra1, t.algebra2, t._images["1>2"],
+                                     t._images["2>1"], [(direction, mode, x, y)])
+                expected = (denseref.check_galois(mutant)
+                            .merged(denseref.check_approximation(mutant))
+                            .merged(denseref.check_restricted_duality(mutant)))
+                assert check_consistency(mutant).to_dict() == expected.to_dict()
+                mutants += 1
+    assert mutants == 5760
 
 
 def test_suite_and_dense_pairs_match_references(suite500):

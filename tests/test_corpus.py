@@ -659,20 +659,45 @@ def test_override_file_values_every_endpoint_in_bulk(tmp_path, monkeypatch):
     assert len(expected[2]) == 1 << 16
 
 
-def test_only_a_refused_block_is_valued_a_row_at_a_time(monkeypatch):
-    """About three blocks of mapping lines whose last line has a formula
-    endpoint: the bulk pass values the first blocks, and only the last
-    block's endpoints go through ``_parse_value``; the translation is the
-    reference's."""
+def _endpoints(line: str, a1, a2) -> list:
+    """The (language, text) of either endpoint of a mapping or seed line."""
+    head, _, body = line.split("#", 1)[0].partition(":")
+    ends = [end.strip() for end in body.partition("=>")[::2]]
+    if head == "imp":
+        return [tuple(part.strip() for part in end.split(".", 1)) for end in ends]
+    sides = (a1.name, a2.name)[::1 if head.endswith("1>2") else -1]
+    return list(zip(sides, ends))
+
+
+def test_only_a_refused_block_is_valued_a_row_at_a_time(tmp_path, monkeypatch):
+    """About three blocks of mapping lines, and a cover-seed file of a
+    10-cell pair, whose last line has a formula endpoint: the bulk pass
+    values the first blocks, and only the last block's endpoints go through
+    ``_parse_value``, each distinct one once; the result is the
+    reference's.  Without that line, the seed file is read with no call."""
     a1 = Algebra.from_spec(parse_language(_CELLS_A))
     a2 = Algebra.from_spec(parse_language(_CELLS_B))
-    text = _MAP_TEXT * (3 * _BLOCK_CHARS // len(_MAP_TEXT)) + "outer 2>1: _y => !(p | r)\n"
-    blocks = list(corpus._blocks(text))
-    assert len(blocks) == 3
-    calls = []
+    d = write_cover_pair(tmp_path, 10)
+    s1, s2 = load_algebras(d / "lang1.lang", d / "lang2.lang")
+    cover = (d / "cover.imp").read_text()
+    assert len(cover) > 2 * _BLOCK_CHARS
     parse_value = corpus._parse_value
-    monkeypatch.setattr(corpus, "_parse_value",
-                        lambda *args: calls.append(args[0]) or parse_value(*args))
-    outcome = _map_outcome(parse_translation_file, text, a1, a2)
-    assert len(calls) == 2 * blocks[-1].count("=>")
-    assert outcome == _map_outcome(translationref.parse_translation_file, text, a1, a2)
+    monkeypatch.setattr(corpus, "_parse_value", None)
+    assert _seed_outcome(parse_implication_seeds, cover, s1, s2) == _seed_outcome(
+        seedref.parse_implication_seeds, cover, s1, s2)
+    cases = [(_MAP_TEXT * (3 * _BLOCK_CHARS // len(_MAP_TEXT)) + "outer 2>1: _y => !(p | r)\n",
+              a1, a2, parse_translation_file, translationref.parse_translation_file,
+              _map_outcome),
+             (cover + "imp: lang1.a0 & !a1 => lang2.b0 | b1\n", s1, s2,
+              parse_implication_seeds, seedref.parse_implication_seeds, _seed_outcome)]
+    for text, x1, x2, parse, reference, outcome in cases:
+        blocks = list(corpus._blocks(text))
+        assert len(blocks) == 3
+        first = text.count("\n", 0, len(text) - len(blocks[-1])) + 1
+        calls = []
+        monkeypatch.setattr(corpus, "_parse_value", lambda end, algebra, lineno: calls.append(
+            (lineno, algebra.name, end)) or parse_value(end, algebra, lineno))
+        assert outcome(parse, text, x1, x2) == outcome(reference, text, x1, x2)
+        assert min(lineno for lineno, _, _ in calls) >= first
+        assert sorted(call[1:] for call in calls) == sorted(
+            {end for line in blocks[-1].splitlines() for end in _endpoints(line, x1, x2)})
